@@ -96,7 +96,8 @@ PolicyResult runPolicy(Fleet &F, PlacementKind Kind,
     Run.StickyTenantAffinity = true;
     R.Name += "+sticky";
   }
-  R.Outcome = harness::runCluster(F, *P, Trace, Run);
+  R.Outcome = harness::runClusterReplay(
+      F, *P, harness::ClusterWorkload::openLoop(Trace), Run);
   fillDerived(R, WindowLength);
   return R;
 }

@@ -69,7 +69,8 @@ SchemeResult runScheme(Fleet &F, const char *Name,
   R.Name = Name;
   std::unique_ptr<PlacementPolicy> P =
       makePlacementPolicy(PlacementKind::HeterogeneityAware);
-  R.Outcome = harness::runCluster(F, *P, Trace, Opts);
+  R.Outcome = harness::runClusterReplay(
+      F, *P, harness::ClusterWorkload::openLoop(Trace), Opts);
   for (const harness::ClusterFaultRecord &FR : R.Outcome.Faults) {
     if (FR.RecoveryTime > R.RecoveryTime)
       R.RecoveryTime = FR.RecoveryTime;

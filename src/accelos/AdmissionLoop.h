@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The admission-pass machinery shared by the serving-harness replays
-/// (harness::runStream / runClosedLoop / runCluster) and the functional
-/// Runtime's continuous pump: quantum-bounded slice sizing and the
+/// The admission-pass machinery shared by the fleet replay behind
+/// harness::runClusterReplay (and so runStream / runClosedLoop) and the
+/// functional Runtime's pump: quantum-bounded slice sizing and the
 /// grant -> slice-launch -> shrink -> admitFrom pass over a scheduler
 /// and a persistent engine session. Extracted from harness/ReplayDetail
 /// when the Runtime moved onto the continuous stack, so the API layer

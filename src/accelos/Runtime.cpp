@@ -256,18 +256,6 @@ double Runtime::now() const {
   return Session.now();
 }
 
-const SchedulerStats &Runtime::schedulerStats() const {
-  switch (Opts.Mode) {
-  case RuntimeOptions::Admission::RoundSync:
-    return RoundSched.stats();
-  case RuntimeOptions::Admission::Stride:
-    return StrideSched.stats();
-  case RuntimeOptions::Admission::Continuous:
-    break;
-  }
-  return ContSched.stats();
-}
-
 //===----------------------------------------------------------------------===//
 // Runtime: the pump
 //===----------------------------------------------------------------------===//
@@ -314,8 +302,7 @@ Error Runtime::runFunctionalLocked(RequestState &R, uint64_t GrantWGs) {
 }
 
 Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
-                                                double T,
-                                                bool SliceByQuantum) {
+                                                double T) {
   GrantOutcome O;
   if (Opts.RecordGrantHistory)
     GrantLog.push_back({Id, WGs});
@@ -344,12 +331,11 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
     }
   }
 
-  // Timing slice over [Cursor, End) of the virtual range.
-  size_t End = SliceByQuantum
-                   ? quantumSliceEnd(R.WGCosts, R.Cursor, WGs,
-                                     R.Demand.WGThreads, 1.0,
-                                     Opts.SliceQuantum)
-                   : R.WGCosts.size();
+  // Timing slice over [Cursor, End) of the virtual range. A round
+  // grant runs the whole remaining range.
+  size_t End = quantumSliceEnd(
+      R.WGCosts, R.Cursor, WGs, R.Demand.WGThreads, 1.0,
+      Opts.Mode == AdmissionMode::RoundSync ? 0 : Opts.SliceQuantum);
   sim::KernelLaunchDesc L;
   L.Name = R.Exec.KernelName;
   L.AppId = static_cast<int>(Id); // request-id channel through the sim
@@ -372,8 +358,7 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   return O;
 }
 
-template <typename SchedulerT>
-void Runtime::resubmitLocked(SchedulerT &Sched, uint64_t Id) {
+void Runtime::resubmitLocked(uint64_t Id) {
   RequestState &R = Requests.at(Id);
   RoundRequest RR;
   RR.Id = Id;
@@ -387,22 +372,21 @@ void Runtime::resubmitLocked(SchedulerT &Sched, uint64_t Id) {
     auto WIt = Weights.find(R.AppId);
     RR.Demand.Weight = WIt == Weights.end() ? 1.0 : WIt->second;
   }
-  Sched.submit(RR);
+  Sched->submit(RR);
 }
 
-template <typename SchedulerT>
-bool Runtime::admissionPassLocked(SchedulerT &Sched, double T) {
+bool Runtime::admissionPassLocked(double T) {
   bool Freed = false;
   bool Repass = runAdmissionPass(
-      Sched, Session, LaunchBuf,
+      *Sched, Session, LaunchBuf,
       [&](uint64_t Id,
           uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
-        GrantOutcome O = buildGrantLocked(Id, WGs, T,
-                                          /*SliceByQuantum=*/true);
+        GrantOutcome O = buildGrantLocked(Id, WGs, T);
         if (O.Failed) {
           // The failed grant holds an in-flight reservation in the
-          // scheduler's books; release it so waiters can take it.
-          Sched.complete(Id);
+          // scheduler's books; release it so waiters (or, under
+          // RoundSync, the next round) can take it at this instant.
+          Sched->complete(Id);
           Freed = true;
         }
         return std::move(O.Launch);
@@ -433,78 +417,30 @@ bool Runtime::recordCompletionLocked(const sim::KernelExecResult &K) {
   return R.Cursor < R.WGCosts.size();
 }
 
-template <typename SchedulerT>
-bool Runtime::contStepLocked(SchedulerT &Sched) {
+bool Runtime::stepLocked() {
   double T = Session.now();
   // Arrival events due now join the queue before admission runs, so
   // same-instant arrivals are solved together (harness semantics).
   while (!Arrivals.empty() && Arrivals.top().first <= T) {
     uint64_t Id = Arrivals.top().second;
     Arrivals.pop();
-    resubmitLocked(Sched, Id);
+    resubmitLocked(Id);
     NeedAdmit = true;
   }
   while (NeedAdmit)
-    NeedAdmit = admissionPassLocked(Sched, T);
+    NeedAdmit = admissionPassLocked(T);
   if (!advanceLocked())
     return false;
   for (const sim::KernelExecResult &K : CompletionBuf) {
     uint64_t Id = static_cast<uint64_t>(K.AppId);
-    Sched.complete(Id);
+    Sched->complete(Id);
     NeedAdmit = true;
     if (recordCompletionLocked(K))
-      resubmitLocked(Sched, Id); // remaining slices re-enter the queue
+      resubmitLocked(Id); // remaining slices re-enter the queue
     else
       finalizeLocked(Id);
   }
   return true;
-}
-
-bool Runtime::roundStepLocked() {
-  double T = Session.now();
-  while (!Arrivals.empty() && Arrivals.top().first <= T) {
-    uint64_t Id = Arrivals.top().second;
-    Arrivals.pop();
-    resubmitLocked(RoundSched, Id);
-  }
-  if (Session.inFlight() == 0 && RoundSched.pending() != 0) {
-    // Completion barrier: plan the next round. Rounds are planned
-    // back-to-back over whatever is pending at each barrier, so the
-    // nextRound() call sequence — and the grant history — matches the
-    // legacy flushRound loop bit for bit.
-    std::vector<RoundGrant> Grants = RoundSched.nextRound();
-    LaunchBuf.clear();
-    for (const RoundGrant &G : Grants) {
-      GrantOutcome O =
-          buildGrantLocked(G.Id, G.WGs, T, /*SliceByQuantum=*/false);
-      if (O.Launch)
-        LaunchBuf.push_back(std::move(*O.Launch));
-    }
-    if (!LaunchBuf.empty())
-      Session.admitFrom(LaunchBuf);
-    return true;
-  }
-  if (!advanceLocked())
-    return false;
-  for (const sim::KernelExecResult &K : CompletionBuf) {
-    // Round grants launch their whole remaining range in one slice, so
-    // every completion retires its request.
-    recordCompletionLocked(K);
-    finalizeLocked(static_cast<uint64_t>(K.AppId));
-  }
-  return true;
-}
-
-bool Runtime::stepLocked() {
-  switch (Opts.Mode) {
-  case RuntimeOptions::Admission::RoundSync:
-    return roundStepLocked();
-  case RuntimeOptions::Admission::Stride:
-    return contStepLocked(StrideSched);
-  case RuntimeOptions::Admission::Continuous:
-    break;
-  }
-  return contStepLocked(ContSched);
 }
 
 void Runtime::finalizeLocked(uint64_t Id) {

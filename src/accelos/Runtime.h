@@ -23,17 +23,19 @@
 /// flushRound() advance the session until the awaited work retires,
 /// dispatching completion callbacks outside the runtime lock.
 ///
-/// Three admission disciplines are selectable via RuntimeOptions:
+/// The runtime holds one AdmissionScheduler, picked by RuntimeOptions::
+/// Mode, behind one pump step:
 ///
 ///  - Continuous (default): ContinuousScheduler — fair shares re-solved
 ///    at every arrival/completion event over the residual capacity,
 ///    with the incremental fast paths;
 ///  - Stride: StrideScheduler — approximate proportional share without
 ///    the solver;
-///  - RoundSync: the legacy RoundScheduler behind the same pump. Rounds
-///    are planned only at completion barriers (session idle), so the
-///    nextRound() call sequence — and with it the grant history — is
-///    bit-identical to the pre-refactor flushRound() loop, which is
+///  - RoundSync: RoundSyncScheduler, the legacy RoundScheduler behind a
+///    completion barrier. Rounds are planned only when no round grant
+///    is in flight and each grant runs its whole remaining range, so
+///    the nextRound() call sequence — and with it the grant history —
+///    is bit-identical to the pre-refactor flushRound() loop, which is
 ///    regression-tested.
 ///
 /// Thread safety: submit()/submitAt()/wait()/drain()/flushRound()/
@@ -109,23 +111,10 @@ private:
 
 /// Runtime admission configuration, fixed at construction.
 struct RuntimeOptions {
-  enum class Admission {
-    /// Legacy round-synchronous admission: rounds planned at completion
-    /// barriers; grant history bit-identical to the pre-refactor
-    /// flushRound() loop.
-    RoundSync,
-    /// Event-driven fair-share admission at every arrival/completion
-    /// (the default).
-    Continuous,
-    /// Stride (proportional-share) admission without the solver.
-    Stride,
-  };
+  /// The admission discipline; RoundSync reproduces the pre-refactor
+  /// flushRound() grant history.
+  using Admission = AdmissionMode;
   Admission Mode = Admission::Continuous;
-  /// ContinuousScheduler incremental fast paths (bit-identical grants
-  /// either way; see SchedulerOptions::Incremental).
-  bool Incremental = true;
-  /// Debug cross-check of the fast paths (SchedulerOptions::SelfCheck).
-  bool SelfCheck = false;
   /// Timing-slice quantum for continuous/stride admission: an in-flight
   /// grant occupies its share for at most ~this many cycles before the
   /// remainder is requeued and re-solved. <= 0 runs each grant's whole
@@ -225,10 +214,8 @@ public:
                    SchedulingMode Mode = SchedulingMode::Optimized,
                    RuntimeOptions Opts = {})
       : Dev(&Dev), Mode(Mode), Opts(Opts), Memory(Dev),
-        RoundSched(ResourceCaps::fromDevice(Dev.spec())),
-        ContSched(ResourceCaps::fromDevice(Dev.spec()), SolverOptions{},
-                  SchedulerOptions{Opts.Incremental, Opts.SelfCheck}),
-        StrideSched(ResourceCaps::fromDevice(Dev.spec())),
+        Sched(makeAdmissionScheduler(Opts.Mode,
+                                     ResourceCaps::fromDevice(Dev.spec()))),
         Session(Dev.spec()) {}
 
   ocl::Device &device() { return *Dev; }
@@ -311,8 +298,8 @@ public:
   /// Current simulation time of the embedded session. Thread-safe.
   double now() const;
 
-  /// The active scheduler's observable behaviour.
-  const SchedulerStats &schedulerStats() const;
+  /// The scheduler's observable behaviour.
+  const SchedulerStats &schedulerStats() const { return Sched->stats(); }
 
   /// Every grant issued, in admission order (RecordGrantHistory only) —
   /// the bit-identity regression hook. Read when quiescent.
@@ -370,18 +357,13 @@ private:
 
   /// One pump step; \returns false when the runtime is idle.
   bool stepLocked();
-  bool roundStepLocked();
-  template <typename SchedulerT> bool contStepLocked(SchedulerT &Sched);
-  template <typename SchedulerT>
-  bool admissionPassLocked(SchedulerT &Sched, double T);
-  template <typename SchedulerT>
-  void resubmitLocked(SchedulerT &Sched, uint64_t Id);
+  bool admissionPassLocked(double T);
+  void resubmitLocked(uint64_t Id);
 
   /// Processes one grant: on the first grant runs the kernel
   /// functionally through the Virtual NDRange machinery, then builds
   /// the quantum-bounded timing slice.
-  GrantOutcome buildGrantLocked(uint64_t Id, uint64_t WGs, double T,
-                                bool SliceByQuantum);
+  GrantOutcome buildGrantLocked(uint64_t Id, uint64_t WGs, double T);
   Error runFunctionalLocked(RequestState &R, uint64_t GrantWGs);
 
   /// Advances the session to the earlier of its next event and the next
@@ -405,9 +387,7 @@ private:
   std::map<const passes::TransformedKernelInfo *, double> PerItemOf;
 
   mutable std::mutex Mu;
-  RoundScheduler RoundSched;
-  ContinuousScheduler ContSched;
-  StrideScheduler StrideSched;
+  std::unique_ptr<AdmissionScheduler> Sched;
   sim::EngineSession Session;
 
   std::map<uint64_t, RequestState> Requests; ///< Live, by request id.

@@ -79,6 +79,23 @@ ResourceUse queueFootprint(const KernelDemand &D) {
 
 } // namespace
 
+AdmissionScheduler::~AdmissionScheduler() = default;
+
+std::unique_ptr<AdmissionScheduler>
+accelos::makeAdmissionScheduler(AdmissionMode Mode, const ResourceCaps &Caps,
+                                SolverOptions Opts,
+                                SchedulerOptions SchedOpts) {
+  switch (Mode) {
+  case AdmissionMode::RoundSync:
+    return std::make_unique<RoundSyncScheduler>(Caps, Opts);
+  case AdmissionMode::Stride:
+    return std::make_unique<StrideScheduler>(Caps);
+  case AdmissionMode::Continuous:
+    break;
+  }
+  return std::make_unique<ContinuousScheduler>(Caps, Opts, SchedOpts);
+}
+
 RoundGrant RoundScheduler::soloGrant(const Entry &E) const {
   std::vector<uint64_t> Shares = solveFairShares(Caps, {E.R.Demand}, Opts);
   // Alone, any well-formed request solves to at least one work group.
@@ -140,6 +157,28 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
 
   Queue = std::move(Deferred);
   return Grants;
+}
+
+//===----------------------------------------------------------------------===//
+// RoundSyncScheduler
+//===----------------------------------------------------------------------===//
+
+const std::vector<RoundGrant> &RoundSyncScheduler::admit() {
+  Grants.clear();
+  // Completion barrier. A round whose grants were all zero-work leaves
+  // nothing in flight, so the next round is planned at the same event.
+  while (InFlight == 0 && Rounds.pending() != 0)
+    for (const RoundGrant &G : Rounds.nextRound()) {
+      Grants.push_back(G);
+      InFlight += G.WGs != 0;
+    }
+  return Grants;
+}
+
+void RoundSyncScheduler::complete(uint64_t /*Id*/) {
+  assert(InFlight > 0 && "completing with no round grant in flight");
+  if (InFlight > 0)
+    --InFlight;
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,15 +21,18 @@
 /// clamp is eventually granted a round of its own, so deferral never
 /// becomes starvation.
 ///
-/// Two admission disciplines share the queue/grant vocabulary:
+/// The admission disciplines share the queue/grant vocabulary and one
+/// interface, AdmissionScheduler, selected by AdmissionMode:
 ///
-///  - RoundScheduler: completion-round-synchronous — every grant of a
-///    round ends before the next round is solved (the paper's global
-///    scheduling boundary);
-///  - ContinuousScheduler: event-driven — in-flight executions keep
+///  - RoundSync: RoundScheduler behind a completion barrier — every
+///    grant of a round ends before the next round is solved (the
+///    paper's global scheduling boundary);
+///  - Continuous: ContinuousScheduler — in-flight executions keep
 ///    their grants while newly arrived (or requeued sliced) requests
 ///    are admitted into the *residual* capacity at every
-///    arrival/completion event, with no global barrier.
+///    arrival/completion event, with no global barrier;
+///  - Stride: StrideScheduler — the same event-driven admission with
+///    pass/stride tenant counters in place of the fair-share solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -90,6 +94,45 @@ struct SchedulerStats {
   /// admission passes resolved by a structural fast path (underloaded
   /// device, or zero residual capacity), and every StrideScheduler pass.
   uint64_t FastPasses = 0;
+};
+
+/// The admission discipline of one device's scheduler — the one choice
+/// behind harness::StreamOptions::Admission and RuntimeOptions::Mode.
+enum class AdmissionMode {
+  /// Completion-round-synchronous: a global boundary per round.
+  RoundSync,
+  /// Event-driven fair-share admission into the residual capacity.
+  Continuous,
+  /// Event-driven admission through pass/stride tenant counters: no
+  /// solver, O(log tenants) per pick, approximate weighted fairness.
+  Stride,
+};
+
+/// The event-driven admission surface every serving loop drives: the
+/// fleet replay (per device) and the Runtime pump. The caller queues
+/// arrivals and requeued slices with submit(), asks admit() for grants
+/// at every arrival/completion event, narrows a grant whose slice runs
+/// fewer work groups with shrink(), and reports each granted
+/// execution's end with complete(). Zero-work requests are granted zero
+/// work groups and need no complete().
+class AdmissionScheduler {
+public:
+  virtual ~AdmissionScheduler();
+
+  /// Queues a request (an arrival event; call admit() to act on it).
+  virtual void submit(const RoundRequest &R) = 0;
+  /// Plans admissions for the current event. The returned reference is
+  /// into a buffer reused by the next call.
+  virtual const std::vector<RoundGrant> &admit() = 0;
+  /// Marks the granted execution \p Id complete, returning its capacity.
+  virtual void complete(uint64_t Id) = 0;
+  /// Narrows the reserved footprint of in-flight execution \p Id to the
+  /// \p WGs actually launched.
+  virtual void shrink(uint64_t Id, uint64_t WGs) = 0;
+  /// Drops every pending request (error recovery, device loss);
+  /// in-flight executions are unaffected.
+  virtual void clear() = 0;
+  virtual const SchedulerStats &stats() const = 0;
 };
 
 /// Round-synchronous fair-share scheduler over one device's capacity.
@@ -184,7 +227,7 @@ struct SchedulerOptions {
 /// stats().FullSolves / FastPasses count the split, and
 /// SchedulerOptions::SelfCheck re-derives every fast-path result with a
 /// fresh solve and asserts equality (debug builds).
-class ContinuousScheduler {
+class ContinuousScheduler final : public AdmissionScheduler {
 public:
   /// A request overtaken this many times blocks younger admissions.
   static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
@@ -194,18 +237,17 @@ public:
                                SchedulerOptions SchedOpts = {})
       : Caps(Caps), Opts(Opts), SchedOpts(SchedOpts) {}
 
-  /// Queues a request (an arrival event; call admit() to act on it).
-  void submit(const RoundRequest &R);
+  void submit(const RoundRequest &R) override;
 
   /// Marks the in-flight execution \p Id complete, returning its
   /// capacity to the pool (a completion event; call admit() next).
-  void complete(uint64_t Id);
+  void complete(uint64_t Id) override;
 
   /// Narrows the reserved footprint of in-flight execution \p Id to
   /// the \p WGs actually launched. A quantum slice shorter than the
   /// grant runs fewer physical work groups; the difference is idle
   /// capacity the next admission pass may hand out.
-  void shrink(uint64_t Id, uint64_t WGs);
+  void shrink(uint64_t Id, uint64_t WGs) override;
 
   /// Plans admissions for the current event: re-solves fair shares over
   /// everything active (in-flight + pending) and grants each pending
@@ -223,17 +265,13 @@ public:
   ///
   /// The returned reference is into a buffer reused by the next admit()
   /// call — consume (or copy) it before then.
-  const std::vector<RoundGrant> &admit();
+  const std::vector<RoundGrant> &admit() override;
 
   size_t pending() const { return Queue.size(); }
   size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const { return Stats; }
-  /// stats() under the name the serving harness reports it as.
-  const SchedulerStats &schedulerStats() const { return Stats; }
+  const SchedulerStats &stats() const override { return Stats; }
 
-  /// Drops every pending request (error recovery); in-flight
-  /// executions are unaffected.
-  void clear() {
+  void clear() override {
     Queue.clear();
     QueueUse = ResourceUse{};
   }
@@ -302,9 +340,8 @@ private:
 /// over *time* — a weight-2 tenant is picked twice as often — rather
 /// than through per-event share re-solving.
 ///
-/// Interface-compatible with ContinuousScheduler (submit / admit /
-/// shrink / complete / stats), so the serving loop and benches drive
-/// either through the same template code. Fairness is approximate:
+/// Another AdmissionScheduler, so the serving loops drive it exactly
+/// like ContinuousScheduler. Fairness is approximate:
 /// serve_scale gates its peak windowed unfairness within 2x of the
 /// exact solver's while admission passes stay O(grants * log tenants).
 ///
@@ -314,7 +351,7 @@ private:
 /// pick order, so bypassing is doubly bounded. New or reactivated
 /// tenants join at max(own pass, global pass) — the standard stride
 /// re-entry rule — so sleeping never banks credit.
-class StrideScheduler {
+class StrideScheduler final : public AdmissionScheduler {
 public:
   static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
   /// Stride numerator (stride = Stride1 / tickets, in doubles — exact
@@ -327,28 +364,22 @@ public:
   /// Queues a request under R.Tenant's account (an arrival event). The
   /// tenant's tickets are refreshed from R.Demand.Weight, so adaptive
   /// weight changes take effect on the next submission.
-  void submit(const RoundRequest &R);
+  void submit(const RoundRequest &R) override;
 
-  /// Marks the in-flight execution \p Id complete, returning its
-  /// capacity to the pool.
-  void complete(uint64_t Id);
-
-  /// Narrows the reserved footprint of in-flight execution \p Id (see
-  /// ContinuousScheduler::shrink).
-  void shrink(uint64_t Id, uint64_t WGs);
+  void complete(uint64_t Id) override;
+  void shrink(uint64_t Id, uint64_t WGs) override;
 
   /// Plans admissions for the current event (see class comment). The
   /// returned reference is into a buffer reused by the next call.
-  const std::vector<RoundGrant> &admit();
+  const std::vector<RoundGrant> &admit() override;
 
   size_t pending() const { return Pending; }
   size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const { return Stats; }
-  const SchedulerStats &schedulerStats() const { return Stats; }
+  const SchedulerStats &stats() const override { return Stats; }
 
-  /// Drops every pending request (error recovery); in-flight
-  /// executions keep their grants, tenants keep their pass values.
-  void clear();
+  /// Drops every pending request; in-flight executions keep their
+  /// grants, tenants keep their pass values.
+  void clear() override;
 
 private:
   struct Entry {
@@ -381,6 +412,39 @@ private:
   std::vector<RoundGrant> Grants;  ///< Reused across passes.
   std::vector<int> Skipped;        ///< Pass-local scratch.
 };
+
+/// RoundScheduler behind a completion barrier, as an AdmissionScheduler:
+/// admit() plans the next round only when none of the previous rounds'
+/// grants is in flight, so an event-driven caller reproduces the
+/// round-by-round nextRound() sequence of a loop that waits out each
+/// round. Grants never shrink (a round grant runs its whole remaining
+/// range), and a round of only zero-work grants is followed at once by
+/// the next one.
+class RoundSyncScheduler final : public AdmissionScheduler {
+public:
+  explicit RoundSyncScheduler(const ResourceCaps &Caps,
+                              SolverOptions Opts = {})
+      : Rounds(Caps, Opts) {}
+
+  void submit(const RoundRequest &R) override { Rounds.submit(R); }
+  const std::vector<RoundGrant> &admit() override;
+  void complete(uint64_t Id) override;
+  void shrink(uint64_t, uint64_t) override {}
+  void clear() override { Rounds.clear(); }
+  const SchedulerStats &stats() const override { return Rounds.stats(); }
+
+private:
+  RoundScheduler Rounds;
+  size_t InFlight = 0; ///< Granted executions not yet complete.
+  std::vector<RoundGrant> Grants;
+};
+
+/// \returns a scheduler running discipline \p Mode over \p Caps. \p
+/// SchedOpts applies to Continuous only; Stride takes neither option.
+std::unique_ptr<AdmissionScheduler>
+makeAdmissionScheduler(AdmissionMode Mode, const ResourceCaps &Caps,
+                       SolverOptions Opts = {},
+                       SchedulerOptions SchedOpts = {});
 
 /// Tuning of the SLO weight controller. Like AdaptivePolicy.h's batch
 /// thresholds these are policy constants, not per-request knobs; the

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <memory>
 #include <optional>
 
 using namespace accel;
@@ -26,16 +27,26 @@ namespace {
 /// Sentinel for "request not attached to any fault".
 constexpr size_t NoFault = static_cast<size_t>(-1);
 
+/// One device of a replay: its compiled view plus the two probes
+/// placement reads. runClusterReplay fills the list from its Fleet; the
+/// single-device replays fill it from their one driver without building
+/// a Fleet (Fleet::addDevice recompiles the suite and re-probes every
+/// solo duration).
+struct ReplayDevice {
+  ExperimentDriver *Driver = nullptr;
+  double ServiceRate = 1.0; ///< Fleet::serviceRate.
+  double MeanSolo = 0;      ///< Fleet::meanSoloDuration (Blind estimates).
+};
+
 /// One fleet member's live serving state. Outstanding work lives in
 /// the policy's load view (PlacementPolicy::loads()) — the lifecycle
 /// notifications keep it current, and the replay reads it back for
 /// migration decisions instead of keeping a second tally.
 struct DeviceState {
   std::optional<sim::EngineSession> Session;
-  std::optional<accelos::ContinuousScheduler> Sched;
+  std::unique_ptr<accelos::AdmissionScheduler> Sched;
   /// An admission pass is pending (an arrival or completion changed
-  /// this device's queue or residual capacity). Starts true, exactly
-  /// like the single-device loop's initial pass.
+  /// this device's queue or residual capacity). Starts true.
   bool NeedAdmit = true;
   /// In the serving set: placements, admission, and migration targets
   /// all require Alive. Mirrors the policy view's DeviceLoad::Alive.
@@ -44,23 +55,21 @@ struct DeviceState {
   size_t PlacedRequests = 0;
 };
 
-/// The merged-clock replay over N per-device continuous schedulers:
-/// the single-device continuous loop of runStream, generalized. Each
-/// iteration (1) applies scripted fleet-capacity events due at the
-/// current merged time, (2) places and submits every arrival due, (3)
-/// runs the pending admission passes device by device, (4) advances
-/// every session to the earliest next event anywhere in the fleet,
-/// reacting to completions (and, at those quantum-slice boundaries,
-/// deciding migrations). With N == 1 and an empty fleet plan the event
-/// order is exactly runStream's, so the output is bit-identical
-/// (regression-tested).
+/// The merged-clock replay over N per-device admission schedulers —
+/// the one continuous accelOS replay loop; runStream and runClosedLoop
+/// run it on a one-device view. Each iteration (1) applies scripted
+/// fleet-capacity events due at the current merged time, (2) places and
+/// submits every arrival due, (3) runs the pending admission passes
+/// device by device, (4) advances every session to the earliest next
+/// event anywhere in the fleet, reacting to completions (and, at those
+/// quantum-slice boundaries, deciding migrations).
 class ClusterReplay {
 public:
-  ClusterReplay(cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-                const ClusterOptions &Opts, ClusterOutcome &Out)
-      : RS(Fleet.driver(0), Opts.Stream, Opts.Mode, Out.Stream),
+  ClusterReplay(const std::vector<ReplayDevice> &Fleet,
+                cluster::PlacementPolicy &Policy, const ClusterOptions &Opts,
+                ClusterOutcome &Out)
+      : RS(*Fleet[0].Driver, Opts.Stream, Opts.Mode, Out.Stream),
         Fleet(Fleet), Policy(Policy), Opts(Opts), Out(Out) {
-    assert(!Fleet.empty() && "cluster replay over an empty fleet");
     Plan = Opts.FleetPlan;
     std::stable_sort(Plan.begin(), Plan.end(),
                      [](const FleetEvent &A, const FleetEvent &B) {
@@ -79,16 +88,23 @@ public:
           Alive[E.Device] = false;
       }
     }
+    // RoundSync, the StreamOptions default, means Continuous here: a
+    // fleet has no global round boundary.
+    const accelos::AdmissionMode Mode =
+        Opts.Stream.Admission == accelos::AdmissionMode::Stride
+            ? accelos::AdmissionMode::Stride
+            : accelos::AdmissionMode::Continuous;
     Devices.resize(Fleet.size());
     std::vector<double> Rates(Fleet.size());
     for (size_t D = 0; D != Fleet.size(); ++D) {
+      const sim::DeviceSpec &Spec = Fleet[D].Driver->device();
       Devices[D].Alive = Alive[D];
-      Devices[D].Session.emplace(Fleet.device(D));
-      Devices[D].Sched.emplace(
-          detail::capsFor(Fleet.device(D), Opts.Stream),
+      Devices[D].Session.emplace(Spec);
+      Devices[D].Sched = accelos::makeAdmissionScheduler(
+          Mode, detail::capsFor(Spec, Opts.Stream),
           detail::solverOptsFor(Opts.Stream),
           detail::schedOptsFor(Opts.Stream));
-      Rates[D] = Fleet.serviceRate(D);
+      Rates[D] = Fleet[D].ServiceRate;
     }
     Policy.attach(std::move(Rates), Alive);
     if (Opts.Stream.AdaptiveSloWeights) {
@@ -142,14 +158,14 @@ public:
   void arriveOpen(const workloads::TimedRequest &R, double T) {
     if (anyAlive()) {
       size_t D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
-      size_t Idx = RS.append(R, Fleet.driver(D));
+      size_t Idx = RS.append(R, *Fleet[D].Driver);
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
     // Materialized against device 0's view only so the request has a
     // shape; rehome() rebinds it before it ever executes.
-    size_t Idx = RS.append(R, Fleet.driver(0));
+    size_t Idx = RS.append(R, *Fleet[0].Driver);
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
@@ -162,12 +178,12 @@ public:
     detail::IssuedRequest R = L.pop();
     if (anyAlive()) {
       size_t D = decide(L.tenantOf(R), R.KernelIdx, R.Time);
-      size_t Idx = L.materializeOn(RS, R, Fleet.driver(D));
+      size_t Idx = L.materializeOn(RS, R, *Fleet[D].Driver);
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
-    size_t Idx = L.materializeOn(RS, R, Fleet.driver(0));
+    size_t Idx = L.materializeOn(RS, R, *Fleet[0].Driver);
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
@@ -176,9 +192,7 @@ public:
   }
 
   /// Runs the pending admission passes of every in-service device, in
-  /// fleet order — the exact single-device pass
-  /// (detail::admissionPass), so the N == 1 degeneration stays
-  /// bit-identical by construction.
+  /// fleet order.
   void admitAll(double T) {
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
@@ -214,8 +228,10 @@ public:
       DeviceState &DS = Devices[D];
       if (DS.Session->inFlight() > 0)
         DS.BusyTime += NewNow - T;
-      for (const sim::KernelExecResult &K :
-           DS.Session->advanceTo(NewNow)) {
+      // The reactions below touch schedulers and the policy, never a
+      // session, so one completion buffer serves every device.
+      DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+      for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
         LiveRequest &LR = RS.Live[Idx];
         if (!LR.Started) {
@@ -225,6 +241,7 @@ public:
         LR.End = K.EndTime;
         DS.Sched->complete(Idx);
         DS.NeedAdmit = true;
+        ++Out.Stream.EngineCompletions;
         // Settle the drained work into the policy's load view and the
         // conservation ledger.
         double Remaining = RS.remainingCost(Idx);
@@ -257,16 +274,19 @@ public:
     Out.Devices.resize(Devices.size());
     for (size_t D = 0; D != Devices.size(); ++D) {
       ClusterDeviceOutcome &DO = Out.Devices[D];
-      DO.Name = Fleet.device(D).Name;
+      const accelos::SchedulerStats &S = Devices[D].Sched->stats();
+      DO.Name = Fleet[D].Driver->device().Name;
       DO.Requests = Devices[D].PlacedRequests;
       DO.BusyTime = Devices[D].BusyTime;
       DO.Utilization = Out.Stream.Makespan > 0
                            ? Devices[D].BusyTime / Out.Stream.Makespan
                            : 0;
-      DO.Rounds = Devices[D].Sched->stats().RoundsPlanned;
-      DO.Deferrals = Devices[D].Sched->stats().Deferrals;
+      DO.Rounds = S.RoundsPlanned;
+      DO.Deferrals = S.Deferrals;
       Out.Stream.Rounds += DO.Rounds;
       Out.Stream.Deferrals += DO.Deferrals;
+      Out.Stream.FullSolves += S.FullSolves;
+      Out.Stream.FastPasses += S.FastPasses;
     }
   }
 
@@ -332,7 +352,7 @@ private:
   /// onto \p To's compiled view and re-enters that device's admission.
   void rebind(size_t Idx, size_t From, size_t To, double T,
               bool Failover) {
-    RS.rehome(Idx, Fleet.driver(To));
+    RS.rehome(Idx, *Fleet[To].Driver);
     DeviceOf[Idx] = To;
     Out.Placement[Idx] = To;
     double Cost = RS.remainingCost(Idx);
@@ -421,7 +441,7 @@ private:
       if (Out.Placement[Idx] == Fleet.size()) {
         // Arrived during a full outage and was never placed: this is
         // its first placement, not a migration.
-        RS.rehome(Idx, Fleet.driver(To));
+        RS.rehome(Idx, *Fleet[To].Driver);
         commit(Idx, To);
       } else {
         rebind(Idx, PrevDeviceOf[Idx], To, T, /*Failover=*/true);
@@ -500,12 +520,12 @@ private:
   double soloEstimate(size_t D, size_t KernelIdx) {
     switch (Opts.SoloEstimate) {
     case SoloEstimateKind::Oracle:
-      return Fleet.driver(D).isolatedDuration(SchedulerKind::Baseline,
-                                              KernelIdx);
+      return Fleet[D].Driver->isolatedDuration(SchedulerKind::Baseline,
+                                               KernelIdx);
     case SoloEstimateKind::Blind:
-      return Fleet.meanSoloDuration(D);
+      return Fleet[D].MeanSolo;
     case SoloEstimateKind::StaticPrior: {
-      double Prior = Fleet.driver(D).priorSoloDuration(KernelIdx);
+      double Prior = Fleet[D].Driver->priorSoloDuration(KernelIdx);
       auto It = Observed.find({D, KernelIdx});
       if (It == Observed.end())
         return Prior;
@@ -554,10 +574,8 @@ private:
       Loop->issue(Loop->tenantPos(Idx), At);
   }
 
-  /// Retires a zero-work request at the admission boundary. Matching
-  /// the single-device loops, the SLO controller does NOT observe it
-  /// (it never occupied the device), so the N == 1 adaptive replay
-  /// stays equivalent to runClosedLoop in this corner too; the
+  /// Retires a zero-work request at the admission boundary. The SLO
+  /// controller does NOT observe it (it never occupied the device); the
   /// tenant's think clock still starts here.
   void retire(size_t Idx, double T) {
     Policy.completeOn(DeviceOf[Idx], Accounted[Idx], true);
@@ -593,7 +611,7 @@ private:
       Loop->issue(Loop->tenantPos(Idx), At);
   }
 
-  cluster::Fleet &Fleet;
+  const std::vector<ReplayDevice> &Fleet;
   cluster::PlacementPolicy &Policy;
   const ClusterOptions &Opts;
   ClusterOutcome &Out;
@@ -623,20 +641,11 @@ private:
   std::map<std::pair<size_t, size_t>, SoloObservation> Observed;
 };
 
-/// Keeps the Devices-indexed-by-fleet-position contract on the
-/// degenerate no-requests paths: every device reports, just idle.
-void fillIdleDevices(cluster::Fleet &Fleet, ClusterOutcome &Out) {
-  Out.Devices.resize(Fleet.size());
-  for (size_t D = 0; D != Fleet.size(); ++D)
-    Out.Devices[D].Name = Fleet.device(D).Name;
-}
-
-} // namespace
-
-ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
-                                         cluster::PlacementPolicy &Policy,
-                                         const ClusterWorkload &Workload,
-                                         const ClusterOptions &Opts) {
+/// Replays \p Workload over \p Fleet: the body of runClusterReplay.
+ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
+                      cluster::PlacementPolicy &Policy,
+                      const ClusterWorkload &Workload,
+                      const ClusterOptions &Opts) {
   assert((Workload.Trace != nullptr) != (Workload.Script != nullptr) &&
          "workload must be exactly one of open-loop or closed-loop");
   ClusterOutcome Out;
@@ -645,7 +654,11 @@ ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
   const size_t Total =
       Trace ? Trace->size() : Workload.Script->totalRequests();
   if (Total == 0 || Fleet.empty()) {
-    fillIdleDevices(Fleet, Out);
+    // Every device still reports, just idle: consumers may index
+    // Devices by fleet position unconditionally.
+    Out.Devices.resize(Fleet.size());
+    for (size_t D = 0; D != Fleet.size(); ++D)
+      Out.Devices[D].Name = Fleet[D].Driver->device().Name;
     return Out;
   }
 
@@ -697,17 +710,28 @@ ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
   return Out;
 }
 
-ClusterOutcome harness::runCluster(
-    cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-    const std::vector<workloads::TimedRequest> &Trace,
-    const ClusterOptions &Opts) {
-  return runClusterReplay(Fleet, Policy, ClusterWorkload::openLoop(Trace),
-                          Opts);
+} // namespace
+
+ClusterOutcome harness::runClusterReplay(cluster::Fleet &Fleet,
+                                         cluster::PlacementPolicy &Policy,
+                                         const ClusterWorkload &Workload,
+                                         const ClusterOptions &Opts) {
+  std::vector<ReplayDevice> Devices;
+  for (size_t D = 0; D != Fleet.size(); ++D)
+    Devices.push_back(
+        {&Fleet.driver(D), Fleet.serviceRate(D), Fleet.meanSoloDuration(D)});
+  return replay(Devices, Policy, Workload, Opts);
 }
 
-ClusterOutcome harness::runClusterClosedLoop(
-    cluster::Fleet &Fleet, cluster::PlacementPolicy &Policy,
-    const workloads::ClosedLoopScript &Script, const ClusterOptions &Opts) {
-  return runClusterReplay(Fleet, Policy,
-                          ClusterWorkload::closedLoop(Script), Opts);
+StreamOutcome detail::replayOnDevice(ExperimentDriver &Driver,
+                                     accelos::SchedulingMode Mode,
+                                     const ClusterWorkload &Workload,
+                                     const StreamOptions &Opts) {
+  ClusterOptions COpts;
+  COpts.Stream = Opts;
+  COpts.Mode = Mode;
+  // Any policy places every request on the one device.
+  std::unique_ptr<cluster::PlacementPolicy> Policy =
+      cluster::makePlacementPolicy(cluster::PlacementKind::RoundRobin);
+  return replay({{&Driver}}, *Policy, Workload, COpts).Stream;
 }

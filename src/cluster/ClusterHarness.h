@@ -7,12 +7,12 @@
 /// \file
 /// The cluster serving loop: one request stream scheduled across a
 /// cluster::Fleet of heterogeneous simulated devices on a single merged
-/// event clock. Every device runs its own arrival-aware continuous
-/// scheduler (sim::EngineSession + accelos::ContinuousScheduler,
-/// exactly the per-device discipline of harness::runStream's Continuous
-/// mode); the cluster layer adds the placement decision — which device
-/// a request runs on (cluster::PlacementPolicy) — and keeps fairness
-/// cluster-wide:
+/// event clock. Every device runs its own arrival-aware admission
+/// scheduler (sim::EngineSession + an accelos::AdmissionScheduler:
+/// ContinuousScheduler, or StrideScheduler when StreamOptions::Admission
+/// is Stride); the cluster layer adds the placement decision — which
+/// device a request runs on (cluster::PlacementPolicy) — and keeps
+/// fairness cluster-wide:
 ///
 ///  - per-tenant sharing weights apply on every device a tenant's
 ///    requests land on;
@@ -22,19 +22,18 @@
 ///    propagate to every device's scheduler through the next
 ///    submissions and slice requeues.
 ///
-/// The merged clock works like the single-device continuous loop
-/// generalized over N sessions: arrivals due now are placed and
-/// admitted, then every session advances to the earliest next event
-/// anywhere in the fleet (or the next arrival / scripted fleet event,
-/// whichever is first). With a single-device fleet the loop degenerates
-/// to exactly runStream's continuous replay — same events in the same
-/// order, so the output is bit-identical (regression-tested).
+/// The merged clock: arrivals due now are placed and admitted, then
+/// every session advances to the earliest next event anywhere in the
+/// fleet (or the next arrival / scripted fleet event, whichever is
+/// first). This is the only continuous accelOS replay loop:
+/// harness::runStream (Continuous and Stride) and runClosedLoop run it
+/// on a one-device view of their driver, so the single-device case is
+/// the same code, not a tested equivalence.
 ///
 /// One entry point serves both workload shapes: runClusterReplay takes
 /// a ClusterWorkload (an open-loop timed trace OR a closed-loop
 /// script — the reactive issue-on-completion loop of runClosedLoop) and
-/// ClusterOptions carries everything else. runCluster and
-/// runClusterClosedLoop remain as thin compatibility wrappers.
+/// ClusterOptions carries everything else.
 ///
 /// The fleet is neither static nor immortal. ClusterOptions::FleetPlan
 /// scripts capacity events against the merged clock: a device goes
@@ -186,8 +185,9 @@ struct MigrationOptions {
 
 /// Cluster replay knobs: the single-device streaming options (weights,
 /// quantum, SLO targets/adaptation, strict shares, issue-capacity
-/// clamp) apply per device; Admission is ignored — the cluster always
-/// runs arrival-aware continuous admission.
+/// clamp) apply per device. Stream.Admission Stride gives every device
+/// a StrideScheduler; RoundSync (the default) means Continuous, since a
+/// fleet has no global round boundary.
 struct ClusterOptions {
   StreamOptions Stream;
   /// accelOS batching mode of the per-device work-queue launches.
@@ -237,27 +237,12 @@ struct ClusterWorkload {
 
 /// Replays \p Workload across \p Fleet under \p Policy — THE cluster
 /// entry point; open vs closed loop is a property of the workload, not
-/// a second function. Unlike runStream, AdaptiveSloWeights is honoured
-/// here too: the cluster has a genuine cross-device control plane.
+/// a second function. AdaptiveSloWeights drives one cluster-wide
+/// controller across every device.
 ClusterOutcome runClusterReplay(cluster::Fleet &Fleet,
                                 cluster::PlacementPolicy &Policy,
                                 const ClusterWorkload &Workload,
                                 const ClusterOptions &Opts = {});
-
-/// Compatibility wrapper: open-loop \p Trace via runClusterReplay.
-ClusterOutcome runCluster(cluster::Fleet &Fleet,
-                          cluster::PlacementPolicy &Policy,
-                          const std::vector<workloads::TimedRequest> &Trace,
-                          const ClusterOptions &Opts = {});
-
-/// Compatibility wrapper: closed-loop \p Script via runClusterReplay
-/// (each tenant's next scripted request is issued on a completion plus
-/// think time, exactly as in runClosedLoop, and placed at arrival).
-ClusterOutcome
-runClusterClosedLoop(cluster::Fleet &Fleet,
-                     cluster::PlacementPolicy &Policy,
-                     const workloads::ClosedLoopScript &Script,
-                     const ClusterOptions &Opts = {});
 
 } // namespace harness
 } // namespace accel

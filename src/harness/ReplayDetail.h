@@ -6,18 +6,17 @@
 ///
 /// \file
 /// The request-level machinery behind the serving loops, shared by the
-/// single-device replays (harness::runStream / runClosedLoop) and the
-/// multi-device cluster replay (harness::runCluster): per-request slice
+/// single-device baselines (harness::runStream / runClosedLoop's FIFO,
+/// EK and RoundSync loops) and the one continuous accelOS replay, the
+/// fleet loop behind harness::runClusterReplay: per-request slice
 /// progress, the demand/launch builders handed to the schedulers, and
 /// the closed-loop issue heap. Internal to the library — everything
 /// lives in harness::detail and the types leak no ABI promises.
 ///
-/// ReplayState grew one cluster-shaped extension: every materialized
-/// request may carry its *own* ExperimentDriver (the compiled view of
-/// the device it was placed on), so demands, slice launches, and
-/// isolated baselines all come from the device that actually serves the
-/// request. Single-device callers never pass a driver and the original
-/// behaviour is bit-identical.
+/// Every materialized request may carry its *own* ExperimentDriver (the
+/// compiled view of the device it was placed on), so demands, slice
+/// launches, and isolated baselines all come from the device that
+/// actually serves the request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +26,7 @@
 #include "accelos/AdmissionLoop.h"
 #include "accelos/ResourceSolver.h"
 #include "accelos/Scheduler.h"
+#include "cluster/ClusterHarness.h"
 #include "harness/Streaming.h"
 
 #include <algorithm>
@@ -52,7 +52,7 @@ struct LiveRequest {
 
 /// The request-level machinery shared by the open-loop replay
 /// (runStream), the closed-loop tenant loop (runClosedLoop), and the
-/// cluster replay (runCluster): the materialized request list,
+/// fleet replay (runClusterReplay): the materialized request list,
 /// per-request slice progress, and the demand/launch builders handed to
 /// the schedulers. Trace may keep growing during a closed-loop run;
 /// every accessor indexes it afresh.
@@ -154,10 +154,9 @@ public:
     // Work slicing: run at most a quantum's worth of the virtual range
     // (paper Sec. 2.4: the virtual work queue is what makes
     // bounded-progress launches possible), requeueing the remainder.
-    size_t End = quantumSliceEnd(CK.WGCosts, LR.Cursor, GrantWGs,
-                                 CK.Spec->WGSize,
-                                 CK.Spec->IssueEfficiency,
-                                 Opts.RoundQuantum);
+    size_t End = accelos::quantumSliceEnd(
+        CK.WGCosts, LR.Cursor, GrantWGs, CK.Spec->WGSize,
+        CK.Spec->IssueEfficiency, Opts.RoundQuantum);
     for (size_t G = LR.Cursor; G != End; ++G)
       RemainingCostOf[Idx] -= CK.WGCosts[G];
     // The slice is a *view* into the compiled kernel's cost array (the
@@ -263,12 +262,8 @@ private:
 
 /// Queues request \p Idx — with its current remaining demand and
 /// tenant weight — on \p Sched (an arrival or slice-requeue event).
-/// Templated over the scheduler so the stride admission mode
-/// (accelos::StrideScheduler, which charges the request's tenant pass
-/// counter) shares the replay loops with the exact solver.
-template <typename SchedulerT>
-inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
-                          size_t Idx) {
+inline void submitRequest(accelos::AdmissionScheduler &Sched,
+                          const ReplayState &RS, size_t Idx) {
   accelos::RoundRequest R;
   R.Id = Idx;
   R.Tenant = RS.Trace[Idx].Tenant;
@@ -276,9 +271,8 @@ inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
   Sched.submit(R);
 }
 
-/// One continuous-admission pass at time \p T, shared verbatim by the
-/// single-device loops (runStream / runClosedLoop) and every device of
-/// the cluster replay: grant whatever fits the residual capacity,
+/// One continuous-admission pass at time \p T on one device of the
+/// fleet replay: grant whatever fits the residual capacity,
 /// turning each grant into a quantum-bounded slice launch. Requests
 /// with no remaining work complete at the boundary without occupying
 /// the device — \p RetireZeroWork is called to do the caller's
@@ -292,10 +286,10 @@ inline void submitRequest(SchedulerT &Sched, const ReplayState &RS,
 /// lives in accelos::runAdmissionPass, shared with the functional
 /// Runtime's continuous pump; this wrapper binds it to ReplayState's
 /// request bookkeeping.
-template <typename SchedulerT, typename RetireFn>
-inline bool admissionPass(SchedulerT &Sched, sim::EngineSession &Session,
-                          ReplayState &RS, double T,
-                          RetireFn &&RetireZeroWork) {
+template <typename RetireFn>
+inline bool admissionPass(accelos::AdmissionScheduler &Sched,
+                          sim::EngineSession &Session, ReplayState &RS,
+                          double T, RetireFn &&RetireZeroWork) {
   return accelos::runAdmissionPass(
       Sched, Session, RS.LaunchBuf,
       [&](uint64_t Id,
@@ -315,6 +309,14 @@ inline accelos::SchedulingMode modeFor(SchedulerKind Kind) {
              ? accelos::SchedulingMode::Naive
              : accelos::SchedulingMode::Optimized;
 }
+
+/// runStream's Continuous/Stride modes and runClosedLoop's accelOS mode:
+/// the fleet replay on a one-device view of \p Driver (no Fleet is
+/// built).
+StreamOutcome replayOnDevice(ExperimentDriver &Driver,
+                             accelos::SchedulingMode Mode,
+                             const ClusterWorkload &Workload,
+                             const StreamOptions &Opts);
 
 /// The solver options the continuous scheduler runs under:
 /// StreamOptions::StrictShares turns greedy saturation off so admission

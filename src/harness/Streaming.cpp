@@ -6,7 +6,6 @@
 
 #include "harness/Streaming.h"
 
-#include "accelos/ResourceSolver.h"
 #include "accelos/Scheduler.h"
 #include "ek/ElasticKernels.h"
 #include "harness/ReplayDetail.h"
@@ -15,16 +14,13 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <optional>
 
 using namespace accel;
 using namespace accel::harness;
 using detail::ClosedLoopDriver;
 using detail::LiveRequest;
 using detail::ReplayState;
-using detail::capsFor;
 using detail::modeFor;
-using detail::solverOptsFor;
 
 double harness::meanIsolatedBaselineDuration(ExperimentDriver &Driver) {
   double Sum = 0;
@@ -65,83 +61,6 @@ StreamOutcome::queueingExcessByTenant() const {
   return Out;
 }
 
-namespace {
-
-/// The arrival-aware continuous replay loop, shared by the exact
-/// (accelos::ContinuousScheduler) and stride (accelos::StrideScheduler)
-/// admission modes: ONE persistent engine session, an admission pass at
-/// every arrival/completion event, sliced requests requeued at the
-/// event that completed them.
-template <typename SchedulerT>
-void replayContinuous(SchedulerT &Sched, const sim::DeviceSpec &Spec,
-                      ReplayState &RS,
-                      const std::vector<workloads::TimedRequest> &Trace,
-                      StreamOutcome &Out) {
-  sim::EngineSession Session(Spec);
-  size_t NextArrival = 0;
-  size_t Completed = 0;
-
-  // An admission pass can only grant something new after an arrival
-  // or a completion changed the queue or the residual capacity;
-  // engine-internal events (work-group legs, dequeues) free nothing
-  // the scheduler can see, so re-solving there would be wasted work.
-  bool NeedAdmit = true;
-  while (Completed != Trace.size()) {
-    double T = Session.now();
-    // Arrival events at or before the current time enter the queue.
-    while (NextArrival != Trace.size() &&
-           Trace[NextArrival].ArrivalTime <= T) {
-      detail::submitRequest(Sched, RS, NextArrival++);
-      NeedAdmit = true;
-    }
-
-    // Admission event: fill whatever residual capacity the in-flight
-    // grants leave (re-passing while a pass itself freed capacity).
-    while (NeedAdmit)
-      NeedAdmit = detail::admissionPass(Sched, Session, RS, T,
-                                        [&](size_t) { ++Completed; });
-
-    // Advance to the next event: a completion inside the session or
-    // the next trace arrival, whichever comes first.
-    double NextEvent = Session.nextEventTime();
-    double NextTrace = NextArrival != Trace.size()
-                           ? Trace[NextArrival].ArrivalTime
-                           : -1;
-    assert((NextEvent >= 0 || NextTrace >= 0) && "requests lost");
-    double Target = NextEvent;
-    if (Target < 0 || (NextTrace >= 0 && NextTrace < Target))
-      Target = NextTrace;
-    Session.advanceTo(std::max(Target, T), RS.CompletionBuf);
-    for (const sim::KernelExecResult &K : RS.CompletionBuf) {
-      size_t Idx = static_cast<size_t>(K.AppId);
-      LiveRequest &LR = RS.Live[Idx];
-      if (!LR.Started) {
-        LR.Started = true;
-        LR.Start = K.StartTime;
-      }
-      LR.End = K.EndTime;
-      Sched.complete(Idx);
-      NeedAdmit = true;
-      ++Out.EngineCompletions;
-      if (RS.remainingGroups(Idx) != 0) {
-        // Sliced: requeue the remainder; it re-enters the fair-share
-        // solve at this very event.
-        detail::submitRequest(Sched, RS, Idx);
-      } else {
-        Out.Requests[Idx].StartTime = LR.Start;
-        Out.Requests[Idx].EndTime = LR.End;
-        ++Completed;
-      }
-    }
-  }
-  Out.Rounds = Sched.stats().RoundsPlanned;
-  Out.Deferrals = Sched.stats().Deferrals;
-  Out.FullSolves = Sched.schedulerStats().FullSolves;
-  Out.FastPasses = Sched.schedulerStats().FastPasses;
-}
-
-} // namespace
-
 StreamOutcome harness::runStream(
     ExperimentDriver &Driver, SchedulerKind Kind,
     const std::vector<workloads::TimedRequest> &Trace,
@@ -149,15 +68,17 @@ StreamOutcome harness::runStream(
   StreamOutcome Out;
   if (Trace.empty())
     return Out;
+  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
+  // Event-driven accelOS admission is the fleet replay on one device.
+  if (Kind != SchedulerKind::Baseline && !IsEk &&
+      Opts.Admission != accelos::AdmissionMode::RoundSync)
+    return detail::replayOnDevice(Driver, modeFor(Kind),
+                                  ClusterWorkload::openLoop(Trace), Opts);
 
   const sim::DeviceSpec &Spec = Driver.device();
   ReplayState RS(Driver, Opts, modeFor(Kind), Out);
   for (const workloads::TimedRequest &R : Trace)
     RS.append(R);
-
-  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
-  const bool IsAccelOS = Kind == SchedulerKind::AccelOSNaive ||
-                         Kind == SchedulerKind::AccelOSOptimized;
 
   if (Kind == SchedulerKind::Baseline) {
     // The standard stack submits straight into the hardware FIFO: one
@@ -178,24 +99,6 @@ StreamOutcome harness::runStream(
       Req.EndTime = K.EndTime;
     }
     Out.Rounds = 1;
-  } else if (IsAccelOS &&
-             Opts.Admission != StreamOptions::AdmissionMode::RoundSync) {
-    // Continuous admission: ONE persistent engine session. The
-    // scheduler reacts to every arrival and completion event,
-    // immediately filling the residual capacity left by in-flight
-    // grants with newly arrived (or requeued sliced) kernels — no
-    // round boundary, so a request never waits out the makespan of a
-    // round it just missed. The stride mode swaps the exact fair-share
-    // solve for pass/stride tenant counters inside the same loop.
-    if (Opts.Admission == StreamOptions::AdmissionMode::Stride) {
-      accelos::StrideScheduler Sched(capsFor(Spec, Opts));
-      replayContinuous(Sched, Spec, RS, Trace, Out);
-    } else {
-      accelos::ContinuousScheduler Sched(capsFor(Spec, Opts),
-                                         solverOptsFor(Opts),
-                                         detail::schedOptsFor(Opts));
-      replayContinuous(Sched, Spec, RS, Trace, Out);
-    }
   } else {
     // Round-synchronous serving loop: requests arriving mid-round wait
     // for the completion boundary, where the plan sees the grown queue.
@@ -311,15 +214,17 @@ StreamOutcome harness::runClosedLoop(
   Out.FinalWeights = Opts.Weights;
   if (Total == 0)
     return Out;
+  // accelOS reacts to individual completions: the fleet replay on one
+  // device, with the closed loop issuing into it.
+  if (Kind != SchedulerKind::Baseline &&
+      Kind != SchedulerKind::ElasticKernels)
+    return detail::replayOnDevice(Driver, modeFor(Kind),
+                                  ClusterWorkload::closedLoop(Script), Opts);
 
   const sim::DeviceSpec &Spec = Driver.device();
   ReplayState RS(Driver, Opts, modeFor(Kind), Out);
   ClosedLoopDriver Loop(Script);
   size_t Completed = 0;
-  // Declared at function scope: ReplayState keeps a pointer to the
-  // controller and finalize() reads the final weights after the
-  // scheduling branch below ends.
-  std::optional<accelos::SloWeightController> Ctl;
 
   if (Kind == SchedulerKind::Baseline) {
     // FIFO: each issued request is admitted into the hardware queue the
@@ -349,7 +254,7 @@ StreamOutcome harness::runClosedLoop(
       }
     }
     Out.Rounds = 1;
-  } else if (Kind == SchedulerKind::ElasticKernels) {
+  } else {
     // EK: requests pending at a round boundary are statically merged
     // and co-dispatched; completions mid-round issue follow-ups that
     // wait for the next boundary.
@@ -380,82 +285,6 @@ StreamOutcome harness::runClosedLoop(
       T += R.Makespan;
       ++Out.Rounds;
     }
-  } else {
-    // accelOS: arrival-aware continuous admission (one persistent
-    // engine session), optionally closing a second loop — the SLO
-    // controller's — around the first: every completion's queueing
-    // delay is observed, and once per control interval tenant weights
-    // move toward their latency targets.
-    assert(!Opts.AdaptiveSloWeights || Opts.SloControlInterval > 0);
-    if (Opts.AdaptiveSloWeights) {
-      Ctl.emplace(Opts.SloTargets, Opts.Weights, Opts.SloControlInterval,
-                  Opts.SloTuning);
-      RS.adoptController(&*Ctl);
-    }
-
-    accelos::ContinuousScheduler Sched(capsFor(Spec, Opts),
-                                       solverOptsFor(Opts),
-                                       detail::schedOptsFor(Opts));
-    sim::EngineSession Session(Spec);
-
-    bool NeedAdmit = true;
-    while (Completed != Total) {
-      double T = Session.now();
-      while (!Loop.empty() && Loop.nextTime() <= T) {
-        detail::submitRequest(Sched, RS, Loop.materialize(RS));
-        NeedAdmit = true;
-      }
-
-      // Zero-work requests retire at the boundary: the tenant's think
-      // clock starts here, and — like the single-device open loop —
-      // the SLO controller does not observe them (they never occupied
-      // the device).
-      while (NeedAdmit)
-        NeedAdmit = detail::admissionPass(
-            Sched, Session, RS, T, [&](size_t Idx) {
-              ++Completed;
-              Loop.issue(Loop.tenantPos(Idx), T);
-            });
-
-      double NextEvent = Session.nextEventTime();
-      double NextIssue = Loop.empty() ? -1 : Loop.nextTime();
-      assert((NextEvent >= 0 || NextIssue >= 0) && "requests lost");
-      double Target = NextEvent;
-      if (Target < 0 || (NextIssue >= 0 && NextIssue < Target))
-        Target = NextIssue;
-      Session.advanceTo(std::max(Target, T), RS.CompletionBuf);
-      for (const sim::KernelExecResult &K : RS.CompletionBuf) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        LiveRequest &LR = RS.Live[Idx];
-        if (!LR.Started) {
-          LR.Started = true;
-          LR.Start = K.StartTime;
-        }
-        LR.End = K.EndTime;
-        Sched.complete(Idx);
-        NeedAdmit = true;
-        ++Out.EngineCompletions;
-        if (RS.remainingGroups(Idx) != 0) {
-          detail::submitRequest(Sched, RS, Idx);
-        } else {
-          Out.Requests[Idx].StartTime = LR.Start;
-          Out.Requests[Idx].EndTime = LR.End;
-          ++Completed;
-          // The tenant's think clock and the SLO controller's window
-          // both start from this completion.
-          if (Ctl)
-            Ctl->observe(RS.Trace[Idx].Tenant,
-                         Out.Requests[Idx].queueingExcess());
-          Loop.issue(Loop.tenantPos(Idx), LR.End);
-        }
-      }
-      if (Ctl && Ctl->maybeUpdate(Session.now()))
-        ++Out.WeightUpdates;
-    }
-    Out.Rounds = Sched.stats().RoundsPlanned;
-    Out.Deferrals = Sched.stats().Deferrals;
-    Out.FullSolves = Sched.schedulerStats().FullSolves;
-    Out.FastPasses = Sched.schedulerStats().FastPasses;
   }
 
   assert(RS.Trace.size() == Total && "script not fully replayed");

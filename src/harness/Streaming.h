@@ -22,14 +22,15 @@
 ///    preemption that keeps occupancy short, so a newly arrived kernel
 ///    is never serialized behind a giant one.
 ///
-/// The accelOS path has two admission disciplines
-/// (StreamOptions::Admission):
+/// The accelOS path has three admission disciplines
+/// (StreamOptions::Admission, an accelos::AdmissionMode):
 ///
 ///  - RoundSync: completion-round-synchronous. Requests arriving while
 ///    a round executes wait for the next global boundary, where the
 ///    share solve sees the grown queue. Kept as the regression
 ///    reference — and as the demonstration of the round-boundary
-///    convoy it suffers from.
+///    convoy it suffers from. It runs a loop of its own here, with a
+///    fresh engine per round.
 ///  - Continuous: arrival-aware continuous admission inside ONE
 ///    persistent engine session (sim::EngineSession). Fair shares are
 ///    re-solved at every arrival/completion event and newly arrived or
@@ -40,23 +41,28 @@
 ///    schedule bit-for-bit (regression-tested); under streaming
 ///    arrivals it cuts queueing delay because a request no longer
 ///    waits out the makespan of a round it missed.
+///  - Stride: the same loop with accelos::StrideScheduler's pass/stride
+///    tenant counters in place of the fair-share solve.
+///
+/// Continuous and Stride are not a loop of their own: they run the
+/// fleet replay behind runClusterReplay (cluster/ClusterHarness.h) on a
+/// one-device view of the caller's driver, so the single-device and the
+/// fleet schedules are the same code.
 ///
 /// Beyond the open loop, runClosedLoop() is the *TenantLoop* mode:
 /// arrivals are not a fixed trace but reactions — each tenant keeps at
 /// most its Concurrency requests outstanding and issues the next
 /// scripted request only after a predecessor drains plus a think time
-/// (backpressure). The accelOS path reuses sim::EngineSession +
-/// accelos::ContinuousScheduler, and an optional SLO layer
-/// (StreamOptions::SloTargets + AdaptiveSloWeights) feeds each tenant's
-/// observed p95 queueing delay back into its fair-share weight through
-/// accelos::SloWeightController.
+/// (backpressure). The accelOS path is the same one-device fleet
+/// replay, and an optional SLO layer (StreamOptions::SloTargets +
+/// AdaptiveSloWeights) feeds each tenant's observed p95 queueing delay
+/// back into its fair-share weight through accelos::SloWeightController.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_HARNESS_STREAMING_H
 #define ACCEL_HARNESS_STREAMING_H
 
-#include "accelos/AdmissionLoop.h"
 #include "accelos/Scheduler.h"
 #include "harness/Experiment.h"
 #include "metrics/Metrics.h"
@@ -145,21 +151,7 @@ struct StreamOutcome {
 
 /// Streaming replay knobs.
 struct StreamOptions {
-  /// How the accelOS scheduler admits work into the device. The FIFO
-  /// baseline and Elastic Kernels have fixed disciplines of their own
-  /// and ignore this knob.
-  enum class AdmissionMode {
-    /// Completion-round-synchronous: a global boundary per round.
-    RoundSync,
-    /// Event-driven admission into one persistent engine session.
-    Continuous,
-    /// Event-driven admission through accelos::StrideScheduler:
-    /// pass/stride tenant counters replace the fair-share solve at
-    /// every admission event. Approximate weighted fairness at a
-    /// per-event cost that is O(log tenants) instead of a solver run —
-    /// the high-rate serving mode benchmarked by bench/serve_scale.
-    Stride,
-  };
+  using AdmissionMode = accelos::AdmissionMode;
 
   /// Per-tenant sharing weights (absent tenants weigh 1.0); only
   /// accelOS honours weights.
@@ -169,9 +161,12 @@ struct StreamOptions {
   /// virtual-group costs) and requeues the unfinished remainder. Zero
   /// disables slicing — granted kernels run to completion.
   double RoundQuantum = 0;
-  /// Admission discipline for the accelOS path. The closed-loop tenant
-  /// loop always runs continuous admission (its whole point is reacting
-  /// to individual completions), so runClosedLoop ignores this knob.
+  /// How the accelOS scheduler admits work into the device. The FIFO
+  /// baseline and Elastic Kernels have fixed disciplines of their own
+  /// and ignore this knob. Stride is the high-rate serving mode
+  /// benchmarked by bench/serve_scale. The closed-loop tenant loop and
+  /// the fleet replay have no global round boundary, so there RoundSync
+  /// means Continuous; Stride gives every device a StrideScheduler.
   AdmissionMode Admission = AdmissionMode::RoundSync;
 
   /// Per-tenant SLO: a latency target expressed as a bound on each
@@ -181,10 +176,12 @@ struct StreamOptions {
   /// Drives SLO-attainment/goodput reporting and, when
   /// AdaptiveSloWeights is set, the weight controller.
   std::map<int, double> SloTargets;
-  /// Closed-loop accelOS only: periodically re-weight tenants from
-  /// their observed p95 queueing time via accelos::SloWeightController
-  /// (multiplicative increase toward missed SLOs, bounded boost). The
-  /// FIFO and EK baselines have no weights to steer and ignore this.
+  /// accelOS on the fleet replay (runClosedLoop, runClusterReplay, and
+  /// runStream's Continuous and Stride modes): periodically re-weight
+  /// tenants from their observed p95 queueing time via
+  /// accelos::SloWeightController (multiplicative increase toward missed
+  /// SLOs, bounded boost). The FIFO and EK baselines have no weights to
+  /// steer and ignore this, as does runStream's RoundSync loop.
   bool AdaptiveSloWeights = false;
   /// Control interval of the SLO controller, in simulation time units.
   /// Must be positive when AdaptiveSloWeights is set.
@@ -250,19 +247,6 @@ inline double streamSlowdown(double Latency, double AloneDuration) {
   return metrics::individualSlowdown(Latency, AloneDuration);
 }
 
-/// Computes the end of the quantum-bounded slice [Cursor, End) of a
-/// virtual work range. Forwards to accelos::quantumSliceEnd — the
-/// implementation moved next to the shared admission pass when the
-/// functional Runtime adopted the continuous stack; this alias keeps
-/// the harness-side callers (and tests) source-compatible.
-inline size_t quantumSliceEnd(const std::vector<double> &WGCosts,
-                              size_t Cursor, uint64_t GrantWGs,
-                              uint64_t WGThreads, double IssueEfficiency,
-                              double Quantum) {
-  return accelos::quantumSliceEnd(WGCosts, Cursor, GrantWGs, WGThreads,
-                                  IssueEfficiency, Quantum);
-}
-
 /// Replays \p Trace under \p Kind on \p Driver's device.
 StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
                         const std::vector<workloads::TimedRequest> &Trace,
@@ -275,12 +259,12 @@ StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
 /// scheduling decisions instead of being fixed up front, and a slow
 /// scheduler is offered less load (backpressure), exactly like a real
 /// closed-loop serving client. The accelOS path runs arrival-aware
-/// continuous admission (one sim::EngineSession +
-/// accelos::ContinuousScheduler); FIFO submits reactively into the
-/// hardware queue and EK merges whatever is pending at each round
-/// boundary. With AdaptiveSloWeights, completions feed the
-/// SloWeightController and new/requeued submissions pick up the adapted
-/// weights. The outcome's Requests are in arrival order.
+/// continuous (or, with Admission Stride, stride) admission on the
+/// one-device fleet replay; FIFO submits reactively into the hardware
+/// queue and EK merges whatever is pending at each round boundary.
+/// With AdaptiveSloWeights, completions feed the SloWeightController
+/// and new/requeued submissions pick up the adapted weights. The
+/// outcome's Requests are in arrival order.
 StreamOutcome runClosedLoop(ExperimentDriver &Driver, SchedulerKind Kind,
                             const workloads::ClosedLoopScript &Script,
                             const StreamOptions &Opts = {});

@@ -75,6 +75,11 @@ std::unique_ptr<FlatFunction> kir::lowerFunction(const Function &F) {
   return FF;
 }
 
+void CodeCache::invalidate(const Module &M) {
+  for (const std::unique_ptr<Function> &F : M.functions())
+    Cache.erase(F.get());
+}
+
 const FlatFunction &CodeCache::get(const Function &F) {
   auto It = Cache.find(&F);
   if (It != Cache.end())

@@ -65,8 +65,10 @@ public:
   /// \returns the lowered form of \p F, lowering on first use.
   const FlatFunction &get(const Function &F);
 
-  /// Drops cached code (call when a module is about to be destroyed).
-  void invalidate() { Cache.clear(); }
+  /// Drops the cached code of every function in \p M. Call it before \p
+  /// M is destroyed: cache keys are function addresses, which a later
+  /// module's functions may reuse.
+  void invalidate(const Module &M);
 
 private:
   std::map<const Function *, std::unique_ptr<FlatFunction>> Cache;

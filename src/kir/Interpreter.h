@@ -87,6 +87,10 @@ public:
   /// Caps how many work-groups are kept in flight concurrently.
   void setMaxConcurrentGroups(uint64_t Max) { MaxGroups = Max; }
 
+  /// Drops the lowered code of \p M's functions; call before \p M is
+  /// destroyed (see CodeCache::invalidate).
+  void forget(const Module &M) { Cache.invalidate(M); }
+
 private:
   DeviceMemory &GlobalMem;
   CodeCache Cache;

@@ -67,6 +67,17 @@ Error Buffer::read(void *Dst, uint64_t Bytes, uint64_t Offset) const {
 // Program / Kernel / CommandQueue
 //===----------------------------------------------------------------------===//
 
+Program::~Program() {
+  if (M)
+    Dev->interpreter().forget(*M);
+}
+
+void Program::adoptModule(std::unique_ptr<kir::Module> NewModule) {
+  if (M)
+    Dev->interpreter().forget(*M);
+  M = std::move(NewModule);
+}
+
 Error Program::build() {
   if (M)
     return Error::success();

@@ -103,6 +103,10 @@ class Program {
 public:
   Program(Device &Dev, std::string Source)
       : Dev(&Dev), Source(std::move(Source)) {}
+  /// Drops the module's code from the device interpreter's cache.
+  ~Program();
+  Program(const Program &) = delete;
+  Program &operator=(const Program &) = delete;
 
   /// Compiles the source. Idempotent.
   Error build();
@@ -114,9 +118,7 @@ public:
 
   /// Replaces the compiled module (used by the accelOS JIT after its
   /// transformation pipeline, Fig. 7b).
-  void adoptModule(std::unique_ptr<kir::Module> NewModule) {
-    M = std::move(NewModule);
-  }
+  void adoptModule(std::unique_ptr<kir::Module> NewModule);
 
 private:
   Device *Dev;

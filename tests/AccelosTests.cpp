@@ -552,6 +552,38 @@ TEST(RoundSchedulerTest, EveryRoundFitsTheDevice) {
   }
 }
 
+TEST(RoundSyncSchedulerTest, BarrierHoldsRoundsUntilGrantsComplete) {
+  // Four 512-thread kernels, two per round: the barrier reproduces the
+  // round sequence of a loop that waits out each round, however often
+  // an event-driven caller asks in between.
+  std::unique_ptr<AdmissionScheduler> S =
+      makeAdmissionScheduler(AdmissionMode::RoundSync, tinyCaps());
+  for (uint64_t I = 0; I != 4; ++I)
+    S->submit(request(I, demand(512, 0, 4, 100)));
+  std::vector<RoundGrant> First = S->admit();
+  ASSERT_EQ(First.size(), 2u);
+  EXPECT_TRUE(S->admit().empty()) << "planned past an open round";
+  S->complete(First[0].Id);
+  EXPECT_TRUE(S->admit().empty()) << "planned with a grant in flight";
+  S->complete(First[1].Id);
+  std::vector<RoundGrant> Second = S->admit();
+  ASSERT_EQ(Second.size(), 2u);
+  EXPECT_EQ(S->stats().RoundsPlanned, 2u);
+
+  // A zero-work grant holds nothing in flight, so it never blocks the
+  // next round.
+  for (const RoundGrant &G : Second)
+    S->complete(G.Id);
+  S->submit(request(10, demand(128, 0, 4, 0)));
+  const std::vector<RoundGrant> &Zero = S->admit();
+  ASSERT_EQ(Zero.size(), 1u);
+  EXPECT_EQ(Zero[0].WGs, 0u);
+  S->submit(request(11, demand(128, 0, 4, 100)));
+  const std::vector<RoundGrant> &Next = S->admit();
+  ASSERT_EQ(Next.size(), 1u);
+  EXPECT_EQ(Next[0].Id, 11u);
+}
+
 //===----------------------------------------------------------------------===//
 // Continuous scheduler: event-driven residual-capacity admission
 //===----------------------------------------------------------------------===//
@@ -1061,6 +1093,58 @@ TEST(RuntimeTest, UnknownKernelRejected) {
             std::string::npos);
 }
 
+TEST(RuntimeTest, DestroyedProgramLeavesNoStaleCode) {
+  // The device interpreter caches lowered code per kir::Function. A
+  // runtime destroys its programs with it; the next runtime on the same
+  // device JIT-compiles a different kernel whose functions may reuse
+  // the freed addresses, and must run its own code, not a stale copy.
+  sim::DeviceSpec Spec = sim::DeviceSpec::nvidiaK20m();
+  Spec.GlobalMemBytes = 64ull << 20;
+  ocl::Device Dev(Spec);
+  const char *Sources[] = {VaddSource, R"(
+  kernel void vsub(global const float* a, global const float* b,
+                   global float* c) {
+    long gid = get_global_id(0);
+    c[gid] = a[gid] - b[gid];
+  }
+)"};
+  constexpr int N = 256;
+  std::vector<float> A(N), B(N), C(N);
+  for (int I = 0; I < N; ++I) {
+    A[I] = static_cast<float>(3 * I);
+    B[I] = static_cast<float>(I + 7);
+  }
+  for (int Iter = 0; Iter != 8; ++Iter) {
+    const bool Sub = Iter % 2 == 1;
+    Runtime RT(Dev);
+    ProxyCL App(RT, /*AppId=*/1);
+    Expected<ocl::Program *> Prog = App.createProgram(Sources[Sub]);
+    ASSERT_TRUE(static_cast<bool>(Prog)) << Prog.message();
+    Expected<ocl::Kernel> K = App.createKernel(**Prog, Sub ? "vsub" : "vadd");
+    ASSERT_TRUE(static_cast<bool>(K)) << K.message();
+    Expected<ocl::Buffer> BufA = App.createBuffer(N * 4);
+    Expected<ocl::Buffer> BufB = App.createBuffer(N * 4);
+    Expected<ocl::Buffer> BufC = App.createBuffer(N * 4);
+    ASSERT_TRUE(static_cast<bool>(BufA) && static_cast<bool>(BufB) &&
+                static_cast<bool>(BufC));
+    cantFail(BufA->write(A.data(), N * 4));
+    cantFail(BufB->write(B.data(), N * 4));
+    cantFail(App.setKernelArg(*K, 0, ocl::KernelArg::buffer(*BufA)));
+    cantFail(App.setKernelArg(*K, 1, ocl::KernelArg::buffer(*BufB)));
+    cantFail(App.setKernelArg(*K, 2, ocl::KernelArg::buffer(*BufC)));
+    kir::NDRangeCfg Range;
+    Range.GlobalSize[0] = N;
+    Range.LocalSize[0] = 64;
+    cantFail(App.enqueueNDRange(*K, Range));
+    Expected<std::vector<ScheduledExecution>> Execs = RT.drain();
+    ASSERT_TRUE(static_cast<bool>(Execs)) << Execs.message();
+    cantFail(BufC->read(C.data(), N * 4));
+    for (int I = 0; I < N; ++I)
+      ASSERT_FLOAT_EQ(C[I], Sub ? A[I] - B[I] : A[I] + B[I])
+          << "iteration " << Iter << ", item " << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // SloWeightController
 //===----------------------------------------------------------------------===//
@@ -1364,8 +1448,8 @@ TEST(ContinuousSchedulerTest, IncrementalMatchesFullSolveOnEventSoup) {
         InFlight.push_back(G.Id);
   }
 
-  const SchedulerStats &FS = Full.schedulerStats();
-  const SchedulerStats &IS = Inc.schedulerStats();
+  const SchedulerStats &FS = Full.stats();
+  const SchedulerStats &IS = Inc.stats();
   // The reference never fast-passes; the incremental path splits its
   // passes between fast paths and full-solve fallbacks, and takes at
   // least some of each on a soup this varied.

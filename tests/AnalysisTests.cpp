@@ -390,7 +390,8 @@ TEST_F(ColdStartTest, PriorBeatsBlindPlacementOnFirstContactQueueing) {
     auto P = cluster::makePlacementPolicy(
         cluster::PlacementKind::HeterogeneityAware);
     harness::ClusterOutcome O =
-        harness::runCluster(fleet(), *P, Trace, Opts);
+        harness::runClusterReplay(
+            fleet(), *P, harness::ClusterWorkload::openLoop(Trace), Opts);
     Placement = O.Placement;
     std::vector<double> Q;
     for (const harness::StreamRequestResult &R : O.Stream.Requests)
@@ -432,10 +433,12 @@ TEST_F(ColdStartTest, ObservationsBlendTheEstimateTowardMeasurement) {
   auto P = cluster::makePlacementPolicy(
       cluster::PlacementKind::HeterogeneityAware);
   harness::ClusterOutcome A =
-      harness::runCluster(fleet(), *P, Trace, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, harness::ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(A.Stream.Requests.size(), Trace.size());
   harness::ClusterOutcome B =
-      harness::runCluster(fleet(), *P, Trace, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, harness::ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(A.Placement, B.Placement); // Blending state resets per replay.
   for (size_t I = 0; I != Trace.size(); ++I)
     EXPECT_EQ(A.Stream.Requests[I].EndTime, B.Stream.Requests[I].EndTime);

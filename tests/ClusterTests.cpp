@@ -10,13 +10,15 @@
 /// notifications, alive-mask handling, migration suggestions), the
 /// determinism contract (same trace + fleet + policy + fault plan =>
 /// bit-identical outcomes, migrations and failures included), the
-/// single-device degeneration (an equal-weight one-device fleet replays
-/// runStream's continuous schedule bit-for-bit), a committed golden
-/// fixture pinning fault-free replays to the pre-redesign output
-/// byte-for-byte, and the resilience machinery: deterministic fault
-/// replay, no-lost-requests while capacity remains, work conservation
-/// across migration and failover, elastic scale-up, retry-budget
-/// exhaustion, and closed-loop scripts draining through faults.
+/// single-device degeneration (a one-device fleet placed through a real
+/// policy replays runStream/runClosedLoop bit-for-bit), committed
+/// golden fixtures pinning fault-free fleet replays and the one-device
+/// replays behind runStream/runClosedLoop byte-for-byte, and the
+/// resilience machinery: deterministic fault replay, no-lost-requests
+/// while capacity remains (continuous and stride admission), work
+/// conservation across migration and failover, elastic scale-up,
+/// retry-budget exhaustion, and closed-loop scripts draining through
+/// faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +40,7 @@ using namespace accel;
 using namespace accel::cluster;
 using harness::ClusterOptions;
 using harness::ClusterOutcome;
+using harness::ClusterWorkload;
 using harness::FleetEvent;
 using harness::SchedulerKind;
 using harness::StreamOptions;
@@ -277,7 +280,8 @@ TEST_F(ClusterTest, CompletesEverythingOnMixedFleet) {
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
     ClusterOutcome O =
-        harness::runCluster(fleet(), *P, Trace, options());
+        harness::runClusterReplay(
+            fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     ASSERT_EQ(O.Stream.Requests.size(), Trace.size()) << P->name();
     ASSERT_EQ(O.Placement.size(), Trace.size()) << P->name();
     EXPECT_TRUE(O.LostRequests.empty()) << P->name();
@@ -310,8 +314,10 @@ TEST_F(ClusterTest, SameInputsAreBitIdentical) {
        {PlacementKind::RoundRobin, PlacementKind::LeastLoaded,
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
-    ClusterOutcome A = harness::runCluster(fleet(), *P, Trace, options());
-    ClusterOutcome B = harness::runCluster(fleet(), *P, Trace, options());
+    ClusterOutcome A = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), options());
+    ClusterOutcome B = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     SCOPED_TRACE(P->name());
     expectIdentical(A, B);
   }
@@ -357,7 +363,8 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
         PlacementKind::HeterogeneityAware}) {
     auto P = makePlacementPolicy(K);
     ClusterOutcome O =
-        harness::runCluster(fleet(), *P, Trace, options());
+        harness::runClusterReplay(
+            fleet(), *P, ClusterWorkload::openLoop(Trace), options());
     Emit(placementName(K), O);
   }
   std::vector<workloads::ClosedLoopTenant> Tenants(3);
@@ -374,7 +381,8 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
   COpts.Stream.SloTuning.MinSamples = 1;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
   ClusterOutcome O =
-      harness::runClusterClosedLoop(fleet(), *P, Script, COpts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), COpts);
   Emit("closed-loop-least-loaded", O);
 
   std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
@@ -385,10 +393,88 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
   EXPECT_EQ(Got, Want.str());
 }
 
+TEST_F(ClusterTest, SingleDeviceAccelosMatchesGolden) {
+  // runStream's Continuous and Stride modes and runClosedLoop's accelOS
+  // mode run the fleet replay on a one-device view of their driver. The
+  // fixture was emitted by the dedicated single-device loops that view
+  // replaced (hexfloat, like the fault-free fixture above), so every
+  // timestamp, scheduler counter and adapted weight is compared to them
+  // bit for bit.
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto Emit = [&](const char *Run, const StreamOutcome &O) {
+    Add("run %s\n", Run);
+    for (size_t I = 0; I != O.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Requests[I];
+      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+          R.StartTime, R.EndTime);
+    }
+    Add("rounds %zu deferrals %llu fullsolves %llu fastpasses %llu "
+        "completions %llu\n",
+        O.Rounds, static_cast<unsigned long long>(O.Deferrals),
+        static_cast<unsigned long long>(O.FullSolves),
+        static_cast<unsigned long long>(O.FastPasses),
+        static_cast<unsigned long long>(O.EngineCompletions));
+    Add("makespan %a\nunfairness %a\n", O.Makespan, O.Unfairness);
+    for (const auto &[Tenant, W] : O.FinalWeights)
+      Add("weight %d %a\n", Tenant, W);
+    Add("weightupdates %llu\n",
+        static_cast<unsigned long long>(O.WeightUpdates));
+  };
+
+  harness::ExperimentDriver &D = fleet().driver(0);
+  double Dur = fleet().meanSoloDuration(0);
+  workloads::TraceOptions TOpts;
+  TOpts.NumRequests = 24;
+  TOpts.NumTenants = 3;
+  TOpts.MeanInterarrival = 0.5 * Dur;
+  TOpts.Seed = 20260730;
+  std::vector<workloads::TimedRequest> Trace =
+      workloads::poissonTrace(D.numKernels(), TOpts);
+  StreamOptions SOpts;
+  SOpts.Weights = {{1, 2.0}};
+  SOpts.RoundQuantum = 0.25 * Dur;
+  SOpts.Admission = StreamOptions::AdmissionMode::Continuous;
+  Emit("continuous",
+       harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
+  SOpts.Admission = StreamOptions::AdmissionMode::Stride;
+  Emit("stride-naive",
+       harness::runStream(D, SchedulerKind::AccelOSNaive, Trace, SOpts));
+
+  std::vector<workloads::ClosedLoopTenant> Tenants(3);
+  Tenants[0] = {0, 10, 1, 0.25 * Dur, 41, {0, 1, 2, 3}};
+  Tenants[1] = {1, 8, 3, 0.05 * Dur, 42, {}};
+  Tenants[2] = {2, 6, 2, 0.50 * Dur, 43, {}};
+  workloads::ClosedLoopScript Script =
+      workloads::closedLoopTrace(D.numKernels(), Tenants);
+  StreamOptions COpts;
+  COpts.RoundQuantum = 0.25 * Dur;
+  COpts.StrictShares = true;
+  COpts.SloTargets = {{0, Dur}};
+  COpts.AdaptiveSloWeights = true;
+  COpts.SloControlInterval = Dur;
+  COpts.SloTuning.MinSamples = 1;
+  Emit("closed-loop-adaptive",
+       harness::runClosedLoop(D, SchedulerKind::AccelOSOptimized, Script,
+                              COpts));
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/single_device_accelos.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
+}
+
 TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
   // The degeneration contract behind the whole layer: an equal-weight
-  // single-device fleet is the single-device serving loop — the merged
-  // clock replays runStream's continuous admission bit-for-bit.
+  // single-device fleet, placed through a real policy, is the
+  // single-device serving loop — runStream's continuous admission (a
+  // one-device view of its driver) replays bit-for-bit.
   static Fleet Solo = [] {
     Fleet F;
     F.addDevice(sim::DeviceSpec::nvidiaK20m());
@@ -410,7 +496,8 @@ TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
   SOpts.Admission = StreamOptions::AdmissionMode::Continuous;
 
   auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-  ClusterOutcome C = harness::runCluster(Solo, *P, Trace, COpts);
+  ClusterOutcome C = harness::runClusterReplay(
+      Solo, *P, ClusterWorkload::openLoop(Trace), COpts);
   StreamOutcome S = harness::runStream(
       Solo.driver(0), SchedulerKind::AccelOSOptimized, Trace, SOpts);
 
@@ -436,8 +523,7 @@ TEST_F(ClusterTest, SingleDeviceClosedLoopMatchesRunClosedLoop) {
   // fleet, the closed-loop cluster replay — adaptive SLO weights
   // included — must replay runClosedLoop's accelOS continuous schedule
   // bit-for-bit (same materialization order, same controller
-  // observations and update instants, and the zero-work retire corner
-  // skips the SLO observation in both loops).
+  // observations and update instants).
   static Fleet Solo = [] {
     Fleet F;
     F.addDevice(sim::DeviceSpec::nvidiaK20m());
@@ -460,8 +546,8 @@ TEST_F(ClusterTest, SingleDeviceClosedLoopMatchesRunClosedLoop) {
   COpts.Stream.SloTuning.MinSamples = 1;
 
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome C =
-      harness::runClusterClosedLoop(Solo, *P, Script, COpts);
+  ClusterOutcome C = harness::runClusterReplay(
+      Solo, *P, ClusterWorkload::closedLoop(Script), COpts);
   StreamOutcome S = harness::runClosedLoop(
       Solo.driver(0), SchedulerKind::AccelOSOptimized, Script,
       COpts.Stream);
@@ -488,14 +574,17 @@ TEST_F(ClusterTest, EmptyTraceStillReportsEveryDevice) {
   // fleet-position contract: consumers may index per-device results
   // unconditionally.
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, {}, options());
+  std::vector<workloads::TimedRequest> NoTrace;
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(NoTrace), options());
   ASSERT_EQ(O.Devices.size(), fleet().size());
   for (size_t D = 0; D != fleet().size(); ++D) {
     EXPECT_EQ(O.Devices[D].Name, fleet().device(D).Name);
     EXPECT_EQ(O.Devices[D].Requests, 0u);
   }
-  ClusterOutcome OC = harness::runClusterClosedLoop(
-      fleet(), *P, workloads::ClosedLoopScript{}, options());
+  workloads::ClosedLoopScript NoScript;
+  ClusterOutcome OC = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::closedLoop(NoScript), options());
   ASSERT_EQ(OC.Devices.size(), fleet().size());
 }
 
@@ -504,7 +593,8 @@ TEST_F(ClusterTest, StickyAffinityKeepsTenantsPut) {
   ClusterOptions Opts = options();
   Opts.StickyTenantAffinity = true;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   std::map<int, size_t> Homes;
   for (size_t I = 0; I != Trace.size(); ++I) {
     auto [It, New] = Homes.emplace(Trace[I].Tenant, O.Placement[I]);
@@ -526,7 +616,8 @@ TEST_F(ClusterTest, ClosedLoopClusterCompletesScript) {
 
   auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
   ClusterOutcome A =
-      harness::runClusterClosedLoop(fleet(), *P, Script, options());
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), options());
   ASSERT_EQ(A.Stream.Requests.size(), Script.totalRequests());
   for (const StreamRequestResult &R : A.Stream.Requests) {
     EXPECT_GE(R.StartTime, R.ArrivalTime - 1e-9);
@@ -534,7 +625,8 @@ TEST_F(ClusterTest, ClosedLoopClusterCompletesScript) {
   }
   // Determinism holds for the reactive loop too.
   ClusterOutcome B =
-      harness::runClusterClosedLoop(fleet(), *P, Script, options());
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), options());
   expectIdentical(A, B);
 }
 
@@ -559,7 +651,8 @@ TEST_F(ClusterTest, AdaptiveSloWeightsPropagateClusterWide) {
 
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
   ClusterOutcome O =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   ASSERT_EQ(O.Stream.FinalWeights.count(0), 1u);
   EXPECT_GE(O.Stream.FinalWeights.at(0), 1.0);
   EXPECT_LE(O.Stream.FinalWeights.at(0),
@@ -594,8 +687,10 @@ TEST_F(ClusterTest, DeterministicFaultReplay) {
   Opts.MaxRetries = 8;
   Opts.Migration.Enabled = true;
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome A = harness::runCluster(fleet(), *P, Trace, Opts);
-  ClusterOutcome B = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome A = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+  ClusterOutcome B = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   expectIdentical(A, B);
   // And the fault actually bit: the slow device was serving work when
   // it died, so requests were displaced and failed over.
@@ -613,7 +708,7 @@ TEST_F(ClusterTest, NoRequestLostWhileCapacityRemains) {
   // Property: under ANY kill/rejoin plan that never takes the whole
   // fleet down past the retry budget, every request completes — the
   // plan parameters here are randomized per seed, the replay of each
-  // is still deterministic.
+  // is still deterministic — under both event-driven admission modes.
   for (unsigned Seed : {101u, 202u, 303u, 404u, 505u}) {
     std::mt19937_64 Rng(Seed);
     std::vector<workloads::TimedRequest> Trace =
@@ -632,16 +727,30 @@ TEST_F(ClusterTest, NoRequestLostWhileCapacityRemains) {
         {.Time = Down + Outage(Rng), .Device = Victim,
          .What = FleetEvent::Kind::Up}};
     Opts.MaxRetries = 100;
-    auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-    ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    EXPECT_TRUE(O.LostRequests.empty());
-    EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
-    ASSERT_EQ(O.Stream.Requests.size(), Trace.size());
-    for (const StreamRequestResult &R : O.Stream.Requests)
-      EXPECT_GE(R.EndTime, R.ArrivalTime - 1e-9);
-    for (const harness::ClusterFaultRecord &F : O.Faults)
-      EXPECT_EQ(F.Lost, 0u);
+    for (StreamOptions::AdmissionMode Mode :
+         {StreamOptions::AdmissionMode::Continuous,
+          StreamOptions::AdmissionMode::Stride}) {
+      Opts.Stream.Admission = Mode;
+      auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
+      ClusterOutcome O = harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+      SCOPED_TRACE("seed " + std::to_string(Seed) +
+                   (Mode == StreamOptions::AdmissionMode::Stride
+                        ? ", stride"
+                        : ", continuous"));
+      EXPECT_TRUE(O.LostRequests.empty());
+      EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
+      ASSERT_EQ(O.Stream.Requests.size(), Trace.size());
+      for (const StreamRequestResult &R : O.Stream.Requests)
+        EXPECT_GE(R.EndTime, R.ArrivalTime - 1e-9);
+      for (const harness::ClusterFaultRecord &F : O.Faults)
+        EXPECT_EQ(F.Lost, 0u);
+      // Stride admission never solves; it really ran on every device.
+      if (Mode == StreamOptions::AdmissionMode::Stride) {
+        EXPECT_EQ(O.Stream.FullSolves, 0u);
+        EXPECT_EQ(O.Stream.FastPasses, O.Stream.Rounds);
+      }
+    }
   }
 }
 
@@ -661,7 +770,8 @@ TEST_F(ClusterTest, MigrationConservesWork) {
   Opts.Migration.Enabled = true;
   Opts.Migration.DivergenceFactor = 1.5;
   auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   EXPECT_TRUE(O.LostRequests.empty());
   EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
   EXPECT_GT(O.RequestedWGs, 0u);
@@ -690,7 +800,8 @@ TEST_F(ClusterTest, ElasticDeviceJoinsMidReplay) {
   Opts.FleetPlan = {
       {.Time = Join, .Device = 1, .What = FleetEvent::Kind::Up}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   EXPECT_TRUE(O.LostRequests.empty());
   EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
   size_t OnJoined = 0;
@@ -718,7 +829,8 @@ TEST_F(ClusterTest, RetryBudgetExhaustionLosesDisplacedRequests) {
       {.Time = 2.0 * meanDur(), .Device = 0,
        .What = FleetEvent::Kind::Down}};
   auto P = makePlacementPolicy(PlacementKind::RoundRobin);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(O.Faults.size(), 1u);
   EXPECT_GT(O.Faults[0].Displaced, 0u);
   EXPECT_EQ(O.Faults[0].Lost, O.Faults[0].Displaced);
@@ -745,7 +857,8 @@ TEST_F(ClusterTest, FullOutageLosesLateArrivalsUnplaced) {
       {.Time = T, .Device = 0, .What = FleetEvent::Kind::Down},
       {.Time = T, .Device = 1, .What = FleetEvent::Kind::Down}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
-  ClusterOutcome O = harness::runCluster(fleet(), *P, Trace, Opts);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
   ASSERT_EQ(O.Stream.Requests.size(), Trace.size());
   EXPECT_FALSE(O.LostRequests.empty());
   size_t LateArrivals = 0;
@@ -780,12 +893,14 @@ TEST_F(ClusterTest, ClosedLoopScriptDrainsThroughFaults) {
        .What = FleetEvent::Kind::Up}};
   auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
   ClusterOutcome A =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   ASSERT_EQ(A.Stream.Requests.size(), Script.totalRequests());
   EXPECT_TRUE(A.LostRequests.empty());
   EXPECT_EQ(A.RequestedWGs, A.ExecutedWGs);
   ClusterOutcome B =
-      harness::runClusterClosedLoop(fleet(), *P, Script, Opts);
+      harness::runClusterReplay(
+          fleet(), *P, ClusterWorkload::closedLoop(Script), Opts);
   expectIdentical(A, B);
 }
 

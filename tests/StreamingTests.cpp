@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "accelos/AdmissionLoop.h"
 #include "harness/Streaming.h"
 #include "metrics/Metrics.h"
 #include "workloads/Arrivals.h"
@@ -164,6 +165,26 @@ TEST_F(StreamingTest, ContinuousRespectsWeightsAndCompletesEverything) {
             metrics::latencyPercentile(ByTenant[1], 50));
 }
 
+TEST_F(StreamingTest, OpenLoopAdaptsSloWeights) {
+  // The event-driven modes run the fleet replay, so the SLO controller
+  // serves open loops too: a target tenant 0 keeps missing moves its
+  // weight, within the bounded-fairness envelope.
+  StreamOptions Opts;
+  Opts.RoundQuantum = 0.25 * meanDur();
+  Opts.Admission = StreamOptions::AdmissionMode::Continuous;
+  Opts.SloTargets = {{0, 0.1 * meanDur()}};
+  Opts.AdaptiveSloWeights = true;
+  Opts.SloControlInterval = meanDur();
+  Opts.SloTuning.MinSamples = 1;
+  StreamOutcome O = runStream(driver(), SchedulerKind::AccelOSOptimized,
+                              poisson(48, 7), Opts);
+  EXPECT_GT(O.WeightUpdates, 0u);
+  ASSERT_EQ(O.FinalWeights.count(0), 1u);
+  EXPECT_GT(O.FinalWeights.at(0), 1.0);
+  EXPECT_LE(O.FinalWeights.at(0),
+            accelos::SloControllerOptions().MaxBoost);
+}
+
 //===----------------------------------------------------------------------===//
 // Stride admission (serve_scale's approximate fast path)
 //===----------------------------------------------------------------------===//
@@ -310,23 +331,25 @@ TEST(QuantumSliceTest, BudgetUsesCappedWorkerCount) {
   // budget (5 * 32 * 10 = 1600) would have swallowed the entire tail
   // and overrun the quantum fourfold.
   std::vector<double> Costs(8, 100.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, /*GrantWGs=*/32, /*WGThreads=*/10,
-                            /*IssueEfficiency=*/1.0, /*Quantum=*/5.0),
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, /*GrantWGs=*/32,
+                                     /*WGThreads=*/10,
+                                     /*IssueEfficiency=*/1.0,
+                                     /*Quantum=*/5.0),
             4u);
   // A grant already within the remaining range is unaffected.
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, 8, 10, 1.0, 5.0), 4u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, 8, 10, 1.0, 5.0), 4u);
 }
 
 TEST(QuantumSliceTest, AlwaysTakesAtLeastOneGroup) {
   std::vector<double> Costs(4, 1000.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 3, 1, 10, 1.0, 1e-6), 4u);
-  EXPECT_EQ(quantumSliceEnd(Costs, 0, 1, 10, 1.0, 1e-6), 1u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 3, 1, 10, 1.0, 1e-6), 4u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 0, 1, 10, 1.0, 1e-6), 1u);
 }
 
 TEST(QuantumSliceTest, ZeroQuantumDisablesSlicing) {
   std::vector<double> Costs(16, 100.0);
-  EXPECT_EQ(quantumSliceEnd(Costs, 5, 2, 10, 1.0, 0.0), 16u);
-  EXPECT_EQ(quantumSliceEnd(Costs, 16, 2, 10, 1.0, 1.0), 16u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 5, 2, 10, 1.0, 0.0), 16u);
+  EXPECT_EQ(accelos::quantumSliceEnd(Costs, 16, 2, 10, 1.0, 1.0), 16u);
 }
 
 //===----------------------------------------------------------------------===//
