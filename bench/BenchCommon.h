@@ -15,7 +15,7 @@
 #ifndef ACCEL_BENCH_BENCHCOMMON_H
 #define ACCEL_BENCH_BENCHCOMMON_H
 
-#include "harness/Experiment.h"
+#include "harness/Streaming.h"
 #include "harness/Table.h"
 #include "metrics/Metrics.h"
 #include "support/RawOstream.h"
@@ -91,8 +91,8 @@ aggregate(ExperimentDriver &Driver, SchedulerKind Kind,
   SchemeAggregate Agg;
   for (const workloads::Workload &W : Set) {
     harness::WorkloadOutcome Base =
-        Driver.runWorkload(SchedulerKind::Baseline, W);
-    harness::WorkloadOutcome X = Driver.runWorkload(Kind, W);
+        harness::runWorkload(Driver, SchedulerKind::Baseline, W);
+    harness::WorkloadOutcome X = harness::runWorkload(Driver, Kind, W);
     Agg.Unfairness.add(X.Unfairness);
     Agg.FairnessImprovement.add(
         metrics::fairnessImprovement(Base.Unfairness, X.Unfairness));
@@ -115,7 +115,7 @@ aggregateBaseline(ExperimentDriver &Driver,
   SchemeAggregate Agg;
   for (const workloads::Workload &W : Set) {
     harness::WorkloadOutcome Base =
-        Driver.runWorkload(SchedulerKind::Baseline, W);
+        harness::runWorkload(Driver, SchedulerKind::Baseline, W);
     Agg.Unfairness.add(Base.Unfairness);
     Agg.Overlap.add(Base.Overlap);
     Agg.Stp.add(metrics::systemThroughput(Base.Slowdowns));

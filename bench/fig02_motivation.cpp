@@ -49,7 +49,7 @@ int main() {
   harness::TextTable Summary(
       {"Scheme", "Unfairness", "FairnessImp", "ThroughputSpeedup"});
   for (const SchemeRow &S : Schemes) {
-    harness::WorkloadOutcome R = Driver.runWorkload(S.Kind, W);
+    harness::WorkloadOutcome R = harness::runWorkload(Driver, S.Kind, W);
     SlowTable.addRow({S.Label, fmt(R.Slowdowns[0]), fmt(R.Slowdowns[1]),
                       fmt(R.Slowdowns[2]), fmt(R.Slowdowns[3])});
     if (S.Kind == SchedulerKind::Baseline) {

@@ -29,10 +29,11 @@ int main() {
     for (const workloads::Workload &W : Pairs) {
       const auto &Suite = workloads::parboilSuite();
       std::string Label = Suite[W[0]].Id + " + " + Suite[W[1]].Id;
-      auto Base = P.Driver.runWorkload(SchedulerKind::Baseline, W);
-      auto EK = P.Driver.runWorkload(SchedulerKind::ElasticKernels, W);
+      auto Base = harness::runWorkload(P.Driver, SchedulerKind::Baseline, W);
+      auto EK =
+          harness::runWorkload(P.Driver, SchedulerKind::ElasticKernels, W);
       auto AOS =
-          P.Driver.runWorkload(SchedulerKind::AccelOSOptimized, W);
+          harness::runWorkload(P.Driver, SchedulerKind::AccelOSOptimized, W);
       T.addRow({Label, fmt(Base.Unfairness), fmt(EK.Unfairness),
                 fmt(AOS.Unfairness)});
     }

@@ -17,7 +17,7 @@
 #include "accelos/ProxyCL.h"
 #include "accelos/ResourceSolver.h"
 #include "accelos/Scheduler.h"
-#include "harness/Experiment.h"
+#include "harness/Streaming.h"
 #include "kir/Module.h"
 #include "minicl/Frontend.h"
 #include "passes/AccelOSTransform.h"
@@ -81,8 +81,8 @@ static void BM_EnginePairSimulation(benchmark::State &State) {
   static harness::ExperimentDriver Driver(sim::DeviceSpec::nvidiaK20m());
   workloads::Workload W = {21, 24}; // sgemm + tpacf
   for (auto _ : State) {
-    auto R = Driver.runWorkload(harness::SchedulerKind::AccelOSOptimized,
-                                W);
+    auto R = harness::runWorkload(
+        Driver, harness::SchedulerKind::AccelOSOptimized, W);
     benchmark::DoNotOptimize(R);
   }
 }

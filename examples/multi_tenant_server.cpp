@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "accelos/ProxyCL.h"
-#include "harness/Experiment.h"
+#include "harness/Streaming.h"
 #include "harness/Table.h"
 #include "support/RawOstream.h"
 
@@ -109,9 +109,10 @@ int main() {
     for (size_t I = 0; I != Driver.numKernels(); ++I)
       if (Driver.kernel(I).Spec->Id == Id)
         W.push_back(I);
-  auto Base = Driver.runWorkload(harness::SchedulerKind::Baseline, W);
-  auto AOS =
-      Driver.runWorkload(harness::SchedulerKind::AccelOSOptimized, W);
+  auto Base =
+      harness::runWorkload(Driver, harness::SchedulerKind::Baseline, W);
+  auto AOS = harness::runWorkload(
+      Driver, harness::SchedulerKind::AccelOSOptimized, W);
   OS << "  standard OpenCL: unfairness ";
   OS.printFixed(Base.Unfairness, 2);
   OS << ", overlap ";

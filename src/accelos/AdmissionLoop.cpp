@@ -34,3 +34,20 @@ size_t accelos::quantumSliceEnd(const std::vector<double> &WGCosts,
     Cost += WGCosts[Take++];
   return Take;
 }
+
+void accelos::narrowToSlice(sim::KernelLaunchDesc &L,
+                            const std::vector<double> &WGCosts,
+                            size_t &Cursor, uint64_t GrantWGs,
+                            SchedulingMode Mode, uint64_t InstCount,
+                            double Quantum) {
+  size_t End = quantumSliceEnd(WGCosts, Cursor, GrantWGs, L.WGThreads,
+                               L.IssueEfficiency, Quantum);
+  const uint64_t SliceLen = End - Cursor;
+  L.ViewCosts = WGCosts.data();
+  L.ViewBegin = Cursor;
+  L.ViewEnd = End;
+  L.PhysicalWGs =
+      std::min<uint64_t>(std::max<uint64_t>(GrantWGs, 1), SliceLen);
+  L.Batch = cappedBatchFor(Mode, InstCount, SliceLen, L.PhysicalWGs);
+  Cursor = End;
+}

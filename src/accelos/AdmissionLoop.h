@@ -7,17 +7,19 @@
 /// \file
 /// The admission-pass machinery shared by the fleet replay behind
 /// harness::runClusterReplay (and so runStream / runClosedLoop) and the
-/// functional Runtime's pump: quantum-bounded slice sizing and the
-/// grant -> slice-launch -> shrink -> admitFrom pass over a scheduler
-/// and a persistent engine session. Extracted from harness/ReplayDetail
-/// when the Runtime moved onto the continuous stack, so the API layer
-/// and the replay harness admit work through literally the same code.
+/// functional Runtime's pump: quantum-bounded slice sizing, the one
+/// grant -> slice-launch builder, and the grant -> slice-launch ->
+/// shrink -> admitFrom pass over a scheduler and a persistent engine
+/// session. Extracted from harness/ReplayDetail when the Runtime moved
+/// onto the continuous stack, so the API layer and the replay harness
+/// admit work through literally the same code.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_ACCELOS_ADMISSIONLOOP_H
 #define ACCEL_ACCELOS_ADMISSIONLOOP_H
 
+#include "accelos/AdaptivePolicy.h"
 #include "accelos/Scheduler.h"
 #include "sim/Engine.h"
 
@@ -39,6 +41,19 @@ namespace accelos {
 size_t quantumSliceEnd(const std::vector<double> &WGCosts, size_t Cursor,
                        uint64_t GrantWGs, uint64_t WGThreads,
                        double IssueEfficiency, double Quantum);
+
+/// Narrows \p L, a WorkQueue launch granted \p GrantWGs physical work
+/// groups over the virtual range \p WGCosts, to the range's next
+/// quantum-bounded slice [Cursor, End) (quantumSliceEnd, sized by L's
+/// WGThreads and IssueEfficiency; \p Quantum <= 0 takes the whole
+/// rest). L becomes a view of the slice — \p WGCosts must outlive it —
+/// with its physical work groups clamped to the slice and its dequeue
+/// batch re-capped against it, so every granted worker can still
+/// dequeue at least one batch. Advances \p Cursor to End.
+void narrowToSlice(sim::KernelLaunchDesc &L,
+                   const std::vector<double> &WGCosts, size_t &Cursor,
+                   uint64_t GrantWGs, SchedulingMode Mode,
+                   uint64_t InstCount, double Quantum);
 
 /// One continuous-admission pass over \p Sched at the current event:
 /// every grant is turned into a slice launch by \p MakeSlice(Id, WGs)

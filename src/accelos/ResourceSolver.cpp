@@ -45,14 +45,9 @@ bool fits(const ResourceCaps &Caps, const std::vector<KernelDemand> &Ks,
 std::vector<uint64_t>
 accelos::solveFairShares(const ResourceCaps &Caps,
                          const std::vector<KernelDemand> &Ks,
-                         const SolverOptions &Opts, SolveInfo *Info) {
+                         const SolverOptions &Opts) {
   assert(!Ks.empty() && "solver needs at least one kernel");
   size_t K = Ks.size();
-  if (Info) {
-    Info->Floored.assign(K, false);
-    Info->Saturated.assign(K, false);
-    Info->Clamped = false;
-  }
 
   // Kernels that request no work groups take no share and are excluded
   // from the fairness divisor: an idle tenant must not dilute the
@@ -114,9 +109,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   // the most-oversubscribed resource and the floored kernel that
   // contributes most to it, so kernels that are not part of the
   // violation keep their work group.
-  bool Clamped = false;
   while (!fits(Caps, Ks, Shares)) {
-    Clamped = true;
     uint64_t Use[4] = {0, 0, 0, 0};
     for (size_t I = 0; I != K; ++I) {
       ResourceUse U = footprintOf(Ks[I], Shares[I]);
@@ -279,19 +272,8 @@ accelos::solveFairShares(const ResourceCaps &Caps,
     Shares[Victim] = 0;
   }
 
-  std::vector<bool> Saturated(K, false);
-  auto Finish = [&]() {
-    if (Info) {
-      Info->Floored = Floored;
-      Info->Saturated = Saturated;
-      Info->Clamped = Clamped;
-    }
-  };
-
-  if (!Opts.GreedySaturation) {
-    Finish();
+  if (!Opts.GreedySaturation)
     return Shares;
-  }
 
   // Only active kernels' weights matter: a zero-work request neither
   // takes a share nor may its (arbitrary) weight flip the solve onto
@@ -366,7 +348,6 @@ accelos::solveFairShares(const ResourceCaps &Caps,
             }
           } else {
             Done[I] = true;
-            Saturated[I] = true;
             --Active;
           }
         }
@@ -378,16 +359,13 @@ accelos::solveFairShares(const ResourceCaps &Caps,
           if (Shares[I] >= Ks[I].RequestedWGs)
             continue;
           ++Shares[I];
-          if (fits(Caps, Ks, Shares)) {
+          if (fits(Caps, Ks, Shares))
             Progress = true;
-          } else {
+          else
             --Shares[I];
-            Saturated[I] = true;
-          }
         }
       }
     }
-    Finish();
     return Shares;
   }
 
@@ -401,6 +379,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   // the result is deterministic), until nothing fits. Equal weights
   // reduce to the round-robin above, which is kept verbatim so the
   // paper-default allocations stay bit-identical.
+  std::vector<bool> Saturated(K, false);
   for (;;) {
     size_t Next = K;
     double NextNorm = 0;
@@ -426,7 +405,6 @@ accelos::solveFairShares(const ResourceCaps &Caps,
       }
     }
   }
-  Finish();
   return Shares;
 }
 

@@ -86,16 +86,6 @@ struct SolverOptions {
   bool FastSaturation = true;
 };
 
-/// Structural facts of one solve, exposed for the incremental
-/// scheduling fast paths and their self-checks: which kernels took the
-/// minimum-share floor, which were stopped by capacity during
-/// saturation, and whether the oversubscription clamp had to fire.
-struct SolveInfo {
-  std::vector<bool> Floored;   ///< Base division hit the one-WG floor.
-  std::vector<bool> Saturated; ///< Saturation stopped on capacity.
-  bool Clamped = false;        ///< Floors oversubscribed; clamp ran.
-};
-
 /// Computes the number of physical work groups per kernel. Shares never
 /// exceed RequestedWGs, and the returned allocation always fits within
 /// \p Caps in aggregate. Kernels requesting zero work groups receive
@@ -111,8 +101,7 @@ struct SolveInfo {
 /// largest-contributor heuristic fire.
 std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
                                       const std::vector<KernelDemand> &Ks,
-                                      const SolverOptions &Opts = {},
-                                      SolveInfo *Info = nullptr);
+                                      const SolverOptions &Opts = {});
 
 /// Reusable working storage for the allocation-free solver overload:
 /// one long-lived instance per scheduler amortizes every per-solve

@@ -333,9 +333,6 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
 
   // Timing slice over [Cursor, End) of the virtual range. A round
   // grant runs the whole remaining range.
-  size_t End = quantumSliceEnd(
-      R.WGCosts, R.Cursor, WGs, R.Demand.WGThreads, 1.0,
-      Opts.Mode == AdmissionMode::RoundSync ? 0 : Opts.SliceQuantum);
   sim::KernelLaunchDesc L;
   L.Name = R.Exec.KernelName;
   L.AppId = static_cast<int>(Id); // request-id channel through the sim
@@ -345,14 +342,9 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   L.RegsPerThread = R.Demand.RegsPerThread;
   L.IssueEfficiency = 1.0;
   L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-  L.ViewCosts = R.WGCosts.data();
-  L.ViewBegin = R.Cursor;
-  L.ViewEnd = End;
-  uint64_t SliceLen = End - R.Cursor;
-  L.PhysicalWGs =
-      std::min<uint64_t>(std::max<uint64_t>(WGs, 1), SliceLen);
-  L.Batch = cappedBatchFor(Mode, R.InstCount, SliceLen, L.PhysicalWGs);
-  R.Cursor = End;
+  narrowToSlice(L, R.WGCosts, R.Cursor, WGs, Mode, R.InstCount,
+                Opts.Mode == AdmissionMode::RoundSync ? 0
+                                                      : Opts.SliceQuantum);
   ++R.Exec.Slices;
   O.Launch.emplace(std::move(L));
   return O;

@@ -18,7 +18,7 @@
 
 using namespace accel;
 using namespace accel::harness;
-using detail::ClosedLoopDriver;
+using detail::ArrivalSource;
 using detail::LiveRequest;
 using detail::ReplayState;
 
@@ -59,17 +59,18 @@ struct DeviceState {
 /// the one continuous accelOS replay loop; runStream and runClosedLoop
 /// run it on a one-device view. Each iteration (1) applies scripted
 /// fleet-capacity events due at the current merged time, (2) places and
-/// submits every arrival due, (3) runs the pending admission passes
-/// device by device, (4) advances every session to the earliest next
-/// event anywhere in the fleet, reacting to completions (and, at those
-/// quantum-slice boundaries, deciding migrations).
+/// submits every arrival due from the arrival source, (3) runs the
+/// pending admission passes device by device, (4) advances every
+/// session to the earliest next event anywhere in the fleet, reacting
+/// to completions (and, at those quantum-slice boundaries, deciding
+/// migrations).
 class ClusterReplay {
 public:
   ClusterReplay(const std::vector<ReplayDevice> &Fleet,
-                cluster::PlacementPolicy &Policy, const ClusterOptions &Opts,
-                ClusterOutcome &Out)
-      : RS(*Fleet[0].Driver, Opts.Stream, Opts.Mode, Out.Stream),
-        Fleet(Fleet), Policy(Policy), Opts(Opts), Out(Out) {
+                cluster::PlacementPolicy &Policy, ArrivalSource &Src,
+                const ClusterOptions &Opts, ClusterOutcome &Out)
+      : RS(Opts.Stream, Opts.Mode, Out.Stream), Src(Src), Fleet(Fleet),
+        Policy(Policy), Opts(Opts), Out(Out) {
     Plan = Opts.FleetPlan;
     std::stable_sort(Plan.begin(), Plan.end(),
                      [](const FleetEvent &A, const FleetEvent &B) {
@@ -101,7 +102,7 @@ public:
       Devices[D].Alive = Alive[D];
       Devices[D].Session.emplace(Spec);
       Devices[D].Sched = accelos::makeAdmissionScheduler(
-          Mode, detail::capsFor(Spec, Opts.Stream),
+          Mode, accelos::ResourceCaps::fromDevice(Spec),
           detail::solverOptsFor(Opts.Stream),
           detail::schedOptsFor(Opts.Stream));
       Rates[D] = Fleet[D].ServiceRate;
@@ -117,7 +118,7 @@ public:
   }
 
   ReplayState RS;
-  ClosedLoopDriver *Loop = nullptr; ///< Set for closed-loop replays.
+  ArrivalSource &Src;
   size_t Completed = 0;
 
   bool anyAlive() const {
@@ -153,42 +154,25 @@ public:
     }
   }
 
-  /// One open-loop arrival: place it, or park/lose it when the whole
-  /// fleet is out of service.
-  void arriveOpen(const workloads::TimedRequest &R, double T) {
+  /// The source's next arrival, due at merged time \p T: place it, or
+  /// park/lose it when the whole fleet is out of service.
+  void arrive(double T) {
     if (anyAlive()) {
+      workloads::TimedRequest R = Src.peek();
       size_t D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
-      size_t Idx = RS.append(R, *Fleet[D].Driver);
+      size_t Idx = Src.take(RS, *Fleet[D].Driver);
       registerRequest(Idx);
       commit(Idx, D);
       return;
     }
     // Materialized against device 0's view only so the request has a
     // shape; rehome() rebinds it before it ever executes.
-    size_t Idx = RS.append(R, *Fleet[0].Driver);
+    size_t Idx = Src.take(RS, *Fleet[0].Driver);
     registerRequest(Idx);
     if (pendingUp())
       Parked.push_back(Idx);
     else
-      lose(Idx, std::max(T, R.ArrivalTime));
-  }
-
-  /// One closed-loop issue reaching its arrival instant.
-  void arriveClosed(ClosedLoopDriver &L, double T) {
-    detail::IssuedRequest R = L.pop();
-    if (anyAlive()) {
-      size_t D = decide(L.tenantOf(R), R.KernelIdx, R.Time);
-      size_t Idx = L.materializeOn(RS, R, *Fleet[D].Driver);
-      registerRequest(Idx);
-      commit(Idx, D);
-      return;
-    }
-    size_t Idx = L.materializeOn(RS, R, *Fleet[0].Driver);
-    registerRequest(Idx);
-    if (pendingUp())
-      Parked.push_back(Idx);
-    else
-      lose(Idx, std::max(T, R.Time));
+      lose(Idx, std::max(T, RS.Trace[Idx].ArrivalTime));
   }
 
   /// Runs the pending admission passes of every in-service device, in
@@ -529,9 +513,9 @@ private:
       auto It = Observed.find({D, KernelIdx});
       if (It == Observed.end())
         return Prior;
+      // The prior counts as one observation.
       const SoloObservation &O = It->second;
-      return (Prior * Opts.PriorObservationWeight + O.Sum) /
-             (Opts.PriorObservationWeight + static_cast<double>(O.Count));
+      return (Prior + O.Sum) / (1.0 + static_cast<double>(O.Count));
     }
     }
     accel_unreachable("bad solo estimate kind");
@@ -570,8 +554,7 @@ private:
     RS.completeZeroWork(Idx, At);
     detachFault(Idx, At);
     ++Completed;
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), At);
+    Src.completed(Idx, At);
   }
 
   /// Retires a zero-work request at the admission boundary. The SLO
@@ -583,8 +566,7 @@ private:
     FinishedFlag[Idx] = true;
     detachFault(Idx, T);
     ++Completed;
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), T);
+    Src.completed(Idx, T);
   }
 
   /// Common full-completion bookkeeping: the SLO controller observes
@@ -607,8 +589,7 @@ private:
     if (Ctl)
       Ctl->observe(RS.Trace[Idx].Tenant,
                    Out.Stream.Requests[Idx].queueingExcess());
-    if (Loop)
-      Loop->issue(Loop->tenantPos(Idx), At);
+    Src.completed(Idx, At);
   }
 
   const std::vector<ReplayDevice> &Fleet;
@@ -646,13 +627,10 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
                       cluster::PlacementPolicy &Policy,
                       const ClusterWorkload &Workload,
                       const ClusterOptions &Opts) {
-  assert((Workload.Trace != nullptr) != (Workload.Script != nullptr) &&
-         "workload must be exactly one of open-loop or closed-loop");
   ClusterOutcome Out;
   Out.Stream.FinalWeights = Opts.Stream.Weights;
-  const std::vector<workloads::TimedRequest> *Trace = Workload.Trace;
-  const size_t Total =
-      Trace ? Trace->size() : Workload.Script->totalRequests();
+  ArrivalSource Src(Workload);
+  const size_t Total = Src.total();
   if (Total == 0 || Fleet.empty()) {
     // Every device still reports, just idle: consumers may index
     // Devices by fleet position unconditionally.
@@ -662,37 +640,21 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
     return Out;
   }
 
-  ClusterReplay CR(Fleet, Policy, Opts, Out);
-  std::optional<ClosedLoopDriver> Loop;
-  if (Workload.Script) {
-    Loop.emplace(*Workload.Script);
-    CR.Loop = &*Loop;
-  }
-  size_t NextArrival = 0;
+  ClusterReplay CR(Fleet, Policy, Src, Opts, Out);
   double Now = 0;
 
   while (CR.Completed != Total) {
     double T = Now;
     CR.applyPlan(T);
-    if (Trace) {
-      while (NextArrival != Trace->size() &&
-             (*Trace)[NextArrival].ArrivalTime <= T)
-        CR.arriveOpen((*Trace)[NextArrival++], T);
-    } else {
-      while (!Loop->empty() && Loop->nextTime() <= T)
-        CR.arriveClosed(*Loop, T);
-    }
+    while (!Src.empty() && Src.nextTime() <= T)
+      CR.arrive(T);
     if (CR.Completed == Total)
       break; // The last arrivals were all lost at this instant.
 
     CR.admitAll(T);
 
     double NextEvent = CR.nextFleetEvent();
-    double NextInput =
-        Trace ? (NextArrival != Trace->size()
-                     ? (*Trace)[NextArrival].ArrivalTime
-                     : -1)
-              : (Loop->empty() ? -1 : Loop->nextTime());
+    double NextInput = Src.empty() ? -1 : Src.nextTime();
     double NextPlan = CR.nextPlanTime();
     double Target = NextEvent;
     if (Target < 0 || (NextInput >= 0 && NextInput < Target))
@@ -704,8 +666,7 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
     Now = std::max(Target, T);
   }
 
-  assert((!Workload.Script || CR.RS.Trace.size() == Total) &&
-         "script not fully replayed");
+  assert(CR.RS.Trace.size() == Total && "workload not fully replayed");
   CR.finalize();
   return Out;
 }

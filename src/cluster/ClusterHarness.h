@@ -32,7 +32,8 @@
 ///
 /// One entry point serves both workload shapes: runClusterReplay takes
 /// a ClusterWorkload (an open-loop timed trace OR a closed-loop
-/// script — the reactive issue-on-completion loop of runClosedLoop) and
+/// script — the reactive issue-on-completion loop of runClosedLoop),
+/// drawn through the one arrival source every replay loop shares, and
 /// ClusterOptions carries everything else.
 ///
 /// The fleet is neither static nor immortal. ClusterOptions::FleetPlan
@@ -184,8 +185,7 @@ struct MigrationOptions {
 };
 
 /// Cluster replay knobs: the single-device streaming options (weights,
-/// quantum, SLO targets/adaptation, strict shares, issue-capacity
-/// clamp) apply per device. Stream.Admission Stride gives every device
+/// quantum, SLO targets/adaptation, strict shares) apply per device. Stream.Admission Stride gives every device
 /// a StrideScheduler; RoundSync (the default) means Continuous, since a
 /// fleet has no global round boundary.
 struct ClusterOptions {
@@ -198,12 +198,11 @@ struct ClusterOptions {
   /// the policy decides each tenant's first placement and re-decides
   /// after its home device fails.
   bool StickyTenantAffinity = false;
-  /// Source of the solo-duration estimates placement decisions use.
+  /// Source of the solo-duration estimates placement decisions use. In
+  /// StaticPrior mode the analysis prior counts as one observation when
+  /// blending with measured service spans:
+  /// estimate = (Prior + sum(observed)) / (1 + count).
   SoloEstimateKind SoloEstimate = SoloEstimateKind::Oracle;
-  /// In StaticPrior mode, how many observations the analysis prior
-  /// counts as when blending with measured service spans:
-  /// estimate = (Prior * Weight + sum(observed)) / (Weight + count).
-  double PriorObservationWeight = 1.0;
   /// Scripted capacity events (failure injection / elasticity),
   /// applied in time order (ties in plan order) before the arrivals of
   /// the same instant. A device whose FIRST scripted event is Up

@@ -8,11 +8,9 @@
 
 #include "accelos/AdaptivePolicy.h"
 #include "accelos/ResourceSolver.h"
-#include "accelos/Scheduler.h"
 #include "ek/ElasticKernels.h"
 #include "kir/Module.h"
 #include "kir/RtLayout.h"
-#include "metrics/Metrics.h"
 #include "minicl/Frontend.h"
 #include "passes/ConstantFold.h"
 #include "passes/DCE.h"
@@ -130,60 +128,12 @@ ExperimentDriver::accelosDesc(size_t Idx, int AppId, uint64_t PhysWGs,
   L.RegsPerThread = CK.RegsPerThread;
   L.IssueEfficiency = CK.Spec->IssueEfficiency;
   L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
-  L.VirtualCosts = CK.WGCosts;
+  L.ViewCosts = CK.WGCosts.data();
+  L.ViewEnd = CK.WGCosts.size();
   L.PhysicalWGs = PhysWGs;
   L.Batch = accelos::cappedBatchFor(Mode, CK.InstCount, CK.Spec->NumWGs,
                                     PhysWGs);
   return L;
-}
-
-std::vector<std::vector<sim::KernelLaunchDesc>>
-ExperimentDriver::buildRounds(SchedulerKind Kind,
-                              const workloads::Workload &W) const {
-  switch (Kind) {
-  case SchedulerKind::Baseline: {
-    std::vector<sim::KernelLaunchDesc> Launches;
-    for (size_t I = 0; I != W.size(); ++I)
-      Launches.push_back(baselineDesc(W[I], static_cast<int>(I)));
-    return {std::move(Launches)};
-  }
-  case SchedulerKind::ElasticKernels: {
-    std::vector<ek::EKKernelDesc> Descs;
-    for (size_t I = 0; I != W.size(); ++I)
-      Descs.push_back(ekDesc(W[I], static_cast<int>(I)));
-    return {ek::planMergedLaunch(Spec, Descs)};
-  }
-  case SchedulerKind::AccelOSNaive:
-  case SchedulerKind::AccelOSOptimized: {
-    accelos::SchedulingMode Mode =
-        Kind == SchedulerKind::AccelOSNaive
-            ? accelos::SchedulingMode::Naive
-            : accelos::SchedulingMode::Optimized;
-
-    // The Kernel Scheduler plans rounds over the K concurrent requests;
-    // clamp-shed requests requeue into later (smaller) rounds instead
-    // of being floored onto a full device.
-    accelos::RoundScheduler Sched(accelos::ResourceCaps::fromDevice(Spec));
-    for (size_t I = 0; I != W.size(); ++I) {
-      accelos::RoundRequest R;
-      R.Id = I;
-      R.Demand = demandFor(W[I]);
-      Sched.submit(R);
-    }
-
-    std::vector<std::vector<sim::KernelLaunchDesc>> Rounds;
-    while (Sched.pending() != 0) {
-      std::vector<sim::KernelLaunchDesc> Launches;
-      for (const accelos::RoundGrant &G : Sched.nextRound())
-        Launches.push_back(accelosDesc(W[G.Id],
-                                       static_cast<int>(G.Id), G.WGs,
-                                       Mode));
-      Rounds.push_back(std::move(Launches));
-    }
-    return Rounds;
-  }
-  }
-  accel_unreachable("bad scheduler kind");
 }
 
 double ExperimentDriver::isolatedDuration(SchedulerKind Kind, size_t Idx) {
@@ -192,11 +142,29 @@ double ExperimentDriver::isolatedDuration(SchedulerKind Kind, size_t Idx) {
   if (It != IsolatedCache.end())
     return It->second;
 
-  workloads::Workload Solo = {Idx};
+  std::vector<sim::KernelLaunchDesc> Solo;
+  switch (Kind) {
+  case SchedulerKind::Baseline:
+    Solo.push_back(baselineDesc(Idx, 0));
+    break;
+  case SchedulerKind::ElasticKernels:
+    Solo = ek::planMergedLaunch(Spec, {ekDesc(Idx, 0)});
+    break;
+  case SchedulerKind::AccelOSNaive:
+  case SchedulerKind::AccelOSOptimized: {
+    // The share accelos::RoundScheduler grants a lone request: its
+    // solved share, floored to one work group when the clamp shed it.
+    uint64_t WGs = accelos::launchWGs(accelos::solveFairShares(
+        accelos::ResourceCaps::fromDevice(Spec), {demandFor(Idx)})[0]);
+    Solo.push_back(accelosDesc(Idx, 0, WGs,
+                               Kind == SchedulerKind::AccelOSNaive
+                                   ? accelos::SchedulingMode::Naive
+                                   : accelos::SchedulingMode::Optimized));
+    break;
+  }
+  }
   sim::Engine Engine(Spec);
-  sim::SimResult R =
-      Engine.run(std::move(buildRounds(Kind, Solo).front()));
-  double D = R.Kernels[0].duration();
+  double D = Engine.run(std::move(Solo)).Kernels[0].duration();
   IsolatedCache.emplace(Key, D);
   return D;
 }
@@ -215,39 +183,4 @@ double ExperimentDriver::priorSoloDuration(size_t Idx) {
   double D = R.Kernels[0].duration();
   PriorSoloCache.emplace(Idx, D);
   return D;
-}
-
-WorkloadOutcome ExperimentDriver::runWorkload(SchedulerKind Kind,
-                                              const workloads::Workload &W) {
-  // Rounds run back to back: each begins when the previous one's
-  // kernels have all completed, so per-round engine runs compose by
-  // shifting the later round's times past the earlier makespans.
-  std::vector<sim::KernelExecResult> ByPos(W.size());
-  double T = 0;
-  for (std::vector<sim::KernelLaunchDesc> &Round : buildRounds(Kind, W)) {
-    sim::Engine Engine(Spec);
-    sim::SimResult R = Engine.run(std::move(Round));
-    for (sim::KernelExecResult K : R.Kernels) {
-      K.StartTime += T;
-      K.EndTime += T;
-      ByPos[static_cast<size_t>(K.AppId)] = K;
-    }
-    T += R.Makespan;
-  }
-
-  WorkloadOutcome Out;
-  Out.Makespan = T;
-  std::vector<metrics::Interval> Intervals;
-  for (size_t I = 0; I != W.size(); ++I) {
-    const sim::KernelExecResult &K = ByPos[I];
-    double Alone = isolatedDuration(SchedulerKind::Baseline, W[I]);
-    // T(s) is the turnaround from (common, t=0) submission, so queueing
-    // delay behind earlier requests counts against fairness — this is
-    // what serializing schedulers are punished for.
-    Out.Slowdowns.push_back(metrics::individualSlowdown(K.EndTime, Alone));
-    Intervals.push_back({K.StartTime, K.EndTime});
-  }
-  Out.Unfairness = metrics::systemUnfairness(Out.Slowdowns);
-  Out.Overlap = metrics::executionOverlap(Intervals);
-  return Out;
 }

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives the paper's experiments: compiles the 25-kernel suite once
-/// through the real front end and JIT cleanup pipeline (so instruction
-/// counts, register estimates, and local-memory footprints that feed the
-/// Sec. 3 solver and Sec. 6.4 batching come from actual IR), then runs
-/// workloads through the timing engine under the four schedulers:
+/// One device's view of the paper's experiments: compiles the 25-kernel
+/// suite once through the real front end and JIT cleanup pipeline (so
+/// instruction counts, register estimates, and local-memory footprints
+/// that feed the Sec. 3 solver and Sec. 6.4 batching come from actual
+/// IR), and builds each kernel's launch under the four schedulers:
 /// standard OpenCL (Baseline), Elastic Kernels, and accelOS in naive and
-/// optimized modes.
+/// optimized modes. The replays that run those launches live in
+/// harness/Streaming.h — one arrival source feeding one FIFO loop and
+/// one round loop — where harness::runWorkload, the paper's batch
+/// experiment, is the open trace whose arrivals are all zero.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,15 +55,7 @@ struct CompiledKernel {
   std::vector<double> WGCosts;
 };
 
-/// Per-workload metric bundle.
-struct WorkloadOutcome {
-  std::vector<double> Slowdowns; ///< IS_i vs. isolated baseline runs.
-  double Unfairness = 1;         ///< U = max IS / min IS.
-  double Overlap = 0;            ///< O = T(c) / T(t).
-  double Makespan = 0;
-};
-
-/// Runs workloads on one device model.
+/// The compiled suite and its launch builders on one device model.
 class ExperimentDriver {
 public:
   explicit ExperimentDriver(const sim::DeviceSpec &Spec);
@@ -72,14 +67,9 @@ public:
 
   const sim::DeviceSpec &device() const { return Spec; }
 
-  /// Runs one multi-kernel workload under \p Kind. accelOS workloads
-  /// are simulated round by round: requests the oversubscription clamp
-  /// sheds are deferred to the next scheduling round, which begins when
-  /// the previous round's kernels complete.
-  WorkloadOutcome runWorkload(SchedulerKind Kind,
-                              const workloads::Workload &W);
-
-  /// Duration of kernel \p Idx running alone under \p Kind (cached).
+  /// Duration of kernel \p Idx running alone under \p Kind (cached):
+  /// the standard launch, EK's merge of one, or the accelOS launch at
+  /// the share accelos::RoundScheduler grants a lone request.
   double isolatedDuration(SchedulerKind Kind, size_t Idx);
 
   /// Predicted solo duration of kernel \p Idx before it has ever run:
@@ -94,7 +84,8 @@ public:
   sim::KernelLaunchDesc baselineDesc(size_t Idx, int AppId) const;
 
   /// Builds one accelOS WorkQueue launch for \p Idx with the solved
-  /// share \p PhysWGs.
+  /// share \p PhysWGs. Its virtual costs are a view of the whole range
+  /// in kernel(Idx).WGCosts, not a copy: the driver must outlive it.
   sim::KernelLaunchDesc accelosDesc(size_t Idx, int AppId,
                                     uint64_t PhysWGs,
                                     accelos::SchedulingMode Mode) const;
@@ -107,12 +98,6 @@ public:
   accelos::KernelDemand demandFor(size_t Idx) const;
 
 private:
-  /// One engine run per scheduling round. Baseline and EK submit
-  /// everything in one round; accelOS plans rounds through the
-  /// RoundScheduler (deferred requests land in later rounds).
-  std::vector<std::vector<sim::KernelLaunchDesc>>
-  buildRounds(SchedulerKind Kind, const workloads::Workload &W) const;
-
   sim::DeviceSpec Spec;
   std::vector<CompiledKernel> Kernels;
   std::map<std::pair<int, size_t>, double> IsolatedCache;

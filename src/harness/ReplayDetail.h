@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The request-level machinery behind the serving loops, shared by the
-/// single-device baselines (harness::runStream / runClosedLoop's FIFO,
-/// EK and RoundSync loops) and the one continuous accelOS replay, the
-/// fleet loop behind harness::runClusterReplay: per-request slice
-/// progress, the demand/launch builders handed to the schedulers, and
-/// the closed-loop issue heap. Internal to the library — everything
-/// lives in harness::detail and the types leak no ABI promises.
+/// The request-level machinery behind every replay loop (the FIFO and
+/// round loops of harness/Streaming and the fleet loop behind
+/// harness::runClusterReplay): the one arrival source they all draw
+/// requests from, per-request slice progress, and the demand/launch
+/// builders handed to the schedulers. Internal to the library —
+/// everything lives in harness::detail and the types leak no ABI
+/// promises.
 ///
 /// Every materialized request may carry its *own* ExperimentDriver (the
 /// compiled view of the device it was placed on), so demands, slice
@@ -50,17 +50,16 @@ struct LiveRequest {
   double End = 0;
 };
 
-/// The request-level machinery shared by the open-loop replay
-/// (runStream), the closed-loop tenant loop (runClosedLoop), and the
-/// fleet replay (runClusterReplay): the materialized request list,
-/// per-request slice progress, and the demand/launch builders handed to
-/// the schedulers. Trace may keep growing during a closed-loop run;
-/// every accessor indexes it afresh.
+/// The request-level machinery shared by every replay loop: the
+/// materialized request list, per-request slice progress, and the
+/// demand/launch builders handed to the schedulers. Trace grows as the
+/// arrival source materializes requests; every accessor indexes it
+/// afresh.
 class ReplayState {
 public:
-  ReplayState(ExperimentDriver &Driver, const StreamOptions &Opts,
-              accelos::SchedulingMode Mode, StreamOutcome &Out)
-      : Driver(Driver), Opts(Opts), Mode(Mode), Out(Out) {}
+  ReplayState(const StreamOptions &Opts, accelos::SchedulingMode Mode,
+              StreamOutcome &Out)
+      : Opts(Opts), Mode(Mode), Out(Out) {}
 
   std::vector<workloads::TimedRequest> Trace;
   std::vector<LiveRequest> Live;
@@ -83,12 +82,6 @@ public:
       return Ctl->weight(Tenant);
     auto It = Opts.Weights.find(Tenant);
     return It == Opts.Weights.end() ? 1.0 : It->second;
-  }
-
-  /// Appends one materialized request; \returns its global index. The
-  /// request is served by the default driver's device.
-  size_t append(const workloads::TimedRequest &R) {
-    return append(R, Driver);
   }
 
   /// Appends one materialized request placed on \p D's device: demand,
@@ -148,33 +141,15 @@ public:
                                         double Arrival) {
     ExperimentDriver &D = driverOf(Idx);
     const CompiledKernel &CK = D.kernel(Trace[Idx].KernelIdx);
-    LiveRequest &LR = Live[Idx];
     sim::KernelLaunchDesc L = D.accelosDesc(
         Trace[Idx].KernelIdx, static_cast<int>(Idx), GrantWGs, Mode);
     // Work slicing: run at most a quantum's worth of the virtual range
     // (paper Sec. 2.4: the virtual work queue is what makes
     // bounded-progress launches possible), requeueing the remainder.
-    size_t End = accelos::quantumSliceEnd(
-        CK.WGCosts, LR.Cursor, GrantWGs, CK.Spec->WGSize,
-        CK.Spec->IssueEfficiency, Opts.RoundQuantum);
-    for (size_t G = LR.Cursor; G != End; ++G)
+    accelos::narrowToSlice(L, CK.WGCosts, Live[Idx].Cursor, GrantWGs, Mode,
+                           CK.InstCount, Opts.RoundQuantum);
+    for (size_t G = L.ViewBegin; G != L.ViewEnd; ++G)
       RemainingCostOf[Idx] -= CK.WGCosts[G];
-    // The slice is a *view* into the compiled kernel's cost array (the
-    // driver outlives the replay), not a copy: high-rate replays build
-    // one of these per grant, and the copy was the dominant per-event
-    // allocation.
-    const size_t SliceLen = End - LR.Cursor;
-    L.ViewCosts = CK.WGCosts.data();
-    L.ViewBegin = LR.Cursor;
-    L.ViewEnd = End;
-    LR.Cursor = End;
-    L.PhysicalWGs = std::min<uint64_t>(std::max<uint64_t>(GrantWGs, 1),
-                                       SliceLen);
-    // Re-cap the dequeue batch against the slice, not the full range:
-    // every granted physical WG must still be able to dequeue at least
-    // one batch of this launch's work.
-    L.Batch = accelos::cappedBatchFor(Mode, CK.InstCount, SliceLen,
-                                      L.PhysicalWGs);
     L.ArrivalTime = Arrival;
     return L;
   }
@@ -251,7 +226,6 @@ public:
   }
 
 private:
-  ExperimentDriver &Driver;
   const StreamOptions &Opts;
   accelos::SchedulingMode Mode;
   StreamOutcome &Out;
@@ -331,123 +305,112 @@ inline accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
 
 /// The scheduler options the continuous scheduler runs under:
 /// FullSolveReference disables the incremental fast paths (every
-/// admission pass runs a full share solve — the measurement baseline),
-/// and SelfCheckIncremental cross-checks every fast pass against a
-/// fresh full solve in debug builds.
+/// admission pass runs a full share solve — the measurement baseline).
 inline accelos::SchedulerOptions schedOptsFor(const StreamOptions &Opts) {
   accelos::SchedulerOptions SO;
   SO.Incremental = !Opts.FullSolveReference;
-  SO.SelfCheck = Opts.SelfCheckIncremental;
   return SO;
 }
 
-/// The capacity the continuous scheduler shares out: the device caps,
-/// with the thread dimension optionally clamped to a bounded
-/// oversubscription of the issue lanes (StreamOptions::
-/// IssueCapacityFactor) so admission controls the contended resource.
-inline accelos::ResourceCaps capsFor(const sim::DeviceSpec &Spec,
-                                     const StreamOptions &Opts) {
-  accelos::ResourceCaps Caps = accelos::ResourceCaps::fromDevice(Spec);
-  if (Opts.IssueCapacityFactor > 0)
-    Caps.Threads = std::min(
-        Caps.Threads,
-        static_cast<uint64_t>(Opts.IssueCapacityFactor *
-                              static_cast<double>(Spec.NumCUs) *
-                              static_cast<double>(Spec.LanesPerCU)));
-  return Caps;
-}
-
-/// A scripted request whose arrival instant has been decided (issue
-/// time + think time) but which has not been materialized yet. Seq
-/// breaks arrival-time ties deterministically in issue order.
-struct IssuedRequest {
-  double Time = 0;
-  uint64_t Seq = 0;
-  size_t TenantPos = 0; ///< Index into the script's tenant list.
-  size_t KernelIdx = 0;
-
-  bool operator>(const IssuedRequest &O) const {
-    return Time != O.Time ? Time > O.Time : Seq > O.Seq;
-  }
-};
-
-/// Drives the reactive half of a closed-loop run: per-tenant script
-/// cursors and the min-heap of issued-but-not-yet-arrived requests.
-class ClosedLoopDriver {
+/// The arrivals of one replay, whichever shape its workload has. An
+/// open trace is a cursor in trace order. A closed-loop script keeps
+/// per-tenant script cursors and the (Time, Seq) min-heap of issued but
+/// not yet arrived requests, which completed() refills. Every replay
+/// loop draws its requests from one of these.
+class ArrivalSource {
 public:
-  explicit ClosedLoopDriver(const workloads::ClosedLoopScript &Script)
-      : Script(Script), Cursor(Script.Tenants.size(), 0) {
+  explicit ArrivalSource(const ClusterWorkload &W)
+      : Trace(W.Trace), Script(W.Script) {
+    assert((Trace != nullptr) != (Script != nullptr) &&
+           "workload must be exactly one of open-loop or closed-loop");
+    if (!Script)
+      return;
+    Cursor.assign(Script->Tenants.size(), 0);
     // Each tenant opens with its first Concurrency scripted requests,
     // issued from time 0 (their think times stagger the arrivals).
-    for (size_t TP = 0; TP != Script.Tenants.size(); ++TP)
-      for (size_t S = 0; S != Script.Tenants[TP].Concurrency; ++S)
+    for (size_t TP = 0; TP != Script->Tenants.size(); ++TP)
+      for (size_t S = 0; S != Script->Tenants[TP].Concurrency; ++S)
         issue(TP, 0);
   }
 
-  /// Issues tenant \p TP's next scripted request \p From a completion
-  /// instant (backpressure: called once per completed request).
-  void issue(size_t TP, double From) {
-    size_t &C = Cursor[TP];
-    if (C == Script.Sequences[TP].size())
-      return; // Script exhausted: the tenant's population drains.
-    const workloads::ScriptedRequest &SR = Script.Sequences[TP][C++];
-    Heap.push({From + SR.ThinkTime, NextSeq++, TP, SR.KernelIdx});
+  /// Requests the workload materializes over the whole replay.
+  size_t total() const {
+    return Trace ? Trace->size() : Script->totalRequests();
   }
 
-  bool empty() const { return Heap.empty(); }
-  double nextTime() const { return Heap.top().Time; }
+  /// No arrival is pending now; a closed loop may issue more as its
+  /// requests complete.
+  bool empty() const { return Trace ? Next == Trace->size() : Heap.empty(); }
 
-  /// Pops the earliest issued request and materializes it in \p RS on
-  /// the default driver's device. \returns the new request's index.
-  size_t materialize(ReplayState &RS) {
-    IssuedRequest R = pop();
-    size_t Idx = RS.append(timed(R));
-    TenantPosOf.push_back(R.TenantPos);
-    return Idx;
+  /// Arrival instant of the next request; requires !empty().
+  double nextTime() const {
+    return Trace ? (*Trace)[Next].ArrivalTime : Heap.top().Time;
   }
 
-  /// Cluster form: pops the earliest issued request *without*
-  /// materializing it, so the caller can pick a device first and then
-  /// commit with materializeOn().
-  IssuedRequest pop() {
-    IssuedRequest R = Heap.top();
-    Heap.pop();
-    return R;
-  }
-
-  /// Materializes a popped request in \p RS on \p D's device.
-  size_t materializeOn(ReplayState &RS, const IssuedRequest &R,
-                       ExperimentDriver &D) {
-    size_t Idx = RS.append(timed(R), D);
-    TenantPosOf.push_back(R.TenantPos);
-    return Idx;
-  }
-
-  /// The tenant id (not the position) behind a popped request.
-  int tenantOf(const IssuedRequest &R) const {
-    return Script.Tenants[R.TenantPos].Tenant;
-  }
-
-  /// The script position of materialized request \p Idx, for reissuing
-  /// on its completion.
-  size_t tenantPos(size_t Idx) const { return TenantPosOf[Idx]; }
-
-private:
-  workloads::TimedRequest timed(const IssuedRequest &R) const {
+  /// The next request, not yet materialized, so a fleet can place it
+  /// before take() commits it to a device.
+  workloads::TimedRequest peek() const {
+    if (Trace)
+      return (*Trace)[Next];
+    const IssuedRequest &R = Heap.top();
     workloads::TimedRequest Req;
     Req.KernelIdx = R.KernelIdx;
-    Req.Tenant = Script.Tenants[R.TenantPos].Tenant;
+    Req.Tenant = Script->Tenants[R.TenantPos].Tenant;
     Req.ArrivalTime = R.Time;
     return Req;
   }
 
-  const workloads::ClosedLoopScript &Script;
+  /// Materializes the next request in \p RS on \p D's device.
+  /// \returns its index.
+  size_t take(ReplayState &RS, ExperimentDriver &D) {
+    if (Trace)
+      return RS.append((*Trace)[Next++], D);
+    workloads::TimedRequest Req = peek();
+    TenantPosOf.push_back(Heap.top().TenantPos);
+    Heap.pop();
+    return RS.append(Req, D);
+  }
+
+  /// Request \p Idx completed (or was lost) at \p At: its closed-loop
+  /// tenant issues the next scripted request from that instant
+  /// (backpressure). A no-op for an open trace.
+  void completed(size_t Idx, double At) {
+    if (Script)
+      issue(TenantPosOf[Idx], At);
+  }
+
+private:
+  /// A scripted request whose arrival instant has been decided (issue
+  /// time + think time) but which has not been materialized yet. Seq
+  /// breaks arrival-time ties deterministically in issue order.
+  struct IssuedRequest {
+    double Time = 0;
+    uint64_t Seq = 0;
+    size_t TenantPos = 0; ///< Index into the script's tenant list.
+    size_t KernelIdx = 0;
+
+    bool operator>(const IssuedRequest &O) const {
+      return Time != O.Time ? Time > O.Time : Seq > O.Seq;
+    }
+  };
+
+  void issue(size_t TP, double From) {
+    size_t &C = Cursor[TP];
+    if (C == Script->Sequences[TP].size())
+      return; // Script exhausted: the tenant's population drains.
+    const workloads::ScriptedRequest &SR = Script->Sequences[TP][C++];
+    Heap.push({From + SR.ThinkTime, NextSeq++, TP, SR.KernelIdx});
+  }
+
+  const std::vector<workloads::TimedRequest> *Trace;
+  size_t Next = 0; ///< Trace cursor.
+  const workloads::ClosedLoopScript *Script;
   std::vector<size_t> Cursor; ///< Next unissued script entry per tenant.
   std::priority_queue<IssuedRequest, std::vector<IssuedRequest>,
                       std::greater<IssuedRequest>>
       Heap;
   uint64_t NextSeq = 0;
-  std::vector<size_t> TenantPosOf; ///< Parallel to the materialized trace.
+  std::vector<size_t> TenantPosOf; ///< Script tenant per request.
 };
 
 } // namespace detail

@@ -1,4 +1,4 @@
-//===- harness/Streaming.cpp - Streaming-arrival serving loop ----------------===//
+//===- harness/Streaming.cpp - Single-device serving replays -----------------===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
@@ -13,11 +13,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 
 using namespace accel;
 using namespace accel::harness;
-using detail::ClosedLoopDriver;
+using detail::ArrivalSource;
 using detail::LiveRequest;
 using detail::ReplayState;
 using detail::modeFor;
@@ -61,233 +60,196 @@ StreamOutcome::queueingExcessByTenant() const {
   return Out;
 }
 
-StreamOutcome harness::runStream(
-    ExperimentDriver &Driver, SchedulerKind Kind,
-    const std::vector<workloads::TimedRequest> &Trace,
-    const StreamOptions &Opts) {
-  StreamOutcome Out;
-  if (Trace.empty())
-    return Out;
-  const bool IsEk = Kind == SchedulerKind::ElasticKernels;
-  // Event-driven accelOS admission is the fleet replay on one device.
-  if (Kind != SchedulerKind::Baseline && !IsEk &&
-      Opts.Admission != accelos::AdmissionMode::RoundSync)
-    return detail::replayOnDevice(Driver, modeFor(Kind),
-                                  ClusterWorkload::openLoop(Trace), Opts);
+namespace {
 
-  const sim::DeviceSpec &Spec = Driver.device();
-  ReplayState RS(Driver, Opts, modeFor(Kind), Out);
-  for (const workloads::TimedRequest &R : Trace)
-    RS.append(R);
-
-  if (Kind == SchedulerKind::Baseline) {
-    // The standard stack submits straight into the hardware FIFO: one
-    // engine run where every launch carries its real arrival time.
+/// The FIFO loop: the standard stack submits each request straight
+/// into the hardware queue the moment it is issued (the session holds
+/// it invisible until its ArrivalTime), and completions let closed-loop
+/// tenants issue their next requests. An open trace is issued whole in
+/// the first pass, which is Engine::run event for event.
+void replayFifo(ExperimentDriver &Driver, ReplayState &RS,
+                ArrivalSource &Src, StreamOutcome &Out) {
+  sim::EngineSession Session(Driver.device());
+  size_t Completed = 0;
+  while (Completed != Src.total()) {
     std::vector<sim::KernelLaunchDesc> Launches;
-    for (size_t I = 0; I != Trace.size(); ++I) {
-      sim::KernelLaunchDesc L =
-          Driver.baselineDesc(Trace[I].KernelIdx, static_cast<int>(I));
-      L.ArrivalTime = Trace[I].ArrivalTime;
+    while (!Src.empty()) {
+      size_t Idx = Src.take(RS, Driver);
+      sim::KernelLaunchDesc L = Driver.baselineDesc(
+          RS.Trace[Idx].KernelIdx, static_cast<int>(Idx));
+      L.ArrivalTime = RS.Trace[Idx].ArrivalTime;
       Launches.push_back(std::move(L));
     }
+    if (!Launches.empty())
+      Session.admit(std::move(Launches));
+    double Next = Session.nextEventTime();
+    assert(Next >= 0 && "FIFO replay stalled with requests pending");
+    for (const sim::KernelExecResult &K : Session.advanceTo(Next)) {
+      size_t Idx = static_cast<size_t>(K.AppId);
+      Out.Requests[Idx].StartTime = K.StartTime;
+      Out.Requests[Idx].EndTime = K.EndTime;
+      ++Completed;
+      Src.completed(Idx, K.EndTime);
+    }
+  }
+  Out.Rounds = 1;
+}
+
+/// The round loop of Elastic Kernels and accelOS RoundSync: the
+/// requests pending at a completion boundary are merged (EK) or
+/// share-solved (accelOS) into one fresh engine run whose times are
+/// offset by the boundary; requests issued mid-round wait for the next
+/// boundary, where the plan sees the grown queue.
+void replayRounds(ExperimentDriver &Driver, bool IsEk, ReplayState &RS,
+                  ArrivalSource &Src, StreamOutcome &Out) {
+  const sim::DeviceSpec &Spec = Driver.device();
+  accelos::RoundScheduler Sched(accelos::ResourceCaps::fromDevice(Spec));
+  std::vector<size_t> EkPending;
+  size_t Completed = 0;
+  double T = 0;
+
+  auto Submit = [&](size_t Idx) {
+    accelos::RoundRequest R;
+    R.Id = Idx;
+    R.Demand = RS.demandOf(Idx);
+    Sched.submit(R);
+  };
+  auto Admit = [&] {
+    while (!Src.empty() && Src.nextTime() <= T) {
+      size_t Idx = Src.take(RS, Driver);
+      if (IsEk)
+        EkPending.push_back(Idx);
+      else
+        Submit(Idx);
+    }
+  };
+  auto Retire = [&](size_t Idx) {
+    Out.Requests[Idx].StartTime = RS.Live[Idx].Start;
+    Out.Requests[Idx].EndTime = RS.Live[Idx].End;
+    ++Completed;
+    Src.completed(Idx, RS.Live[Idx].End);
+  };
+
+  Admit();
+  while (Completed != Src.total()) {
+    if ((IsEk ? EkPending.size() : Sched.pending()) == 0) {
+      // Idle device: jump to the next arrival.
+      assert(!Src.empty() && "requests lost");
+      T = std::max(T, Src.nextTime());
+      Admit();
+      continue;
+    }
+
+    std::vector<sim::KernelLaunchDesc> Launches;
+    std::vector<size_t> Unfinished;
+    if (IsEk) {
+      std::vector<ek::EKKernelDesc> Descs;
+      for (size_t Idx : EkPending)
+        Descs.push_back(Driver.ekDesc(RS.Trace[Idx].KernelIdx,
+                                      static_cast<int>(Idx)));
+      EkPending.clear();
+      Launches = ek::planMergedLaunch(Spec, Descs);
+    } else {
+      for (const accelos::RoundGrant &G : Sched.nextRound()) {
+        size_t Idx = static_cast<size_t>(G.Id);
+        if (RS.remainingGroups(Idx) == 0) {
+          RS.completeZeroWork(Idx, T);
+          Retire(Idx);
+          continue;
+        }
+        Launches.push_back(RS.makeSliceLaunch(Idx, G.WGs, /*Arrival=*/0));
+        if (RS.remainingGroups(Idx) != 0)
+          Unfinished.push_back(Idx);
+      }
+    }
+
     sim::Engine Engine(Spec);
     sim::SimResult R = Engine.run(std::move(Launches));
     for (const sim::KernelExecResult &K : R.Kernels) {
-      StreamRequestResult &Req =
-          Out.Requests[static_cast<size_t>(K.AppId)];
-      Req.StartTime = K.StartTime;
-      Req.EndTime = K.EndTime;
+      LiveRequest &LR = RS.Live[static_cast<size_t>(K.AppId)];
+      if (!LR.Started) {
+        LR.Started = true;
+        LR.Start = K.StartTime + T;
+      }
+      LR.End = K.EndTime + T;
     }
-    Out.Rounds = 1;
-  } else {
-    // Round-synchronous serving loop: requests arriving mid-round wait
-    // for the completion boundary, where the plan sees the grown queue.
-    accelos::RoundScheduler Sched(
-        accelos::ResourceCaps::fromDevice(Spec));
-    std::deque<size_t> EkPending;
-    size_t NextArrival = 0;
-    size_t Completed = 0;
-    double T = 0;
+    T += R.Makespan;
+    ++Out.Rounds;
 
-    auto Submit = [&](size_t Idx) {
-      accelos::RoundRequest R;
-      R.Id = Idx;
-      R.Demand = RS.demandOf(Idx);
-      Sched.submit(R);
-    };
-    auto Admit = [&](double Now) {
-      while (NextArrival != Trace.size() &&
-             Trace[NextArrival].ArrivalTime <= Now) {
-        if (IsEk)
-          EkPending.push_back(NextArrival);
-        else
-          Submit(NextArrival);
-        ++NextArrival;
-      }
-    };
-    auto Pending = [&] {
-      return IsEk ? EkPending.size() : Sched.pending();
-    };
-
-    Admit(T);
-    while (Completed != Trace.size()) {
-      if (Pending() == 0) {
-        // Idle device: jump to the next arrival.
-        assert(NextArrival != Trace.size() && "requests lost");
-        T = std::max(T, Trace[NextArrival].ArrivalTime);
-        Admit(T);
-        continue;
-      }
-
-      std::vector<sim::KernelLaunchDesc> Launches;
-      std::vector<size_t> Unfinished;
-      if (IsEk) {
-        std::vector<ek::EKKernelDesc> Descs;
-        for (size_t Idx : EkPending)
-          Descs.push_back(Driver.ekDesc(Trace[Idx].KernelIdx,
-                                        static_cast<int>(Idx)));
-        EkPending.clear();
-        Launches = ek::planMergedLaunch(Spec, Descs);
-      } else {
-        for (const accelos::RoundGrant &G : Sched.nextRound()) {
-          size_t Idx = static_cast<size_t>(G.Id);
-          if (RS.remainingGroups(Idx) == 0) {
-            RS.completeZeroWork(Idx, T);
-            ++Completed;
-            continue;
-          }
-          Launches.push_back(
-              RS.makeSliceLaunch(Idx, G.WGs, /*Arrival=*/0));
-          if (RS.remainingGroups(Idx) != 0)
-            Unfinished.push_back(Idx);
-        }
-      }
-
-      sim::Engine Engine(Spec);
-      sim::SimResult R = Engine.run(std::move(Launches));
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        LiveRequest &LR = RS.Live[Idx];
-        if (!LR.Started) {
-          LR.Started = true;
-          LR.Start = K.StartTime + T;
-        }
-        LR.End = K.EndTime + T;
-      }
-      T += R.Makespan;
-      ++Out.Rounds;
-
-      // Completion boundary: finished requests retire, sliced ones
-      // requeue (ahead of this boundary's new arrivals — they are
-      // older), and the next round re-solves over the new queue.
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        bool Done = IsEk || RS.remainingGroups(Idx) == 0;
-        if (!Done)
-          continue;
-        Out.Requests[Idx].StartTime = RS.Live[Idx].Start;
-        Out.Requests[Idx].EndTime = RS.Live[Idx].End;
-        ++Completed;
-      }
-      for (size_t Idx : Unfinished)
-        Submit(Idx);
-      Admit(T);
+    // Completion boundary: finished requests retire, sliced ones
+    // requeue (ahead of this boundary's new arrivals — they are
+    // older), and the next round re-solves over the new queue.
+    for (const sim::KernelExecResult &K : R.Kernels) {
+      size_t Idx = static_cast<size_t>(K.AppId);
+      if (IsEk || RS.remainingGroups(Idx) == 0)
+        Retire(Idx);
     }
-    if (!IsEk)
-      Out.Deferrals = Sched.stats().Deferrals;
+    for (size_t Idx : Unfinished)
+      Submit(Idx);
+    Admit();
   }
+  if (!IsEk)
+    Out.Deferrals = Sched.stats().Deferrals;
+}
 
+/// The one replay behind runStream, runClosedLoop and runWorkload.
+StreamOutcome replay(ExperimentDriver &Driver, SchedulerKind Kind,
+                     const ClusterWorkload &Workload,
+                     const StreamOptions &Opts) {
+  // accelOS reacts to individual arrivals and completions on the fleet
+  // replay. Only RoundSync on an open trace keeps the round barrier: a
+  // closed loop has no round boundary, so there it means Continuous.
+  if (Kind != SchedulerKind::Baseline &&
+      Kind != SchedulerKind::ElasticKernels &&
+      (Workload.Script ||
+       Opts.Admission != accelos::AdmissionMode::RoundSync))
+    return detail::replayOnDevice(Driver, modeFor(Kind), Workload, Opts);
+
+  StreamOutcome Out;
+  ReplayState RS(Opts, modeFor(Kind), Out);
+  ArrivalSource Src(Workload);
+  if (Src.total() != 0) {
+    if (Kind == SchedulerKind::Baseline)
+      replayFifo(Driver, RS, Src, Out);
+    else
+      replayRounds(Driver, Kind == SchedulerKind::ElasticKernels, RS, Src,
+                   Out);
+  }
+  assert(RS.Trace.size() == Src.total() && "workload not fully replayed");
   RS.finalize();
   return Out;
 }
 
-//===----------------------------------------------------------------------===//
-// Closed-loop tenant replay (the TenantLoop mode)
-//===----------------------------------------------------------------------===//
+} // namespace
+
+StreamOutcome harness::runStream(
+    ExperimentDriver &Driver, SchedulerKind Kind,
+    const std::vector<workloads::TimedRequest> &Trace,
+    const StreamOptions &Opts) {
+  return replay(Driver, Kind, ClusterWorkload::openLoop(Trace), Opts);
+}
 
 StreamOutcome harness::runClosedLoop(
     ExperimentDriver &Driver, SchedulerKind Kind,
     const workloads::ClosedLoopScript &Script,
     const StreamOptions &Opts) {
-  StreamOutcome Out;
-  const size_t Total = Script.totalRequests();
-  Out.FinalWeights = Opts.Weights;
-  if (Total == 0)
-    return Out;
-  // accelOS reacts to individual completions: the fleet replay on one
-  // device, with the closed loop issuing into it.
-  if (Kind != SchedulerKind::Baseline &&
-      Kind != SchedulerKind::ElasticKernels)
-    return detail::replayOnDevice(Driver, modeFor(Kind),
-                                  ClusterWorkload::closedLoop(Script), Opts);
+  return replay(Driver, Kind, ClusterWorkload::closedLoop(Script), Opts);
+}
 
-  const sim::DeviceSpec &Spec = Driver.device();
-  ReplayState RS(Driver, Opts, modeFor(Kind), Out);
-  ClosedLoopDriver Loop(Script);
-  size_t Completed = 0;
-
-  if (Kind == SchedulerKind::Baseline) {
-    // FIFO: each issued request is admitted into the hardware queue the
-    // moment the tenant decides it (the session holds it invisible
-    // until its ArrivalTime); completions trigger the next issues.
-    sim::EngineSession Session(Spec);
-    while (Completed != Total) {
-      std::vector<sim::KernelLaunchDesc> Launches;
-      while (!Loop.empty()) {
-        double At = Loop.nextTime();
-        size_t Idx = Loop.materialize(RS);
-        sim::KernelLaunchDesc L = Driver.baselineDesc(
-            RS.Trace[Idx].KernelIdx, static_cast<int>(Idx));
-        L.ArrivalTime = At;
-        Launches.push_back(std::move(L));
-      }
-      if (!Launches.empty())
-        Session.admit(std::move(Launches));
-      double Next = Session.nextEventTime();
-      assert(Next >= 0 && "closed loop stalled with requests pending");
-      for (const sim::KernelExecResult &K : Session.advanceTo(Next)) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        Out.Requests[Idx].StartTime = K.StartTime;
-        Out.Requests[Idx].EndTime = K.EndTime;
-        ++Completed;
-        Loop.issue(Loop.tenantPos(Idx), K.EndTime);
-      }
-    }
-    Out.Rounds = 1;
-  } else {
-    // EK: requests pending at a round boundary are statically merged
-    // and co-dispatched; completions mid-round issue follow-ups that
-    // wait for the next boundary.
-    std::deque<size_t> Pending;
-    double T = 0;
-    while (Completed != Total) {
-      while (!Loop.empty() && Loop.nextTime() <= T)
-        Pending.push_back(Loop.materialize(RS));
-      if (Pending.empty()) {
-        assert(!Loop.empty() && "closed loop stalled with requests pending");
-        T = std::max(T, Loop.nextTime());
-        continue;
-      }
-      std::vector<ek::EKKernelDesc> Descs;
-      for (size_t Idx : Pending)
-        Descs.push_back(Driver.ekDesc(RS.Trace[Idx].KernelIdx,
-                                      static_cast<int>(Idx)));
-      Pending.clear();
-      sim::Engine Engine(Spec);
-      sim::SimResult R = Engine.run(ek::planMergedLaunch(Spec, Descs));
-      for (const sim::KernelExecResult &K : R.Kernels) {
-        size_t Idx = static_cast<size_t>(K.AppId);
-        Out.Requests[Idx].StartTime = K.StartTime + T;
-        Out.Requests[Idx].EndTime = K.EndTime + T;
-        ++Completed;
-        Loop.issue(Loop.tenantPos(Idx), K.EndTime + T);
-      }
-      T += R.Makespan;
-      ++Out.Rounds;
-    }
-  }
-
-  assert(RS.Trace.size() == Total && "script not fully replayed");
-  RS.finalize();
+WorkloadOutcome harness::runWorkload(ExperimentDriver &Driver,
+                                     SchedulerKind Kind,
+                                     const workloads::Workload &W) {
+  std::vector<workloads::TimedRequest> Trace(W.size());
+  for (size_t I = 0; I != W.size(); ++I)
+    Trace[I].KernelIdx = W[I];
+  StreamOutcome S = runStream(Driver, Kind, Trace);
+  WorkloadOutcome Out;
+  Out.Slowdowns = std::move(S.Slowdowns);
+  Out.Unfairness = S.Unfairness;
+  Out.Makespan = S.Makespan;
+  std::vector<metrics::Interval> Intervals;
+  for (const StreamRequestResult &R : S.Requests)
+    Intervals.push_back({R.StartTime, R.EndTime});
+  Out.Overlap = metrics::executionOverlap(Intervals);
   return Out;
 }

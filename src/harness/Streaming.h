@@ -1,62 +1,57 @@
-//===- harness/Streaming.h - Streaming-arrival serving loop -----*- C++-*-===//
+//===- harness/Streaming.h - Single-device serving replays ------*- C++-*-===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event-driven multi-tenant serving loop: replays an open-loop
-/// arrival trace (workloads::poissonTrace) or a closed-loop tenant
-/// script (workloads::closedLoopTrace) under the compared schedulers
-/// and reports per-request latencies, fairness, and SLO attainment.
+/// The single-device serving replays: an open-loop arrival trace
+/// (workloads::poissonTrace), a closed-loop tenant script
+/// (workloads::closedLoopTrace) or a batch workload, replayed under the
+/// compared schedulers, reporting per-request latencies, fairness, and
+/// SLO attainment.
 ///
-///  - Baseline: the standard stack's FIFO hardware queue — one engine
-///    run where every launch carries its real ArrivalTime;
-///  - Elastic Kernels: at each round boundary the pending requests are
-///    statically merged and co-dispatched;
-///  - accelOS: the scheduler re-solves fair shares at every
-///    arrival/completion boundary (dynamic K) and requeues clamp-shed
-///    requests. Because accelOS kernels drain a virtual work queue, a
-///    grant may run each kernel for a bounded *quantum* of its virtual
-///    groups and requeue the remainder — the software analogue of
-///    preemption that keeps occupancy short, so a newly arrived kernel
-///    is never serialized behind a giant one.
+/// Every replay draws its requests from one arrival source
+/// (harness::detail::ArrivalSource): an open trace is a cursor in trace
+/// order, while a closed script issues each tenant's next request only
+/// after a predecessor completes. One loop per discipline consumes it:
 ///
-/// The accelOS path has three admission disciplines
-/// (StreamOptions::Admission, an accelos::AdmissionMode):
-///
-///  - RoundSync: completion-round-synchronous. Requests arriving while
-///    a round executes wait for the next global boundary, where the
-///    share solve sees the grown queue. Kept as the regression
-///    reference — and as the demonstration of the round-boundary
-///    convoy it suffers from. It runs a loop of its own here, with a
-///    fresh engine per round.
-///  - Continuous: arrival-aware continuous admission inside ONE
-///    persistent engine session (sim::EngineSession). Fair shares are
-///    re-solved at every arrival/completion event and newly arrived or
+///  - Baseline, the FIFO loop: the standard stack's hardware queue.
+///    Each request enters one persistent engine session the moment it
+///    is issued, carrying its real ArrivalTime;
+///  - Elastic Kernels and accelOS RoundSync, the round loop: at each
+///    completion boundary the pending requests are statically merged
+///    (EK) or share-solved (accelOS) into one fresh engine run, and
+///    requests arriving mid-round wait for the next boundary. A grant
+///    may run a kernel for a bounded *quantum* of its virtual groups
+///    and requeue the remainder — the software analogue of preemption
+///    that accelOS's virtual work queue makes possible. RoundSync is
+///    kept as the regression reference and as the demonstration of the
+///    round-boundary convoy it suffers from;
+///  - accelOS Continuous and Stride (StreamOptions::Admission, an
+///    accelos::AdmissionMode): the fleet replay behind runClusterReplay
+///    (cluster/ClusterHarness.h) on a one-device view of the caller's
+///    driver. Fair shares are re-solved at every arrival/completion
+///    event inside one persistent engine session and newly arrived or
 ///    requeued sliced kernels immediately fill the residual capacity
-///    left by in-flight grants (accelos::ContinuousScheduler) — no
-///    global barrier, no preemption needed. On an all-zero-arrival
-///    trace with slicing disabled this reproduces the round-sync
-///    schedule bit-for-bit (regression-tested); under streaming
-///    arrivals it cuts queueing delay because a request no longer
-///    waits out the makespan of a round it missed.
-///  - Stride: the same loop with accelos::StrideScheduler's pass/stride
-///    tenant counters in place of the fair-share solve.
+///    left by in-flight grants (accelos::ContinuousScheduler), or the
+///    pass/stride tenant counters of accelos::StrideScheduler pick
+///    instead. On an all-zero-arrival trace with slicing disabled
+///    Continuous reproduces the round-sync schedule bit-for-bit
+///    (regression-tested); under streaming arrivals it cuts queueing
+///    delay because a request no longer waits out a round it missed.
 ///
-/// Continuous and Stride are not a loop of their own: they run the
-/// fleet replay behind runClusterReplay (cluster/ClusterHarness.h) on a
-/// one-device view of the caller's driver, so the single-device and the
-/// fleet schedules are the same code.
-///
-/// Beyond the open loop, runClosedLoop() is the *TenantLoop* mode:
-/// arrivals are not a fixed trace but reactions — each tenant keeps at
-/// most its Concurrency requests outstanding and issues the next
-/// scripted request only after a predecessor drains plus a think time
-/// (backpressure). The accelOS path is the same one-device fleet
-/// replay, and an optional SLO layer (StreamOptions::SloTargets +
-/// AdaptiveSloWeights) feeds each tenant's observed p95 queueing delay
-/// back into its fair-share weight through accelos::SloWeightController.
+/// runWorkload, the paper's batch experiment (Sec. 7.2: every kernel
+/// submitted at once), is runStream on the trace whose arrivals are all
+/// zero. runClosedLoop is the *TenantLoop* mode: arrivals are not a
+/// fixed trace but reactions — each tenant keeps at most its
+/// Concurrency requests outstanding and issues the next scripted
+/// request only after a predecessor drains plus a think time
+/// (backpressure). A closed loop has no round boundary, so its accelOS
+/// path is always the fleet replay, where an optional SLO layer
+/// (StreamOptions::SloTargets + AdaptiveSloWeights) feeds each tenant's
+/// observed p95 queueing delay back into its fair-share weight through
+/// accelos::SloWeightController.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,8 +123,9 @@ struct StreamOutcome {
   uint64_t EngineCompletions = 0;
 
   /// Effective per-tenant weights when the run ended: the static
-  /// StreamOptions::Weights, overlaid with the SLO controller's final
-  /// boosts when AdaptiveSloWeights adapted them.
+  /// StreamOptions::Weights (also for an empty workload), overlaid with
+  /// the SLO controller's final boosts when AdaptiveSloWeights adapted
+  /// them.
   std::map<int, double> FinalWeights;
   /// Times the SLO controller changed any weight (adaptive runs only).
   uint64_t WeightUpdates = 0;
@@ -188,18 +184,6 @@ struct StreamOptions {
   double SloControlInterval = 0;
   /// Controller tuning (bounds, factors, hysteresis).
   accelos::SloControllerOptions SloTuning;
-  /// Issue-aware admission (continuous accelOS only; 0 disables, the
-  /// bit-identical default). A device's resident-thread capacity is an
-  /// *occupancy* bound, many times its issue bandwidth (lanes): sharing
-  /// out raw thread slots lets every tenant become fully resident, at
-  /// which point the compute units' weight-blind processor sharing —
-  /// not the solver — decides service rates and fair-share weights stop
-  /// binding. When positive, the scheduler's thread capacity is clamped
-  /// to Factor x (NumCUs x LanesPerCU), so admission shares out (a
-  /// bounded oversubscription of) the bandwidth that is actually
-  /// contended; weighted shares then translate into service rates.
-  /// Factor ~2 keeps the lanes saturated while queueing the excess.
-  double IssueCapacityFactor = 0;
   /// Strict weighted entitlements (continuous accelOS only; off is the
   /// bit-identical default). The work-conserving discipline grants
   /// every request min(saturated share, residual fit) — which is
@@ -221,10 +205,6 @@ struct StreamOptions {
   /// exactness-preserving); what changes is the events/sec
   /// bench/serve_scale measures.
   bool FullSolveReference = false;
-  /// Debug-build cross-check (continuous accelOS only): every
-  /// incremental fast pass re-runs the full solve and asserts the
-  /// shares are bit-identical. No effect in release builds.
-  bool SelfCheckIncremental = false;
 };
 
 /// Degenerate-latency threshold, as a fraction of the request's
@@ -251,6 +231,24 @@ inline double streamSlowdown(double Latency, double AloneDuration) {
 StreamOutcome runStream(ExperimentDriver &Driver, SchedulerKind Kind,
                         const std::vector<workloads::TimedRequest> &Trace,
                         const StreamOptions &Opts = {});
+
+/// Per-workload metric bundle of one batch experiment.
+struct WorkloadOutcome {
+  std::vector<double> Slowdowns; ///< IS_i vs. isolated baseline runs.
+  double Unfairness = 1;         ///< U = max IS / min IS.
+  double Overlap = 0;            ///< O = T(c) / T(t).
+  double Makespan = 0;
+};
+
+/// Runs the multi-kernel workload \p W under \p Kind: runStream with
+/// default options (accelOS RoundSync, no slicing) on a trace that
+/// submits every kernel at time 0, so T(s) is the turnaround from that
+/// common submission and queueing behind earlier requests counts
+/// against fairness. accelOS requests the oversubscription clamp sheds
+/// wait for the next round, which begins when the previous round's
+/// kernels complete.
+WorkloadOutcome runWorkload(ExperimentDriver &Driver, SchedulerKind Kind,
+                            const workloads::Workload &W);
 
 /// The TenantLoop mode: replays the closed-loop \p Script under \p Kind.
 /// Each tenant starts with its first Concurrency scripted requests (at

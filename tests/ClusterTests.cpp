@@ -785,9 +785,11 @@ TEST_F(ClusterTest, MigrationConservesWork) {
   }
   // Voluntary migrations respect the per-request budget.
   std::map<size_t, uint32_t> Voluntary;
-  for (const harness::ClusterMigrationRecord &M : O.Migrations)
-    if (!M.Failover)
+  for (const harness::ClusterMigrationRecord &M : O.Migrations) {
+    if (!M.Failover) {
       EXPECT_LE(++Voluntary[M.RequestIdx], Opts.Migration.MaxPerRequest);
+    }
+  }
 }
 
 TEST_F(ClusterTest, ElasticDeviceJoinsMidReplay) {
@@ -806,9 +808,10 @@ TEST_F(ClusterTest, ElasticDeviceJoinsMidReplay) {
   EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
   size_t OnJoined = 0;
   for (size_t I = 0; I != Trace.size(); ++I) {
-    if (Trace[I].ArrivalTime < Join)
+    if (Trace[I].ArrivalTime < Join) {
       EXPECT_EQ(O.Placement[I], 0u)
           << "request " << I << " placed on a device not yet joined";
+    }
     if (O.Placement[I] == 1)
       ++OnJoined;
   }

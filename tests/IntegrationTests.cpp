@@ -13,7 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiment.h"
+#include "harness/Streaming.h"
 #include "metrics/Metrics.h"
 
 #include "gtest/gtest.h"
@@ -46,9 +46,9 @@ TEST_F(IntegrationNvidia, MeanFairnessImprovesOverPairs) {
   auto Pairs = workloads::randomCombinations(2, 24, 11);
   double BaseSum = 0, AOSSum = 0;
   for (const auto &W : Pairs) {
-    BaseSum += driver().runWorkload(SchedulerKind::Baseline, W).Unfairness;
+    BaseSum += runWorkload(driver(), SchedulerKind::Baseline, W).Unfairness;
     AOSSum +=
-        driver().runWorkload(SchedulerKind::AccelOSOptimized, W).Unfairness;
+        runWorkload(driver(), SchedulerKind::AccelOSOptimized, W).Unfairness;
   }
   EXPECT_GT(BaseSum, 1.5 * AOSSum)
       << "mean fairness improvement below 1.5x";
@@ -60,8 +60,8 @@ TEST_F(IntegrationNvidia, MotivationWorkloadShape) {
   // they serialize.
   workloads::Workload W = {indexOf("bfs"), indexOf("cutcp"),
                            indexOf("stencil"), indexOf("tpacf")};
-  auto Base = driver().runWorkload(SchedulerKind::Baseline, W);
-  auto AOS = driver().runWorkload(SchedulerKind::AccelOSOptimized, W);
+  auto Base = runWorkload(driver(), SchedulerKind::Baseline, W);
+  auto AOS = runWorkload(driver(), SchedulerKind::AccelOSOptimized, W);
   EXPECT_LT(Base.Overlap, 0.2);
   // All four must genuinely co-execute; the all-K overlap window is
   // bounded by the duration ratio of the shortest to longest kernel.
@@ -70,8 +70,8 @@ TEST_F(IntegrationNvidia, MotivationWorkloadShape) {
 
 TEST_F(IntegrationNvidia, BaselineSerializesAccelOSOverlaps) {
   workloads::Workload W = {indexOf("lbm"), indexOf("sgemm")};
-  auto Base = driver().runWorkload(SchedulerKind::Baseline, W);
-  auto AOS = driver().runWorkload(SchedulerKind::AccelOSOptimized, W);
+  auto Base = runWorkload(driver(), SchedulerKind::Baseline, W);
+  auto AOS = runWorkload(driver(), SchedulerKind::AccelOSOptimized, W);
   EXPECT_LT(Base.Overlap, 0.5);
   EXPECT_GT(AOS.Overlap, 0.7);
 }
@@ -84,15 +84,15 @@ TEST_F(IntegrationNvidia, UnfairnessGrowsWithRequestCount) {
                             indexOf("bfs"), indexOf("spmv"),
                             indexOf("lbm"), indexOf("sgemm"),
                             indexOf("stencil"), indexOf("histo_main")};
-  double U2 = driver().runWorkload(SchedulerKind::Baseline, W2).Unfairness;
-  double U4 = driver().runWorkload(SchedulerKind::Baseline, W4).Unfairness;
-  double U8 = driver().runWorkload(SchedulerKind::Baseline, W8).Unfairness;
+  double U2 = runWorkload(driver(), SchedulerKind::Baseline, W2).Unfairness;
+  double U4 = runWorkload(driver(), SchedulerKind::Baseline, W4).Unfairness;
+  double U8 = runWorkload(driver(), SchedulerKind::Baseline, W8).Unfairness;
   EXPECT_LT(U2, U4);
   EXPECT_LT(U4, U8);
 
   // accelOS keeps unfairness bounded as the paper reports (1.2-3.5).
   double A8 =
-      driver().runWorkload(SchedulerKind::AccelOSOptimized, W8).Unfairness;
+      runWorkload(driver(), SchedulerKind::AccelOSOptimized, W8).Unfairness;
   EXPECT_LT(A8, U8 / 1.5);
 }
 
@@ -103,9 +103,9 @@ TEST_F(IntegrationNvidia, AccelOSBeatsElasticKernelsAtScale) {
   double EKSum = 0, AOSSum = 0;
   for (const auto &W : Octets) {
     EKSum +=
-        driver().runWorkload(SchedulerKind::ElasticKernels, W).Unfairness;
+        runWorkload(driver(), SchedulerKind::ElasticKernels, W).Unfairness;
     AOSSum +=
-        driver().runWorkload(SchedulerKind::AccelOSOptimized, W).Unfairness;
+        runWorkload(driver(), SchedulerKind::AccelOSOptimized, W).Unfairness;
   }
   EXPECT_LT(AOSSum, EKSum);
 }
@@ -129,7 +129,7 @@ TEST_F(IntegrationNvidia, SingleKernelOverheadSmall) {
 
 TEST_F(IntegrationNvidia, SlowdownsAreAtLeastOneIsh) {
   workloads::Workload W = {indexOf("cutcp"), indexOf("sgemm")};
-  auto AOS = driver().runWorkload(SchedulerKind::AccelOSOptimized, W);
+  auto AOS = runWorkload(driver(), SchedulerKind::AccelOSOptimized, W);
   for (double S : AOS.Slowdowns)
     EXPECT_GT(S, 0.5);
 }
@@ -137,8 +137,8 @@ TEST_F(IntegrationNvidia, SlowdownsAreAtLeastOneIsh) {
 TEST(IntegrationAmd, ExclusiveAdmissionSerializesBaseline) {
   ExperimentDriver D(sim::DeviceSpec::amdR9295X2());
   workloads::Workload W = {indexOf("lbm"), indexOf("sgemm")};
-  auto Base = D.runWorkload(SchedulerKind::Baseline, W);
-  auto AOS = D.runWorkload(SchedulerKind::AccelOSOptimized, W);
+  auto Base = runWorkload(D, SchedulerKind::Baseline, W);
+  auto AOS = runWorkload(D, SchedulerKind::AccelOSOptimized, W);
   // AMD-like baseline: almost no overlap (paper Fig. 12b: 4%).
   EXPECT_LT(Base.Overlap, 0.1);
   EXPECT_GT(AOS.Overlap, 0.6);
@@ -149,8 +149,8 @@ TEST(IntegrationAmd, MeanFairnessImprovesForEightRequests) {
   auto Combos = workloads::randomCombinations(8, 8, 123);
   double BaseSum = 0, AOSSum = 0;
   for (const auto &W : Combos) {
-    BaseSum += D.runWorkload(SchedulerKind::Baseline, W).Unfairness;
-    AOSSum += D.runWorkload(SchedulerKind::AccelOSOptimized, W).Unfairness;
+    BaseSum += runWorkload(D, SchedulerKind::Baseline, W).Unfairness;
+    AOSSum += runWorkload(D, SchedulerKind::AccelOSOptimized, W).Unfairness;
   }
   EXPECT_LT(AOSSum, BaseSum);
 }

@@ -11,7 +11,10 @@
 /// bit-for-bit (batch semantics), and continuous admission never makes
 /// tail latency worse than the round-boundary convoy. Plus the
 /// regression units for the zero-work latency clamp and the
-/// capped-worker quantum budget.
+/// capped-worker quantum budget, the committed golden fixture pinning
+/// the FIFO and round loops (open traces, closed scripts, and
+/// runWorkload's batch experiments) and every isolated duration byte
+/// for byte, and the configured weights an empty trace reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +25,11 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 using namespace accel;
 using namespace accel::harness;
@@ -108,6 +114,43 @@ TEST_F(StreamingTest, AllZeroArrivalsReproduceRoundSyncSchedule) {
   }
   EXPECT_EQ(A.Makespan, B.Makespan);
   EXPECT_EQ(A.Unfairness, B.Unfairness);
+}
+
+TEST_F(StreamingTest, EmptyTraceReportsConfiguredWeights) {
+  // Every replay reports the configured weights as FinalWeights, an
+  // empty workload included, whichever loop the kind routes to.
+  StreamOptions Opts;
+  Opts.Weights = {{1, 2.0}, {3, 0.5}};
+  for (SchedulerKind Kind :
+       {SchedulerKind::Baseline, SchedulerKind::ElasticKernels,
+        SchedulerKind::AccelOSNaive, SchedulerKind::AccelOSOptimized})
+    for (StreamOptions::AdmissionMode Mode :
+         {StreamOptions::AdmissionMode::RoundSync,
+          StreamOptions::AdmissionMode::Continuous,
+          StreamOptions::AdmissionMode::Stride}) {
+      Opts.Admission = Mode;
+      StreamOutcome O = runStream(driver(), Kind, {}, Opts);
+      EXPECT_TRUE(O.Requests.empty());
+      EXPECT_EQ(O.Rounds, 0u);
+      EXPECT_EQ(O.FinalWeights, Opts.Weights)
+          << schedulerName(Kind) << " admission "
+          << static_cast<int>(Mode);
+    }
+}
+
+TEST_F(StreamingTest, AccelosLaunchViewsTheCompiledCosts) {
+  // accelOS launches read the compiled kernel's cost array through a
+  // view of its whole virtual range instead of carrying a copy.
+  for (size_t I = 0; I != driver().numKernels(); ++I) {
+    const CompiledKernel &CK = driver().kernel(I);
+    sim::KernelLaunchDesc L = driver().accelosDesc(
+        I, 0, 4, accelos::SchedulingMode::Optimized);
+    EXPECT_TRUE(L.VirtualCosts.empty()) << CK.Spec->Id;
+    EXPECT_EQ(L.ViewCosts, CK.WGCosts.data()) << CK.Spec->Id;
+    EXPECT_EQ(L.ViewBegin, 0u) << CK.Spec->Id;
+    EXPECT_EQ(L.ViewEnd, CK.WGCosts.size()) << CK.Spec->Id;
+    EXPECT_EQ(L.numVirtualGroups(), CK.WGCosts.size()) << CK.Spec->Id;
+  }
 }
 
 TEST_F(StreamingTest, ContinuousTailLatencyNotWorseThanRoundSync) {
@@ -350,6 +393,104 @@ TEST(QuantumSliceTest, ZeroQuantumDisablesSlicing) {
   std::vector<double> Costs(16, 100.0);
   EXPECT_EQ(accelos::quantumSliceEnd(Costs, 5, 2, 10, 1.0, 0.0), 16u);
   EXPECT_EQ(accelos::quantumSliceEnd(Costs, 16, 2, 10, 1.0, 1.0), 16u);
+}
+
+//===----------------------------------------------------------------------===//
+// Golden fixture: the single-device baselines
+//===----------------------------------------------------------------------===//
+
+TEST(SingleDeviceBaselinesTest, MatchesGolden) {
+  // The FIFO, Elastic Kernels and round-synchronous accelOS replays of
+  // open traces and closed scripts, the paper's batch workloads, and
+  // every isolated duration, on both device specs. Hexfloat, like the
+  // cluster fixtures: every timestamp and counter is compared to the
+  // fixture byte for byte.
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto EmitStream = [&](const char *Run, const StreamOutcome &O) {
+    Add("run %s\n", Run);
+    for (size_t I = 0; I != O.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Requests[I];
+      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+          R.StartTime, R.EndTime);
+    }
+    Add("rounds %zu deferrals %llu\nmakespan %a\nunfairness %a\n",
+        O.Rounds, static_cast<unsigned long long>(O.Deferrals), O.Makespan,
+        O.Unfairness);
+  };
+  const SchedulerKind Kinds[] = {
+      SchedulerKind::Baseline, SchedulerKind::ElasticKernels,
+      SchedulerKind::AccelOSNaive, SchedulerKind::AccelOSOptimized};
+
+  for (const sim::DeviceSpec &Spec :
+       {sim::DeviceSpec::nvidiaK20m(), sim::DeviceSpec::amdR9295X2()}) {
+    ExperimentDriver D(Spec);
+    const double Dur = meanIsolatedBaselineDuration(D);
+    Add("device %s\n", Spec.Name.c_str());
+
+    workloads::TraceOptions TOpts;
+    TOpts.NumRequests = 24;
+    TOpts.NumTenants = 3;
+    TOpts.MeanInterarrival = 0.5 * Dur;
+    TOpts.Seed = 20261017;
+    std::vector<workloads::TimedRequest> Trace =
+        workloads::poissonTrace(D.numKernels(), TOpts);
+    EmitStream("stream-fifo",
+               runStream(D, SchedulerKind::Baseline, Trace));
+    EmitStream("stream-ek",
+               runStream(D, SchedulerKind::ElasticKernels, Trace));
+    StreamOptions Sliced;
+    Sliced.Weights = {{1, 2.0}};
+    Sliced.RoundQuantum = 0.25 * Dur;
+    EmitStream("stream-roundsync-sliced",
+               runStream(D, SchedulerKind::AccelOSOptimized, Trace, Sliced));
+    EmitStream("stream-roundsync-naive",
+               runStream(D, SchedulerKind::AccelOSNaive, Trace));
+
+    std::vector<workloads::ClosedLoopTenant> Tenants(3);
+    Tenants[0] = {0, 10, 1, 0.25 * Dur, 61, {0, 1, 2, 3}};
+    Tenants[1] = {1, 8, 3, 0.05 * Dur, 62, {}};
+    Tenants[2] = {2, 6, 2, 0.50 * Dur, 63, {}};
+    workloads::ClosedLoopScript Script =
+        workloads::closedLoopTrace(D.numKernels(), Tenants);
+    EmitStream("closed-fifo",
+               runClosedLoop(D, SchedulerKind::Baseline, Script));
+    EmitStream("closed-ek",
+               runClosedLoop(D, SchedulerKind::ElasticKernels, Script));
+
+    std::vector<workloads::Workload> Sets = workloads::alphabeticPairs();
+    for (size_t K : {4u, 8u})
+      for (workloads::Workload &W :
+           workloads::randomCombinations(K, 3, /*Seed=*/2016 + K))
+        Sets.push_back(std::move(W));
+    for (size_t I = 0; I != Sets.size(); ++I)
+      for (SchedulerKind Kind : Kinds) {
+        WorkloadOutcome O = runWorkload(D, Kind, Sets[I]);
+        Add("workload %zu %s", I, schedulerName(Kind));
+        for (double S : O.Slowdowns)
+          Add(" %a", S);
+        Add("\nunfairness %a overlap %a makespan %a\n", O.Unfairness,
+            O.Overlap, O.Makespan);
+      }
+
+    for (size_t I = 0; I != D.numKernels(); ++I) {
+      Add("isolated %zu", I);
+      for (SchedulerKind Kind : Kinds)
+        Add(" %a", D.isolatedDuration(Kind, I));
+      Got += "\n";
+    }
+  }
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/single_device_baselines.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 //===----------------------------------------------------------------------===//
