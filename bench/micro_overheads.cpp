@@ -70,9 +70,14 @@ static void BM_ResourceSolver(benchmark::State &State) {
     D.RequestedWGs = 256;
     Ds.push_back(D);
   }
+  // The allocation-free overload the schedulers run, with its working
+  // storage reused across solves as theirs is.
+  accelos::SolverScratch Scratch;
+  std::vector<uint64_t> Shares;
   for (auto _ : State) {
-    auto Shares = accelos::solveFairShares(Caps, Ds);
-    benchmark::DoNotOptimize(Shares);
+    accelos::solveFairShares(Caps, Ds, {}, Scratch, Shares);
+    benchmark::DoNotOptimize(Shares.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ResourceSolver);
@@ -136,11 +141,9 @@ void runAdmitEvent(benchmark::State &State, Scheduler &S) {
 static void BM_AdmitEventFullSolve(benchmark::State &State) {
   accelos::ResourceCaps Caps =
       accelos::ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m());
-  accelos::SolverOptions Opts;
-  Opts.FastSaturation = false; // The pre-optimization reference solve.
   accelos::SchedulerOptions SchedOpts;
-  SchedOpts.Incremental = false;
-  accelos::ContinuousScheduler S(Caps, Opts, SchedOpts);
+  SchedOpts.Incremental = false; // The pre-optimization reference solve.
+  accelos::ContinuousScheduler S(Caps, {}, SchedOpts);
   runAdmitEvent(State, S);
 }
 BENCHMARK(BM_AdmitEventFullSolve);

@@ -12,13 +12,14 @@
 /// throughput of the scheduler+engine pipeline itself, not of the
 /// simulated device:
 ///
-///  - full-solve:   every admission pass runs a full fair-share solve
-///                  with the solver's reference saturation loop (the
-///                  exact pre-optimization hot path);
+///  - full-solve:   every admission pass runs the solver's allocating
+///                  reference solve (the exact pre-optimization hot
+///                  path);
 ///  - incremental:  the default — structure-preserving passes skip the
 ///                  solve (underload / no-capacity rules) and full
-///                  solves use O(1) saturation probes. Bit-identical
-///                  grant history to full-solve by construction;
+///                  solves run the allocation-free overload with O(1)
+///                  saturation probes. Bit-identical grant history to
+///                  full-solve by construction;
 ///  - stride:       accelos::StrideScheduler — pass/stride tenant
 ///                  counters replace the solve entirely (approximate
 ///                  weighted fairness, O(log tenants) per event).

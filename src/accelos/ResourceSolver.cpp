@@ -40,6 +40,85 @@ bool fits(const ResourceCaps &Caps, const std::vector<KernelDemand> &Ks,
          Regs <= Caps.Regs && Slots <= Caps.WGSlots;
 }
 
+/// The Sec. 3 base division of kernel \p D holding fraction \p Frac of
+/// every resource: the tightest of x_i, y_i, z_i and its share of the
+/// work-group slots, floored to one work group (\p Floored reports
+/// whether the floor fired). The pure divisions always fit in aggregate
+/// (each is a floor of the kernel's exact fractional entitlement), so
+/// only the floor can oversubscribe. The request cap is the caller's.
+uint64_t baseDivision(const ResourceCaps &Caps, const KernelDemand &D,
+                      double Frac, bool &Floored) {
+  assert(D.WGThreads > 0 && "zero-thread work group");
+  uint64_t X = static_cast<uint64_t>(static_cast<double>(Caps.Threads) *
+                                     Frac /
+                                     static_cast<double>(D.WGThreads));
+  uint64_t Y =
+      D.LocalMemPerWG
+          ? static_cast<uint64_t>(static_cast<double>(Caps.LocalMem) *
+                                  Frac /
+                                  static_cast<double>(D.LocalMemPerWG))
+          : UINT64_MAX;
+  uint64_t RegsPerWG = D.WGThreads * D.RegsPerThread;
+  uint64_t Z = RegsPerWG
+                   ? static_cast<uint64_t>(
+                         static_cast<double>(Caps.Regs) * Frac /
+                         static_cast<double>(RegsPerWG))
+                   : UINT64_MAX;
+  uint64_t SlotShare =
+      static_cast<uint64_t>(static_cast<double>(Caps.WGSlots) * Frac);
+  uint64_t N = std::min(std::min(X, Y), std::min(Z, SlotShare));
+  Floored = N == 0;
+  return Floored ? 1 : N;
+}
+
+/// \returns the dimension (threads, local memory, registers, slots)
+/// with the largest use-to-capacity ratio.
+unsigned mostOversubscribed(const uint64_t (&Use)[4],
+                            const uint64_t (&Cap)[4]) {
+  unsigned Dim = 0;
+  double WorstRatio = 0;
+  for (unsigned D = 0; D != 4; ++D) {
+    double Ratio = static_cast<double>(Use[D]) /
+                   static_cast<double>(std::max<uint64_t>(Cap[D], 1));
+    if (Ratio > WorstRatio) {
+      WorstRatio = Ratio;
+      Dim = D;
+    }
+  }
+  return Dim;
+}
+
+/// \returns one work group of \p D's demand in dimension \p Dim (the
+/// clamp's tie-break toward the largest contributor).
+uint64_t demandIn(const KernelDemand &D, unsigned Dim) {
+  switch (Dim) {
+  case 0:
+    return D.WGThreads;
+  case 1:
+    return D.LocalMemPerWG;
+  case 2:
+    return D.WGThreads * D.RegsPerThread;
+  default:
+    return 1;
+  }
+}
+
+/// \returns true when every work-carrying kernel has the same weight.
+/// A zero-work request neither takes a share nor may its (arbitrary)
+/// weight flip the solve onto the weighted saturation path.
+bool equalWeights(const std::vector<KernelDemand> &Ks) {
+  const KernelDemand *Ref = nullptr;
+  for (const KernelDemand &D : Ks) {
+    if (D.RequestedWGs == 0)
+      continue;
+    if (!Ref)
+      Ref = &D;
+    else if (D.Weight != Ref->Weight)
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 std::vector<uint64_t>
@@ -61,46 +140,19 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   if (TotalWeight <= 0)
     return Shares;
 
-  // The pure Sec. 3 divisions always fit in aggregate (each share is a
-  // floor of the kernel's exact fractional entitlement), so only the
-  // minimum-share floor below can oversubscribe; remember who was
-  // floored so the clamp pass can revert exactly those.
+  // Each kernel's fraction of every resource; equal sharing (paper
+  // default) corresponds to Weight == 1 for all kernels, giving the
+  // exact Sec. 3 divisors of K. Remember who was floored so the clamp
+  // pass can revert exactly those.
   std::vector<bool> Floored(K, false);
   for (size_t I = 0; I != K; ++I) {
     const KernelDemand &D = Ks[I];
     if (D.RequestedWGs == 0)
       continue;
-    assert(D.WGThreads > 0 && "zero-thread work group");
-    // The kernel's fraction of each resource; equal sharing (paper
-    // default) corresponds to Weight == 1 for all kernels, giving the
-    // exact Sec. 3 divisors of K.
-    double Frac = D.Weight / TotalWeight;
-
-    uint64_t X = static_cast<uint64_t>(
-        static_cast<double>(Caps.Threads) * Frac /
-        static_cast<double>(D.WGThreads));
-    uint64_t Y =
-        D.LocalMemPerWG
-            ? static_cast<uint64_t>(static_cast<double>(Caps.LocalMem) *
-                                    Frac /
-                                    static_cast<double>(D.LocalMemPerWG))
-            : UINT64_MAX;
-    uint64_t RegsPerWG = D.WGThreads * D.RegsPerThread;
-    uint64_t Z = RegsPerWG
-                     ? static_cast<uint64_t>(
-                           static_cast<double>(Caps.Regs) * Frac /
-                           static_cast<double>(RegsPerWG))
-                     : UINT64_MAX;
-    uint64_t SlotShare = static_cast<uint64_t>(
-        static_cast<double>(Caps.WGSlots) * Frac);
-
-    uint64_t N = std::min(std::min(X, Y), std::min(Z, SlotShare));
-    if (N == 0) {
-      N = 1;
-      Floored[I] = true;
-    }
-    N = std::min(N, D.RequestedWGs);
-    Shares[I] = N;
+    bool Fl = false;
+    Shares[I] = std::min(baseDivision(Caps, D, D.Weight / TotalWeight, Fl),
+                         D.RequestedWGs);
+    Floored[I] = Fl;
   }
 
   // Clamp pass: the minimum-share floor can push the base allocation
@@ -109,6 +161,8 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   // the most-oversubscribed resource and the floored kernel that
   // contributes most to it, so kernels that are not part of the
   // violation keep their work group.
+  const uint64_t Cap[4] = {Caps.Threads, Caps.LocalMem, Caps.Regs,
+                           Caps.WGSlots};
   while (!fits(Caps, Ks, Shares)) {
     uint64_t Use[4] = {0, 0, 0, 0};
     for (size_t I = 0; I != K; ++I) {
@@ -118,30 +172,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
       Use[2] += U.Regs;
       Use[3] += U.WGSlots;
     }
-    const uint64_t Cap[4] = {Caps.Threads, Caps.LocalMem, Caps.Regs,
-                             Caps.WGSlots};
-    unsigned Dim = 0;
-    double WorstRatio = 0;
-    for (unsigned D = 0; D != 4; ++D) {
-      double Ratio = static_cast<double>(Use[D]) /
-                     static_cast<double>(std::max<uint64_t>(Cap[D], 1));
-      if (Ratio > WorstRatio) {
-        WorstRatio = Ratio;
-        Dim = D;
-      }
-    }
-    auto DemandIn = [&](size_t I) -> uint64_t {
-      switch (Dim) {
-      case 0:
-        return Ks[I].WGThreads;
-      case 1:
-        return Ks[I].LocalMemPerWG;
-      case 2:
-        return Ks[I].WGThreads * Ks[I].RegsPerThread;
-      default:
-        return 1;
-      }
-    };
+    const unsigned Dim = mostOversubscribed(Use, Cap);
     // Victim selection: prefer a floored kernel whose reversion
     // *alone* restores feasibility — the fewest-reverts choice — and
     // break ties toward the largest contributor to the
@@ -161,7 +192,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
       Shares[I] = Saved;
       if (Victim == K || (Restores && !VictimRestores) ||
           (Restores == VictimRestores &&
-           DemandIn(I) >= DemandIn(Victim))) {
+           demandIn(Ks[I], Dim) >= demandIn(Ks[Victim], Dim))) {
         Victim = I;
         VictimRestores = Restores;
       }
@@ -230,7 +261,7 @@ accelos::solveFairShares(const ResourceCaps &Caps,
       auto DemandSum = [&](std::initializer_list<size_t> Set) {
         uint64_t Sum = 0;
         for (size_t I : Set)
-          Sum += DemandIn(I);
+          Sum += demandIn(Ks[I], Dim);
         return Sum;
       };
       constexpr size_t PairCap = 256, TripleCap = 48;
@@ -275,95 +306,19 @@ accelos::solveFairShares(const ResourceCaps &Caps,
   if (!Opts.GreedySaturation)
     return Shares;
 
-  // Only active kernels' weights matter: a zero-work request neither
-  // takes a share nor may its (arbitrary) weight flip the solve onto
-  // the weighted path.
-  bool EqualWeights = true;
-  double RefWeight = 0;
-  bool HaveRef = false;
-  for (const KernelDemand &D : Ks) {
-    if (D.RequestedWGs == 0)
-      continue;
-    if (!HaveRef) {
-      RefWeight = D.Weight;
-      HaveRef = true;
-    } else if (D.Weight != RefWeight) {
-      EqualWeights = false;
-      break;
-    }
-  }
-
-  // Saturation state for the fast loops: the aggregate footprint of
-  // the current shares, maintained incrementally so each +1 probe is a
-  // four-compare O(1) check instead of the reference loop's O(K)
-  // fits() re-sum. Capacity only shrinks while shares grow, so a
-  // kernel whose probe fails once is saturated for good and drops out
-  // of the sweep — the decision sequence (and hence every share) is
-  // identical to the reference loop, which probes it again each sweep
-  // only to fail again.
-  const uint64_t Cap[4] = {Caps.Threads, Caps.LocalMem, Caps.Regs,
-                           Caps.WGSlots};
-  uint64_t Use[4] = {0, 0, 0, 0};
-  if (Opts.FastSaturation) {
-    for (size_t I = 0; I != K; ++I) {
-      ResourceUse U = footprintOf(Ks[I], Shares[I]);
-      Use[0] += U.Threads;
-      Use[1] += U.LocalMem;
-      Use[2] += U.Regs;
-      Use[3] += U.WGSlots;
-    }
-  }
-  auto ProbeGrow = [&](size_t I) {
-    const KernelDemand &D = Ks[I];
-    const uint64_t PerWG[4] = {D.WGThreads, D.LocalMemPerWG,
-                               D.WGThreads * D.RegsPerThread, 1};
-    for (unsigned Dim = 0; Dim != 4; ++Dim)
-      if (Use[Dim] + PerWG[Dim] > Cap[Dim])
-        return false;
-    for (unsigned Dim = 0; Dim != 4; ++Dim)
-      Use[Dim] += PerWG[Dim];
-    ++Shares[I];
-    return true;
-  };
-
-  if (EqualWeights) {
+  if (equalWeights(Ks)) {
     // Greedy saturation (Sec. 3): grow shares round-robin until no
     // kernel can take another work group.
-    if (Opts.FastSaturation) {
-      size_t Active = 0;
-      std::vector<bool> Done(K, false);
+    for (bool Progress = true; Progress;) {
+      Progress = false;
       for (size_t I = 0; I != K; ++I) {
-        Done[I] = Shares[I] >= Ks[I].RequestedWGs;
-        if (!Done[I])
-          ++Active;
-      }
-      while (Active) {
-        for (size_t I = 0; I != K; ++I) {
-          if (Done[I])
-            continue;
-          if (ProbeGrow(I)) {
-            if (Shares[I] >= Ks[I].RequestedWGs) {
-              Done[I] = true;
-              --Active;
-            }
-          } else {
-            Done[I] = true;
-            --Active;
-          }
-        }
-      }
-    } else {
-      for (bool Progress = true; Progress;) {
-        Progress = false;
-        for (size_t I = 0; I != K; ++I) {
-          if (Shares[I] >= Ks[I].RequestedWGs)
-            continue;
-          ++Shares[I];
-          if (fits(Caps, Ks, Shares))
-            Progress = true;
-          else
-            --Shares[I];
-        }
+        if (Shares[I] >= Ks[I].RequestedWGs)
+          continue;
+        ++Shares[I];
+        if (fits(Caps, Ks, Shares))
+          Progress = true;
+        else
+          --Shares[I];
       }
     }
     return Shares;
@@ -394,15 +349,10 @@ accelos::solveFairShares(const ResourceCaps &Caps,
     }
     if (Next == K)
       break;
-    if (Opts.FastSaturation) {
-      if (!ProbeGrow(Next))
-        Saturated[Next] = true;
-    } else {
-      ++Shares[Next];
-      if (!fits(Caps, Ks, Shares)) {
-        --Shares[Next];
-        Saturated[Next] = true;
-      }
+    ++Shares[Next];
+    if (!fits(Caps, Ks, Shares)) {
+      --Shares[Next];
+      Saturated[Next] = true;
     }
   }
   return Shares;
@@ -469,7 +419,6 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     const KernelDemand &D = Ks[I];
     if (D.RequestedWGs == 0)
       continue;
-    assert(D.WGThreads > 0 && "zero-thread work group");
     double Frac = D.Weight / TotalWeight;
 
     uint64_t N = 0;
@@ -485,28 +434,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
         break;
       }
     if (!Hit) {
-      uint64_t X = static_cast<uint64_t>(
-          static_cast<double>(Caps.Threads) * Frac /
-          static_cast<double>(D.WGThreads));
-      uint64_t Y = D.LocalMemPerWG
-                       ? static_cast<uint64_t>(
-                             static_cast<double>(Caps.LocalMem) * Frac /
-                             static_cast<double>(D.LocalMemPerWG))
-                       : UINT64_MAX;
-      uint64_t RegsPerWG = D.WGThreads * D.RegsPerThread;
-      uint64_t Z = RegsPerWG
-                       ? static_cast<uint64_t>(
-                             static_cast<double>(Caps.Regs) * Frac /
-                             static_cast<double>(RegsPerWG))
-                       : UINT64_MAX;
-      uint64_t SlotShare = static_cast<uint64_t>(
-          static_cast<double>(Caps.WGSlots) * Frac);
-
-      N = std::min(std::min(X, Y), std::min(Z, SlotShare));
-      if (N == 0) {
-        N = 1;
-        Fl = true;
-      }
+      N = baseDivision(Caps, D, Frac, Fl);
       if (S.BaseCache.size() < 16)
         S.BaseCache.push_back(
             {D.WGThreads, D.LocalMemPerWG, D.RegsPerThread, Frac, N, Fl});
@@ -520,28 +448,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
   // reverting this floor alone restore feasibility" is four subtract-
   // and-compare operations instead of the reference's O(K) fits().
   while (!FitsAgg()) {
-    unsigned Dim = 0;
-    double WorstRatio = 0;
-    for (unsigned D = 0; D != 4; ++D) {
-      double Ratio = static_cast<double>(Use[D]) /
-                     static_cast<double>(std::max<uint64_t>(Cap[D], 1));
-      if (Ratio > WorstRatio) {
-        WorstRatio = Ratio;
-        Dim = D;
-      }
-    }
-    auto DemandIn = [&](size_t I) -> uint64_t {
-      switch (Dim) {
-      case 0:
-        return Ks[I].WGThreads;
-      case 1:
-        return Ks[I].LocalMemPerWG;
-      case 2:
-        return Ks[I].WGThreads * Ks[I].RegsPerThread;
-      default:
-        return 1;
-      }
-    };
+    const unsigned Dim = mostOversubscribed(Use, Cap);
     auto RestoresSet = [&](std::initializer_list<size_t> Set) {
       uint64_t Freed[4] = {0, 0, 0, 0};
       for (size_t I : Set) {
@@ -564,7 +471,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
       bool Restores = RestoresSet({I});
       if (Victim == K || (Restores && !VictimRestores) ||
           (Restores == VictimRestores &&
-           DemandIn(I) >= DemandIn(Victim))) {
+           demandIn(Ks[I], Dim) >= demandIn(Ks[Victim], Dim))) {
         Victim = I;
         VictimRestores = Restores;
       }
@@ -580,11 +487,10 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
         uint64_t Sh = static_cast<uint64_t>(
             static_cast<double>(Shares[I]) * F);
         if (Sh != Shares[I]) {
-          uint64_t Old = Shares[I];
           DropShare(I);
           Shares[I] = Sh;
           AddShare(I, Sh);
-          Any |= Sh != Old;
+          Any = true;
         }
       }
       if (!Any)
@@ -611,19 +517,18 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
         ++NumCands;
         const KernelDemand &D = Ks[I];
         SolverScratch::ShapeClass *C = nullptr;
-        for (auto &Sh : S.Shapes)
-          if (Sh.WGThreads == D.WGThreads &&
-              Sh.LocalMemPerWG == D.LocalMemPerWG &&
-              Sh.RegsPerThread == D.RegsPerThread) {
+        for (auto &Sh : S.Shapes) {
+          const KernelDemand &First = Ks[Sh.Idx[0]];
+          if (First.WGThreads == D.WGThreads &&
+              First.LocalMemPerWG == D.LocalMemPerWG &&
+              First.RegsPerThread == D.RegsPerThread) {
             C = &Sh;
             break;
           }
+        }
         if (!C) {
           S.Shapes.push_back({});
           C = &S.Shapes.back();
-          C->WGThreads = D.WGThreads;
-          C->LocalMemPerWG = D.LocalMemPerWG;
-          C->RegsPerThread = D.RegsPerThread;
           C->Freed[0] = D.WGThreads;
           C->Freed[1] = D.LocalMemPerWG;
           C->Freed[2] = D.WGThreads * D.RegsPerThread;
@@ -633,18 +538,8 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
           C->Idx[C->Count] = static_cast<uint32_t>(I);
         ++C->Count;
       }
-      auto ShapeDemand =
-          [&](const SolverScratch::ShapeClass &Sh) -> uint64_t {
-        switch (Dim) {
-        case 0:
-          return Sh.WGThreads;
-        case 1:
-          return Sh.LocalMemPerWG;
-        case 2:
-          return Sh.WGThreads * Sh.RegsPerThread;
-        default:
-          return 1;
-        }
+      auto ShapeDemand = [&](const SolverScratch::ShapeClass &Sh) {
+        return demandIn(Ks[Sh.Idx[0]], Dim);
       };
       auto ComboRestores = [&](const SolverScratch::ShapeClass *const *Set,
                                size_t N) {
@@ -748,21 +643,12 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
   if (!Opts.GreedySaturation)
     return;
 
-  bool EqualWeights = true;
-  double RefWeight = 0;
-  bool HaveRef = false;
-  for (const KernelDemand &D : Ks) {
-    if (D.RequestedWGs == 0)
-      continue;
-    if (!HaveRef) {
-      RefWeight = D.Weight;
-      HaveRef = true;
-    } else if (D.Weight != RefWeight) {
-      EqualWeights = false;
-      break;
-    }
-  }
-
+  // Saturation against the maintained aggregate: each +1 probe is a
+  // four-compare O(1) check instead of the reference loop's O(K)
+  // fits() re-sum. Capacity only shrinks while shares grow, so a kernel
+  // whose probe fails once is saturated for good and drops out of the
+  // sweep — the reference probes it again each sweep only to fail
+  // again, so the decision sequence is the same.
   auto ProbeGrow = [&](size_t I) {
     const KernelDemand &D = Ks[I];
     const uint64_t PerWG[4] = {D.WGThreads, D.LocalMemPerWG,
@@ -776,7 +662,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     return true;
   };
 
-  if (EqualWeights) {
+  if (equalWeights(Ks)) {
     // Round-robin growth with the unsaturated set compacted in place:
     // each sweep touches only still-active kernels, in index order —
     // the probe sequence the reference loop produces by scanning and

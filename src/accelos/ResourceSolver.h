@@ -24,6 +24,8 @@
 #ifndef ACCEL_ACCELOS_RESOURCESOLVER_H
 #define ACCEL_ACCELOS_RESOURCESOLVER_H
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -75,15 +77,6 @@ inline ResourceUse footprintOf(const KernelDemand &D, uint64_t WGs) {
 /// the ablation study).
 struct SolverOptions {
   bool GreedySaturation = true;
-  /// Run the saturation phase against an incrementally maintained
-  /// aggregate footprint, so each +1 feasibility probe is O(1) instead
-  /// of a full O(K) re-sum, and drop kernels from the sweep permanently
-  /// once a probe fails (aggregate use only grows during saturation, so
-  /// a failed increment can never succeed later). The grown shares are
-  /// bit-identical to the reference loop; disabling this reproduces the
-  /// pre-optimization hot path for differential tests and the
-  /// serve_scale full-solve baseline.
-  bool FastSaturation = true;
 };
 
 /// Computes the number of physical work groups per kernel. Shares never
@@ -99,6 +92,14 @@ struct SolverOptions {
 /// work groups (ties to the largest demand in the most-oversubscribed
 /// resource); only past those bounds does the iterative
 /// largest-contributor heuristic fire.
+///
+/// This allocating overload is the reference solve: it re-sums the whole
+/// allocation at every feasibility check and runs the bin-covering
+/// search over candidate subsets, not shape classes. The schedulers run
+/// the allocation-free overload below; this one serves the tests,
+/// bench/abl_resource_solver, and ContinuousScheduler with
+/// SchedulerOptions::Incremental off (the full-solve scheme of
+/// bench/serve_scale) and its SelfCheck re-solves.
 std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
                                       const std::vector<KernelDemand> &Ks,
                                       const SolverOptions &Opts = {});
@@ -135,20 +136,18 @@ struct SolverScratch {
   /// lexicographically first concrete candidate set — exactly the set
   /// the reference scan lands on.
   struct ShapeClass {
-    uint64_t WGThreads = 0;
-    uint64_t LocalMemPerWG = 0;
-    uint64_t RegsPerThread = 0;
     uint64_t Freed[4] = {0, 0, 0, 0}; ///< One floored WG's footprint.
     uint32_t Count = 0;               ///< Candidates of this shape.
-    uint32_t Idx[3] = {0, 0, 0}; ///< Three smallest candidate indices.
+    /// Three smallest candidate indices; the first names the shape.
+    uint32_t Idx[3] = {0, 0, 0};
   };
   std::vector<ShapeClass> Shapes;
 };
 
-/// Allocation-free solve for the admission hot path. Produces the same
-/// share vector as the allocating overload for the same inputs — every
-/// integer comparison is against the same exactly-maintained aggregate
-/// sums the reference recomputes, so the decision sequence is
+/// Allocation-free solve: the one every scheduler runs. Produces the
+/// same share vector as the reference overload for the same inputs —
+/// every integer comparison is against the same exactly-maintained
+/// aggregate sums the reference recomputes, so the decision sequence is
 /// bit-identical (asserted by the schedulers' SelfCheck mode and the
 /// solver differential tests). Working storage lives in \p Scratch and
 /// the result is written into \p Shares, both reused across calls.
@@ -160,11 +159,35 @@ void solveFairShares(const ResourceCaps &Caps,
 /// Launch-time floor for a solved share. Historically every zero share
 /// was floored to one work group at launch; clamp-shed requests are now
 /// *deferred* to a later scheduling round instead (see
-/// accelos::RoundScheduler), so the only remaining caller is the
-/// scheduler's solo-round path, where a request whose single work group
-/// exceeds even the empty device must still execute (serialized by the
-/// execution layer) rather than silently losing its work.
+/// accelos::RoundScheduler), so the only remaining caller is soloShare,
+/// where a request whose single work group exceeds even the empty device
+/// must still execute (serialized by the execution layer) rather than
+/// silently losing its work.
 inline uint64_t launchWGs(uint64_t Share) { return Share ? Share : 1; }
+
+/// \returns how many work groups of \p D fit into \p Free.
+inline uint64_t fittingWGs(const ResourceCaps &Free, const KernelDemand &D) {
+  ResourceUse PerWG = footprintOf(D, 1);
+  assert(PerWG.Threads > 0 && "zero-thread work group");
+  uint64_t Fit = Free.Threads / PerWG.Threads;
+  if (PerWG.LocalMem)
+    Fit = std::min(Fit, Free.LocalMem / PerWG.LocalMem);
+  if (PerWG.Regs)
+    Fit = std::min(Fit, Free.Regs / PerWG.Regs);
+  return std::min(Fit, Free.WGSlots);
+}
+
+/// The share a request receives with the device \p Caps to itself:
+/// every requested work group that fits, floored by launchWGs. For any
+/// positive weight this is launchWGs(solveFairShares(Caps, {D}, Opts)[0])
+/// under either saturation setting, without the solve: a lone request's
+/// weight fraction is exactly 1, so its base division is
+/// fittingWGs(Caps, D) and saturation has nothing left to grow. Serves
+/// every solo grant (the schedulers' anti-starvation and idle-device
+/// rescues) and the harness's isolated-duration launches.
+inline uint64_t soloShare(const ResourceCaps &Caps, const KernelDemand &D) {
+  return launchWGs(std::min(D.RequestedWGs, fittingWGs(Caps, D)));
+}
 
 } // namespace accelos
 } // namespace accel

@@ -16,29 +16,6 @@ using namespace accel::accelos;
 
 namespace {
 
-/// \returns how many work groups of \p D fit into \p Free.
-uint64_t maxFitting(const ResourceCaps &Free, const KernelDemand &D) {
-  ResourceUse PerWG = footprintOf(D, 1);
-  assert(PerWG.Threads > 0 && "zero-thread work group");
-  uint64_t Fit = Free.Threads / PerWG.Threads;
-  if (PerWG.LocalMem)
-    Fit = std::min(Fit, Free.LocalMem / PerWG.LocalMem);
-  if (PerWG.Regs)
-    Fit = std::min(Fit, Free.Regs / PerWG.Regs);
-  return std::min(Fit, Free.WGSlots);
-}
-
-/// Saturating in-place subtraction of one grant's footprint.
-void subtractFootprint(ResourceCaps &Free, const KernelDemand &D,
-                       uint64_t WGs) {
-  ResourceUse Use = footprintOf(D, WGs);
-  auto Sub = [](uint64_t &Cap, uint64_t U) { Cap -= std::min(Cap, U); };
-  Sub(Free.Threads, Use.Threads);
-  Sub(Free.LocalMem, Use.LocalMem);
-  Sub(Free.Regs, Use.Regs);
-  Sub(Free.WGSlots, Use.WGSlots);
-}
-
 /// Exact aggregate-footprint arithmetic for the schedulers' O(1)
 /// residual accounting. Additions and subtractions are symmetric, so a
 /// footprint removed is exactly the footprint that was added.
@@ -97,13 +74,11 @@ accelos::makeAdmissionScheduler(AdmissionMode Mode, const ResourceCaps &Caps,
 }
 
 RoundGrant RoundScheduler::soloGrant(const Entry &E) const {
-  std::vector<uint64_t> Shares = solveFairShares(Caps, {E.R.Demand}, Opts);
-  // Alone, any well-formed request solves to at least one work group.
-  // The floor below is the one remaining use of launchWGs(): a request
-  // whose single work group exceeds even the empty device can only be
-  // serialized by the execution layer, never shed — its work must not
-  // silently disappear.
-  return {E.R.Id, E.R.Demand.RequestedWGs == 0 ? 0 : launchWGs(Shares[0])};
+  // soloShare floors a request whose single work group exceeds even the
+  // empty device to one: the execution layer serializes it, and its work
+  // must not silently disappear.
+  return {E.R.Id,
+          E.R.Demand.RequestedWGs == 0 ? 0 : soloShare(Caps, E.R.Demand)};
 }
 
 std::vector<RoundGrant> RoundScheduler::nextRound() {
@@ -113,11 +88,10 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
   ++Stats.RoundsPlanned;
   ++Stats.FullSolves; // Round-synchronous planning always solves.
 
-  std::vector<KernelDemand> Demands;
-  Demands.reserve(Queue.size());
+  Demands.clear();
   for (const Entry &E : Queue)
     Demands.push_back(E.R.Demand);
-  std::vector<uint64_t> Shares = solveFairShares(Caps, Demands, Opts);
+  solveFairShares(Caps, Demands, Opts, Scratch, Shares);
 
   // Anti-starvation: when the clamp would shed the queue head (always
   // the longest-waiting request) yet again after repeated losses, give
@@ -182,21 +156,21 @@ void RoundSyncScheduler::complete(uint64_t /*Id*/) {
 }
 
 //===----------------------------------------------------------------------===//
-// ContinuousScheduler
+// ResidualScheduler
 //===----------------------------------------------------------------------===//
 
-ResourceCaps ContinuousScheduler::residual() const {
+ResourceCaps ResidualScheduler::residual() const {
   return residualOf(Caps, FlightUse);
 }
 
-void ContinuousScheduler::submit(const RoundRequest &R) {
-  Queue.push_back({R, 0});
-  addUse(QueueUse, queueFootprint(R.Demand));
-  if (R.Demand.RequestedWGs > 0 && R.Demand.WGThreads > 0)
-    MinWGThreads = std::min(MinWGThreads, R.Demand.WGThreads);
+void ResidualScheduler::addFlight(uint64_t Id, const KernelDemand &D,
+                                  uint64_t WGs) {
+  assert(!Flights.count(Id) && "request admitted while already in flight");
+  Flights[Id] = {D, WGs};
+  addUse(FlightUse, footprintOf(D, WGs));
 }
 
-void ContinuousScheduler::complete(uint64_t Id) {
+void ResidualScheduler::complete(uint64_t Id) {
   auto It = Flights.find(Id);
   assert(It != Flights.end() &&
          "completing an execution that is not in flight");
@@ -206,13 +180,41 @@ void ContinuousScheduler::complete(uint64_t Id) {
   Flights.erase(It);
 }
 
-void ContinuousScheduler::shrink(uint64_t Id, uint64_t WGs) {
+void ResidualScheduler::shrink(uint64_t Id, uint64_t WGs) {
   auto It = Flights.find(Id);
   assert(It != Flights.end() && "shrinking an execution not in flight");
   assert(WGs > 0 && WGs <= It->second.WGs &&
          "shrink must narrow a grant, not grow it");
   subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs - WGs));
   It->second.WGs = WGs;
+}
+
+//===----------------------------------------------------------------------===//
+// ContinuousScheduler
+//===----------------------------------------------------------------------===//
+
+void ContinuousScheduler::submit(const RoundRequest &R) {
+  Queue.push_back({R, 0});
+  addUse(QueueUse, queueFootprint(R.Demand));
+  if (R.Demand.RequestedWGs > 0 && R.Demand.WGThreads > 0)
+    MinWGThreads = std::min(MinWGThreads, R.Demand.WGThreads);
+}
+
+void ContinuousScheduler::collectDemands() {
+  Demands.clear();
+  for (const auto &[Id, F] : Flights) {
+    KernelDemand D = F.Demand;
+    D.RequestedWGs = F.WGs;
+    Demands.push_back(D);
+  }
+  for (const Entry &E : Queue) {
+    KernelDemand D = E.R.Demand;
+    // Degenerate zero-thread demands must not reach the solver's (or
+    // fittingWGs') divisions; they are granted zero work groups below.
+    if (D.WGThreads == 0)
+      D.RequestedWGs = 0;
+    Demands.push_back(D);
+  }
 }
 
 void ContinuousScheduler::solveTargets(size_t QueueBase) {
@@ -237,18 +239,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
       }
 #ifndef NDEBUG
       if (SchedOpts.SelfCheck) {
-        Demands.clear();
-        for (const auto &[Id, F] : Flights) {
-          KernelDemand D = F.Demand;
-          D.RequestedWGs = F.WGs;
-          Demands.push_back(D);
-        }
-        for (const Entry &E : Queue) {
-          KernelDemand D = E.R.Demand;
-          if (D.WGThreads == 0)
-            D.RequestedWGs = 0;
-          Demands.push_back(D);
-        }
+        collectDemands();
         std::vector<uint64_t> Ref = solveFairShares(Caps, Demands, Opts);
         for (size_t I = 0; I != Queue.size(); ++I)
           assert(Shares[QueueBase + I] == Ref[QueueBase + I] &&
@@ -264,7 +255,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
     // an *empty* device the full path must run: work conservation may
     // force an over-sized grant through.) Shares do not need to match
     // the solve here, only the grants do; the zero vector yields the
-    // same min(target, maxFitting) == 0 for every entry.
+    // same min(target, fittingWGs) == 0 for every entry.
     if (!Flights.empty()) {
       ResourceCaps Free = residual();
       bool AnyFits = false;
@@ -276,7 +267,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
           const KernelDemand &D = E.R.Demand;
           if (D.RequestedWGs == 0 || D.WGThreads == 0)
             continue;
-          if (maxFitting(Free, D) > 0) {
+          if (fittingWGs(Free, D) > 0) {
             AnyFits = true;
             break;
           }
@@ -295,21 +286,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
   // request's target is the share it deserves *next to* the current
   // residents.
   ++Stats.FullSolves;
-  Demands.clear();
-  Demands.reserve(QueueBase + Queue.size());
-  for (const auto &[Id, F] : Flights) {
-    KernelDemand D = F.Demand;
-    D.RequestedWGs = F.WGs;
-    Demands.push_back(D);
-  }
-  for (const Entry &E : Queue) {
-    KernelDemand D = E.R.Demand;
-    // Degenerate zero-thread demands must not reach the solver's (or
-    // maxFitting's) divisions; they are granted zero work groups below.
-    if (D.WGThreads == 0)
-      D.RequestedWGs = 0;
-    Demands.push_back(D);
-  }
+  collectDemands();
   if (!SchedOpts.Incremental) {
     // Reference mode: the pre-optimization hot path, verbatim — a
     // fresh allocating solve every pass (serve_scale's full-solve
@@ -380,29 +357,13 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
   ResourceCaps Free = residual();
   // Residual-exhaustion bound: every work-carrying demand needs at
   // least one slot and at least MinWGThreads threads, so once Free
-  // drops below either, maxFitting() is zero for the rest of the pass
+  // drops below either, fittingWGs() is zero for the rest of the pass
   // and its divisions are skipped.
   auto Exhausted = [&]() {
     return Free.WGSlots == 0 || Free.Threads < MinWGThreads;
   };
-  // Lazy kept-queue materialization (equal weights only: weighted
-  // priority reorders the queue through Kept, so it always copies).
-  // Most admission passes at scale remove nothing — every entry stays
-  // queued — and for those the queue already *is* its kept-set. Kept
-  // is built only at the first removal (a grant or a trivial zero-work
-  // completion): until then every processed entry was kept, in queue
-  // order, which is exactly what the catch-up copy reconstructs.
-  bool Copied = MixedWeights;
-  if (Copied)
-    Kept.clear();
-  auto EnsureCopied = [&](size_t OI) {
-    if (Copied)
-      return;
-    Kept.clear();
-    for (size_t J = 0; J != OI; ++J)
-      Kept.push_back(Queue[J]);
-    Copied = true;
-  };
+  // The requests that stay queued, in admission order.
+  Kept.clear();
   // Everyone still in Kept when a later grant lands was overtaken; each
   // is charged at most one deferral per pass.
   size_t ChargedUpTo = 0;
@@ -415,7 +376,6 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
     // trivially: zero work groups, no flight, no capacity. (Their
     // queueFootprint is all-zero, so QueueUse needs no update.)
     if (E.R.Demand.RequestedWGs == 0 || E.R.Demand.WGThreads == 0) {
-      EnsureCopied(OI);
       Grants.push_back({E.R.Id, 0});
       continue;
     }
@@ -425,24 +385,21 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
       // nothing; both skips leave WGs at the zero the full expression
       // would have produced.
       if (Target != 0 && !Exhausted())
-        WGs = std::min(Target, maxFitting(Free, E.R.Demand));
+        WGs = std::min(Target, fittingWGs(Free, E.R.Demand));
       if (WGs == 0 && Flights.empty() && !AnyCapacityGrant) {
         // Work conservation: an idle device never refuses its oldest
-        // request. Mirror the round scheduler's solo grant (launchWGs
+        // request. Mirror the round scheduler's solo grant (soloShare
         // floors the pathological over-sized single work group).
-        WGs = launchWGs(
-            solveFairShares(Caps, {E.R.Demand}, Opts).front());
+        WGs = soloShare(Caps, E.R.Demand);
         ++Stats.SoloRescues;
       }
     }
     if (WGs == 0) {
       if (E.DeferCount >= MaxDeferrals)
         Blocked = true; // Starving: hold every younger request back.
-      if (Copied)
-        Kept.push_back(E);
+      Kept.push_back(E);
       continue;
     }
-    EnsureCopied(OI);
     // FIFO order: everyone still in Kept when this (younger) grant
     // lands was overtaken. Under weighted priority the grants land
     // FIRST (heaviest served before anyone is kept), so this loop
@@ -456,12 +413,9 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
       ChargedUpTo = Kept.size();
     }
     Grants.push_back({E.R.Id, WGs});
-    assert(!Flights.count(E.R.Id) &&
-           "request admitted while already in flight");
-    Flights[E.R.Id] = {E.R.Demand, WGs};
-    addUse(FlightUse, footprintOf(E.R.Demand, WGs));
+    addFlight(E.R.Id, E.R.Demand, WGs);
     subUse(QueueUse, queueFootprint(E.R.Demand));
-    subtractFootprint(Free, E.R.Demand, WGs);
+    Free = residualOf(Free, footprintOf(E.R.Demand, WGs));
     AnyCapacityGrant = true;
   }
 
@@ -477,11 +431,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
         ++Stats.Deferrals;
       }
 
-  // A pass that removed nothing left the queue untouched (and charged
-  // nothing — deferrals only land alongside grants), so there is
-  // nothing to swap back in.
-  if (Copied)
-    Queue.swap(Kept); // swap, not move: both deques keep their capacity.
+  Queue.swap(Kept); // swap, not move: both deques keep their capacity.
   return Grants;
 }
 
@@ -506,25 +456,6 @@ void StrideScheduler::submit(const RoundRequest &R) {
   ++Pending;
 }
 
-void StrideScheduler::complete(uint64_t Id) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() &&
-         "completing an execution that is not in flight");
-  if (It == Flights.end())
-    return;
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs));
-  Flights.erase(It);
-}
-
-void StrideScheduler::shrink(uint64_t Id, uint64_t WGs) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() && "shrinking an execution not in flight");
-  assert(WGs > 0 && WGs <= It->second.WGs &&
-         "shrink must narrow a grant, not grow it");
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs - WGs));
-  It->second.WGs = WGs;
-}
-
 void StrideScheduler::clear() {
   for (auto &[Tid, T] : Tenants)
     T.Queue.clear();
@@ -539,7 +470,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
   ++Stats.RoundsPlanned;
   ++Stats.FastPasses; // Stride never solves; every pass is a fast pass.
 
-  ResourceCaps Free = residualOf(Caps, FlightUse);
+  ResourceCaps Free = residual();
   const ResourceCaps PassFree = Free;
   const uint64_t ActiveAtStart = Ready.size();
   Skipped.clear();
@@ -562,7 +493,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
         Ready.erase(It);
       continue;
     }
-    uint64_t WGs = std::min(D.RequestedWGs, maxFitting(Free, D));
+    uint64_t WGs = std::min(D.RequestedWGs, fittingWGs(Free, D));
     if (WGs > 0 && ActiveAtStart > 1) {
       // Equal split of the pass's starting residual across the tenants
       // waiting at pass start: space is shared concurrently; the
@@ -571,13 +502,13 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
                          PassFree.LocalMem / ActiveAtStart,
                          PassFree.Regs / ActiveAtStart,
                          PassFree.WGSlots / ActiveAtStart};
-      WGs = std::min(WGs, std::max<uint64_t>(maxFitting(Split, D), 1));
+      WGs = std::min(WGs, std::max<uint64_t>(fittingWGs(Split, D), 1));
     } else if (WGs == 0 && Flights.empty() && !AnyCapacityGrant) {
       // Work conservation: an idle device never refuses its
       // minimum-pass request, even one whose single work group exceeds
       // the device (serialized downstream, like the solo rescues of
       // the fair-share schedulers).
-      WGs = launchWGs(std::min(D.RequestedWGs, maxFitting(Caps, D)));
+      WGs = soloShare(Caps, D);
       ++Stats.SoloRescues;
     }
     if (WGs == 0) {
@@ -591,11 +522,8 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
       continue;
     }
     Grants.push_back({E.R.Id, WGs});
-    assert(!Flights.count(E.R.Id) &&
-           "request admitted while already in flight");
-    Flights[E.R.Id] = {D, WGs};
-    addUse(FlightUse, footprintOf(D, WGs));
-    subtractFootprint(Free, D, WGs);
+    addFlight(E.R.Id, D, WGs);
+    Free = residualOf(Free, footprintOf(D, WGs));
     AnyCapacityGrant = true;
     T.Queue.pop_front();
     --Pending;
@@ -632,8 +560,6 @@ SloWeightController::SloWeightController(
     SloControllerOptions Opts)
     : Interval(Interval), NextUpdate(Interval), Opts(Opts) {
   assert(Interval > 0 && "non-positive control interval");
-  assert(Opts.IncreaseFactor > 1 && Opts.DecayFactor > 1 &&
-         Opts.MaxBoost >= 1 && "degenerate controller tuning");
   for (const auto &[Tenant, Base] : BaseWeights) {
     assert(Base > 0 && "non-positive static weight");
     Tenants[Tenant].Base = Base;
@@ -671,14 +597,14 @@ bool SloWeightController::maybeUpdate(double Now) {
     double P95 = metrics::latencyPercentile(std::move(Window), 95);
     if (P95 > S.Target) {
       // Missed SLO: multiplicative increase toward the bound.
-      double Next = std::min(S.Boost * Opts.IncreaseFactor, Opts.MaxBoost);
+      double Next = std::min(S.Boost * IncreaseFactor, MaxBoost);
       Changed |= Next != S.Boost;
       if (Next != S.Boost)
         ++Stats.Increases;
       S.Boost = Next;
     } else if (P95 <= Opts.Headroom * S.Target && S.Boost > 1.0) {
       // Comfortable attainment: decay back toward the static weight.
-      S.Boost = std::max(S.Boost / Opts.DecayFactor, 1.0);
+      S.Boost = std::max(S.Boost / DecayFactor, 1.0);
       ++Stats.Decays;
       Changed = true;
     }

@@ -34,6 +34,10 @@
 ///  - Stride: StrideScheduler — the same event-driven admission with
 ///    pass/stride tenant counters in place of the fair-share solve.
 ///
+/// Continuous and Stride keep one in-flight ledger, ResidualScheduler.
+/// Every fair-share solve runs the allocation-free solveFairShares, and
+/// every solo grant is soloShare (ResourceSolver.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_ACCELOS_SCHEDULER_H
@@ -173,6 +177,10 @@ private:
   SolverOptions Opts;
   std::deque<Entry> Queue;
   SchedulerStats Stats;
+  /// Solve input, output and working storage, reused across rounds.
+  std::vector<KernelDemand> Demands;
+  std::vector<uint64_t> Shares;
+  SolverScratch Scratch;
 };
 
 /// Tuning of the ContinuousScheduler's incremental-solving machinery.
@@ -183,10 +191,66 @@ struct SchedulerOptions {
   /// pre-optimization hot path, kept as the speedup baseline of
   /// bench/serve_scale and the reference side of differential tests.
   bool Incremental = true;
-  /// Debug/test mode: every fast-path pass also runs the full solve and
-  /// asserts the fast path reproduced its shares exactly (debug builds;
-  /// compiles away under NDEBUG).
+  /// Debug/test mode: every underload fast-path pass and every
+  /// allocation-free solve is re-derived with the reference solve, and
+  /// the shares are asserted equal (debug builds; compiles away under
+  /// NDEBUG). The no-residual rule is not re-derived: it does not
+  /// compute shares, only proves every grant clamps to zero.
   bool SelfCheck = false;
+};
+
+/// The in-flight ledger shared by the event-driven schedulers: every
+/// admitted, not-yet-completed execution with the footprint it holds,
+/// their aggregate, and the device capacity left over. complete() and
+/// shrink() return capacity to the residual() the next admit() hands
+/// out; the derived schedulers differ only in how admit() picks grants.
+class ResidualScheduler : public AdmissionScheduler {
+public:
+  /// A pending request overtaken this many times blocks younger grants.
+  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
+
+  /// Marks the in-flight execution \p Id complete, returning its
+  /// capacity to the pool (a completion event; call admit() next).
+  void complete(uint64_t Id) override;
+
+  /// Narrows the reserved footprint of in-flight execution \p Id to
+  /// the \p WGs actually launched. A quantum slice shorter than the
+  /// grant runs fewer physical work groups; the difference is idle
+  /// capacity the next admission pass may hand out.
+  void shrink(uint64_t Id, uint64_t WGs) override;
+
+  const SchedulerStats &stats() const override { return Stats; }
+  size_t inFlight() const { return Flights.size(); }
+
+protected:
+  explicit ResidualScheduler(const ResourceCaps &Caps) : Caps(Caps) {}
+
+  struct Entry {
+    RoundRequest R;
+    uint32_t DeferCount = 0;
+  };
+  /// One admitted, not-yet-completed execution and the footprint it
+  /// holds.
+  struct Flight {
+    KernelDemand Demand;
+    uint64_t WGs = 0;
+  };
+
+  /// Device capacity minus every in-flight footprint (O(1): maintained
+  /// as the FlightUse aggregate, not re-summed).
+  ResourceCaps residual() const;
+
+  /// Records a grant of \p WGs work groups of \p D to request \p Id as
+  /// in flight.
+  void addFlight(uint64_t Id, const KernelDemand &D, uint64_t WGs);
+
+  ResourceCaps Caps;
+  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
+  /// Aggregate footprint of every in-flight grant; kept in sync by
+  /// addFlight()/shrink()/complete().
+  ResourceUse FlightUse;
+  SchedulerStats Stats;
+  std::vector<RoundGrant> Grants; ///< admit()'s result, reused.
 };
 
 /// Event-driven fair-share scheduler: the continuous-admission growth
@@ -223,31 +287,19 @@ struct SchedulerOptions {
 ///    group of any queued request fits the residual, so every grant
 ///    would be clamped to zero no matter what the solver said.
 ///
-/// Everything else falls back to a full solveFairShares;
-/// stats().FullSolves / FastPasses count the split, and
-/// SchedulerOptions::SelfCheck re-derives every fast-path result with a
-/// fresh solve and asserts equality (debug builds).
-class ContinuousScheduler final : public AdmissionScheduler {
+/// Everything else falls back to a full solveFairShares (the
+/// allocation-free overload); stats().FullSolves / FastPasses count the
+/// split, and SchedulerOptions::SelfCheck re-derives the underload fast
+/// path and every allocation-free solve with the reference solve and
+/// asserts equality (debug builds).
+class ContinuousScheduler final : public ResidualScheduler {
 public:
-  /// A request overtaken this many times blocks younger admissions.
-  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
-
   explicit ContinuousScheduler(const ResourceCaps &Caps,
                                SolverOptions Opts = {},
                                SchedulerOptions SchedOpts = {})
-      : Caps(Caps), Opts(Opts), SchedOpts(SchedOpts) {}
+      : ResidualScheduler(Caps), Opts(Opts), SchedOpts(SchedOpts) {}
 
   void submit(const RoundRequest &R) override;
-
-  /// Marks the in-flight execution \p Id complete, returning its
-  /// capacity to the pool (a completion event; call admit() next).
-  void complete(uint64_t Id) override;
-
-  /// Narrows the reserved footprint of in-flight execution \p Id to
-  /// the \p WGs actually launched. A quantum slice shorter than the
-  /// grant runs fewer physical work groups; the difference is idle
-  /// capacity the next admission pass may hand out.
-  void shrink(uint64_t Id, uint64_t WGs) override;
 
   /// Plans admissions for the current event: re-solves fair shares over
   /// everything active (in-flight + pending) and grants each pending
@@ -268,8 +320,6 @@ public:
   const std::vector<RoundGrant> &admit() override;
 
   size_t pending() const { return Queue.size(); }
-  size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const override { return Stats; }
 
   void clear() override {
     Queue.clear();
@@ -277,41 +327,24 @@ public:
   }
 
 private:
-  struct Entry {
-    RoundRequest R;
-    uint32_t DeferCount = 0;
-  };
-  /// One admitted, not-yet-completed execution and the footprint it
-  /// holds.
-  struct Flight {
-    KernelDemand Demand;
-    uint64_t WGs = 0;
-  };
-
-  /// Device capacity minus every in-flight footprint (O(1): maintained
-  /// as the FlightUse aggregate, not re-summed).
-  ResourceCaps residual() const;
-
   /// Computes fair-share targets for the queue tail of the current
   /// admission pass into Shares (offset by QueueBase), via a structural
   /// fast path when one applies, else a full solve.
   void solveTargets(size_t QueueBase);
 
-  ResourceCaps Caps;
+  /// Fills Demands with the solve's input: every in-flight grant at the
+  /// work groups it holds, then the queue (degenerate zero-thread
+  /// demands as zero-work requests).
+  void collectDemands();
+
   SolverOptions Opts;
   SchedulerOptions SchedOpts;
   std::deque<Entry> Queue;
-  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
-  /// Aggregate footprint of every in-flight grant; kept in sync by
-  /// admit()/shrink()/complete().
-  ResourceUse FlightUse;
   /// Aggregate footprint of every queued request at its full
   /// (zero-thread-normalized) size; kept in sync by submit()/admit().
   ResourceUse QueueUse;
-  SchedulerStats Stats;
   /// Scratch reused across admission passes (allocation-free steady
   /// state on the serving hot path).
-  std::vector<RoundGrant> Grants;
   std::vector<KernelDemand> Demands;
   std::vector<uint64_t> Shares;
   std::vector<size_t> Order;
@@ -340,8 +373,8 @@ private:
 /// over *time* — a weight-2 tenant is picked twice as often — rather
 /// than through per-event share re-solving.
 ///
-/// Another AdmissionScheduler, so the serving loops drive it exactly
-/// like ContinuousScheduler. Fairness is approximate:
+/// A ResidualScheduler like ContinuousScheduler, so the serving loops
+/// drive both the same way. Fairness is approximate:
 /// serve_scale gates its peak windowed unfairness within 2x of the
 /// exact solver's while admission passes stay O(grants * log tenants).
 ///
@@ -351,45 +384,32 @@ private:
 /// pick order, so bypassing is doubly bounded. New or reactivated
 /// tenants join at max(own pass, global pass) — the standard stride
 /// re-entry rule — so sleeping never banks credit.
-class StrideScheduler final : public AdmissionScheduler {
+class StrideScheduler final : public ResidualScheduler {
 public:
-  static constexpr uint32_t MaxDeferrals = RoundScheduler::MaxDeferrals;
   /// Stride numerator (stride = Stride1 / tickets, in doubles — exact
   /// for every power-of-two-free weight ratio that matters here, and
   /// deterministic regardless).
   static constexpr double Stride1 = 1 << 20;
 
-  explicit StrideScheduler(const ResourceCaps &Caps) : Caps(Caps) {}
+  explicit StrideScheduler(const ResourceCaps &Caps)
+      : ResidualScheduler(Caps) {}
 
   /// Queues a request under R.Tenant's account (an arrival event). The
   /// tenant's tickets are refreshed from R.Demand.Weight, so adaptive
   /// weight changes take effect on the next submission.
   void submit(const RoundRequest &R) override;
 
-  void complete(uint64_t Id) override;
-  void shrink(uint64_t Id, uint64_t WGs) override;
-
   /// Plans admissions for the current event (see class comment). The
   /// returned reference is into a buffer reused by the next call.
   const std::vector<RoundGrant> &admit() override;
 
   size_t pending() const { return Pending; }
-  size_t inFlight() const { return Flights.size(); }
-  const SchedulerStats &stats() const override { return Stats; }
 
   /// Drops every pending request; in-flight executions keep their
   /// grants, tenants keep their pass values.
   void clear() override;
 
 private:
-  struct Entry {
-    RoundRequest R;
-    uint32_t DeferCount = 0;
-  };
-  struct Flight {
-    KernelDemand Demand;
-    uint64_t WGs = 0;
-  };
   struct TenantState {
     double Tickets = 1.0;
     double Stride = Stride1;
@@ -397,20 +417,15 @@ private:
     std::deque<Entry> Queue;
   };
 
-  ResourceCaps Caps;
   std::map<int, TenantState> Tenants;
   /// (Pass, tenant) of every tenant with queued work — the min-pass
   /// pick index.
   std::set<std::pair<double, int>> Ready;
-  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
-  ResourceUse FlightUse;
   /// High-water mark of granted passes; re-entry level for idle
   /// tenants.
   double GlobalPass = 0;
   size_t Pending = 0;
-  SchedulerStats Stats;
-  std::vector<RoundGrant> Grants;  ///< Reused across passes.
-  std::vector<int> Skipped;        ///< Pass-local scratch.
+  std::vector<int> Skipped; ///< Pass-local scratch.
 };
 
 /// RoundScheduler behind a completion barrier, as an AdmissionScheduler:
@@ -446,23 +461,10 @@ makeAdmissionScheduler(AdmissionMode Mode, const ResourceCaps &Caps,
                        SolverOptions Opts = {},
                        SchedulerOptions SchedOpts = {});
 
-/// Tuning of the SLO weight controller. Like AdaptivePolicy.h's batch
-/// thresholds these are policy constants, not per-request knobs; the
-/// defaults keep adaptation gentle enough that one control interval
-/// never swings a tenant's share by more than IncreaseFactor.
+/// Tuning of the SLO weight controller: the attainment band and sample
+/// floor the serving drivers set. The control law's step sizes and cap
+/// are SloWeightController constants.
 struct SloControllerOptions {
-  /// Multiplicative increase applied to a tenant's boost when its
-  /// windowed p95 queueing delay misses the SLO target.
-  double IncreaseFactor = 1.5;
-  /// Divisor applied when the tenant comfortably attains (p95 under
-  /// Headroom * target): the boost decays back toward neutral so a
-  /// once-starved tenant does not hold extra share forever.
-  double DecayFactor = 1.2;
-  /// Hard cap on the boost. This is the aggregate-fairness bound: a
-  /// tenant's effective weight never exceeds MaxBoost times its static
-  /// weight, so the solver's weighted shares stay within a bounded
-  /// factor of the operator's configured ratios (property-tested).
-  double MaxBoost = 8.0;
   /// Attainment headroom: only decay when p95 is safely under target,
   /// leaving a hysteresis band [Headroom * target, target] where the
   /// boost holds steady instead of oscillating.
@@ -490,6 +492,22 @@ struct SloControllerOptions {
 /// their configured ratio). Tenants without a target keep boost 1.
 class SloWeightController {
 public:
+  /// Multiplicative increase applied to a tenant's boost when its
+  /// windowed p95 queueing delay misses the SLO target, so one control
+  /// interval never raises a boost by more than this factor.
+  static constexpr double IncreaseFactor = 1.5;
+  /// Divisor applied when the tenant comfortably attains (p95 under
+  /// Headroom * target): the boost decays back toward neutral so a
+  /// once-starved tenant does not hold extra share forever.
+  static constexpr double DecayFactor = 1.2;
+  /// Hard cap on the boost. This is the aggregate-fairness bound: a
+  /// tenant's effective weight never exceeds MaxBoost times its static
+  /// weight, so the solver's weighted shares stay within a bounded
+  /// factor of the operator's configured ratios (property-tested).
+  static constexpr double MaxBoost = 8.0;
+  static_assert(IncreaseFactor > 1 && DecayFactor > 1 && MaxBoost >= 1,
+                "degenerate controller tuning");
+
   /// Observable adaptation behaviour.
   struct ControllerStats {
     uint64_t Updates = 0;   ///< Control intervals evaluated.

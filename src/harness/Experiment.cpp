@@ -152,10 +152,9 @@ double ExperimentDriver::isolatedDuration(SchedulerKind Kind, size_t Idx) {
     break;
   case SchedulerKind::AccelOSNaive:
   case SchedulerKind::AccelOSOptimized: {
-    // The share accelos::RoundScheduler grants a lone request: its
-    // solved share, floored to one work group when the clamp shed it.
-    uint64_t WGs = accelos::launchWGs(accelos::solveFairShares(
-        accelos::ResourceCaps::fromDevice(Spec), {demandFor(Idx)})[0]);
+    // The share accelos::RoundScheduler grants a lone request.
+    uint64_t WGs = accelos::soloShare(accelos::ResourceCaps::fromDevice(Spec),
+                                      demandFor(Idx));
     Solo.push_back(accelosDesc(Idx, 0, WGs,
                                Kind == SchedulerKind::AccelOSNaive
                                    ? accelos::SchedulingMode::Naive

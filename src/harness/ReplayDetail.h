@@ -294,12 +294,10 @@ StreamOutcome replayOnDevice(ExperimentDriver &Driver,
 
 /// The solver options the continuous scheduler runs under:
 /// StreamOptions::StrictShares turns greedy saturation off so admission
-/// targets are pure weighted entitlements, and FullSolveReference pins
-/// the solver to its reference (pre-fast-path) saturation loop.
+/// targets are pure weighted entitlements.
 inline accelos::SolverOptions solverOptsFor(const StreamOptions &Opts) {
   accelos::SolverOptions SOpts;
   SOpts.GreedySaturation = !Opts.StrictShares;
-  SOpts.FastSaturation = !Opts.FullSolveReference;
   return SOpts;
 }
 

@@ -182,7 +182,7 @@ struct StreamOptions {
   /// Control interval of the SLO controller, in simulation time units.
   /// Must be positive when AdaptiveSloWeights is set.
   double SloControlInterval = 0;
-  /// Controller tuning (bounds, factors, hysteresis).
+  /// Controller tuning (attainment headroom, sample floor).
   accelos::SloControllerOptions SloTuning;
   /// Strict weighted entitlements (continuous accelOS only; off is the
   /// bit-identical default). The work-conserving discipline grants
@@ -198,12 +198,11 @@ struct StreamOptions {
   /// device stays as busy as before; what changes is who occupies it.
   bool StrictShares = false;
   /// Measurement baseline for the incremental-admission fast paths
-  /// (continuous accelOS only): run every admission pass through a
-  /// full share solve with the solver's reference saturation loop —
-  /// the exact pre-optimization hot path. Grant histories are
-  /// bit-identical to the default either way (the fast paths are
-  /// exactness-preserving); what changes is the events/sec
-  /// bench/serve_scale measures.
+  /// (continuous accelOS only): run every admission pass through the
+  /// solver's allocating reference solve — the exact pre-optimization
+  /// hot path. Grant histories are bit-identical to the default either
+  /// way (the fast paths are exactness-preserving); what changes is the
+  /// events/sec bench/serve_scale measures.
   bool FullSolveReference = false;
 };
 

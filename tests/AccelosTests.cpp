@@ -1170,14 +1170,14 @@ TEST(SloWeightControllerTest, MonotoneIncreaseUnderSustainedMisses) {
     double B = Ctl.boost(0);
     EXPECT_GE(B, Prev) << "boost decreased under sustained misses";
     if (!ReachedCap) {
-      EXPECT_TRUE(B > Prev || B == SloControllerOptions().MaxBoost)
+      EXPECT_TRUE(B > Prev || B == SloWeightController::MaxBoost)
           << "boost stalled below the cap despite misses";
     }
-    ReachedCap = B == SloControllerOptions().MaxBoost;
+    ReachedCap = B == SloWeightController::MaxBoost;
     Prev = B;
   }
   EXPECT_TRUE(ReachedCap);
-  EXPECT_DOUBLE_EQ(Ctl.boost(0), SloControllerOptions().MaxBoost);
+  EXPECT_DOUBLE_EQ(Ctl.boost(0), SloWeightController::MaxBoost);
 }
 
 TEST(SloWeightControllerTest, BoundedWeightInvariant) {
@@ -1198,13 +1198,13 @@ TEST(SloWeightControllerTest, BoundedWeightInvariant) {
     }
     for (int Ten : {0, 1}) {
       EXPECT_GE(Ctl.boost(Ten), 1.0);
-      EXPECT_LE(Ctl.boost(Ten), Opts.MaxBoost);
+      EXPECT_LE(Ctl.boost(Ten), SloWeightController::MaxBoost);
     }
     // Effective weight = static base x bounded boost.
     EXPECT_GE(Ctl.weight(0), 2.0);
-    EXPECT_LE(Ctl.weight(0), 2.0 * Opts.MaxBoost);
+    EXPECT_LE(Ctl.weight(0), 2.0 * SloWeightController::MaxBoost);
     EXPECT_GE(Ctl.weight(1), 0.5);
-    EXPECT_LE(Ctl.weight(1), 0.5 * Opts.MaxBoost);
+    EXPECT_LE(Ctl.weight(1), 0.5 * SloWeightController::MaxBoost);
   }
 }
 
@@ -1335,12 +1335,12 @@ TEST(WeightedSaturationTest, SaturationPreservesWeightRatios) {
 //===----------------------------------------------------------------------===//
 
 TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
-  // The allocation-free overload and the FastSaturation loop both claim
-  // bit-identical shares; sweep randomized demand sets through every
-  // option combination and hold them to it. Half the trials draw
-  // demands from a four-shape pool (many repeats, heavy floors), the
-  // regime the clamp's shape-class search and the base-division memo
-  // are built for.
+  // The allocation-free overload claims bit-identical shares to the
+  // reference solve; sweep randomized demand sets through both greedy
+  // settings and hold it to that. Half the trials draw demands from a
+  // four-shape pool (many repeats, heavy floors), the regime the
+  // clamp's shape-class search and the base-division memo are built
+  // for.
   SplitMix64 Rng(0x5C2A7C4);
   ResourceCaps Caps = tinyCaps();
   KernelDemand Pool[4] = {demand(512, 16384, 64, 50),
@@ -1368,22 +1368,55 @@ TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
       Ks.push_back(D);
     }
     for (bool Greedy : {false, true}) {
-      SolverOptions Ref;
-      Ref.GreedySaturation = Greedy;
-      Ref.FastSaturation = false;
-      auto Expected = solveFairShares(Caps, Ks, Ref);
-      for (bool Fast : {false, true}) {
-        SolverOptions Opts = Ref;
-        Opts.FastSaturation = Fast;
-        EXPECT_EQ(solveFairShares(Caps, Ks, Opts), Expected)
-            << "trial " << Trial << " greedy " << Greedy << " fast "
-            << Fast;
-        solveFairShares(Caps, Ks, Opts, Scratch, Shares);
-        EXPECT_EQ(Shares, Expected)
-            << "trial " << Trial << " greedy " << Greedy << " fast "
-            << Fast << " (scratch)";
-      }
+      SolverOptions Opts;
+      Opts.GreedySaturation = Greedy;
+      solveFairShares(Caps, Ks, Opts, Scratch, Shares);
+      EXPECT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
+          << "trial " << Trial << " greedy " << Greedy;
     }
+  }
+}
+
+TEST(SolverInvariantTest, SoloShareMatchesSingleRequestSolve) {
+  // soloShare replaces the one-request solve at every solo grant; it
+  // must equal the floored K = 1 solve for every shape, weight and
+  // greedy setting. The tinyCaps sweep draws work groups of up to 2048
+  // threads, so single work groups larger than the device (the clamp
+  // sheds the floor, launchWGs restores it) are common; the device
+  // sweep covers both specs' real caps.
+  auto Check = [](const ResourceCaps &Caps, const KernelDemand &D) {
+    for (bool Greedy : {false, true}) {
+      SolverOptions Opts;
+      Opts.GreedySaturation = Greedy;
+      EXPECT_EQ(soloShare(Caps, D),
+                launchWGs(solveFairShares(Caps, {D}, Opts)[0]))
+          << "threads " << D.WGThreads << " local " << D.LocalMemPerWG
+          << " regs " << D.RegsPerThread << " requested "
+          << D.RequestedWGs << " weight " << D.Weight << " greedy "
+          << Greedy;
+    }
+  };
+  SplitMix64 Rng(0x5010);
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    KernelDemand D;
+    D.WGThreads = 1 + Rng.nextBelow(2048);
+    D.LocalMemPerWG = Rng.nextBelow(2) == 0 ? 0 : Rng.nextBelow(96 << 10);
+    D.RegsPerThread = Rng.nextBelow(2) == 0 ? 0 : Rng.nextBelow(256);
+    D.RequestedWGs = Rng.nextBelow(16) == 0 ? 0 : 1 + Rng.nextBelow(64);
+    D.Weight = Rng.nextDoubleInRange(0.01, 64.0);
+    Check(tinyCaps(), D);
+  }
+  const ResourceCaps Specs[2] = {
+      ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m()),
+      ResourceCaps::fromDevice(sim::DeviceSpec::amdR9295X2())};
+  for (int Trial = 0; Trial != 2000; ++Trial) {
+    KernelDemand D;
+    D.WGThreads = 1 + Rng.nextBelow(1024);
+    D.LocalMemPerWG = Rng.nextBelow(2) == 0 ? 0 : Rng.nextBelow(64 << 10);
+    D.RegsPerThread = Rng.nextBelow(2) == 0 ? 0 : Rng.nextBelow(256);
+    D.RequestedWGs = 1 + Rng.nextBelow(4096);
+    D.Weight = Rng.nextDoubleInRange(0.01, 64.0);
+    Check(Specs[Trial % 2], D);
   }
 }
 
@@ -1398,7 +1431,6 @@ TEST(ContinuousSchedulerTest, IncrementalMatchesFullSolveOnEventSoup) {
   SplitMix64 Rng(0xD15C0);
   ResourceCaps Caps = tinyCaps();
   SolverOptions FullOpts;
-  FullOpts.FastSaturation = false;
   SchedulerOptions FullSched;
   FullSched.Incremental = false;
   ContinuousScheduler Full(Caps, FullOpts, FullSched);

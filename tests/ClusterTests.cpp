@@ -656,7 +656,7 @@ TEST_F(ClusterTest, AdaptiveSloWeightsPropagateClusterWide) {
   ASSERT_EQ(O.Stream.FinalWeights.count(0), 1u);
   EXPECT_GE(O.Stream.FinalWeights.at(0), 1.0);
   EXPECT_LE(O.Stream.FinalWeights.at(0),
-            accelos::SloControllerOptions().MaxBoost);
+            accelos::SloWeightController::MaxBoost);
 }
 
 TEST_F(ClusterTest, FleetMeasuresHeterogeneity) {

@@ -225,7 +225,7 @@ TEST_F(StreamingTest, OpenLoopAdaptsSloWeights) {
   ASSERT_EQ(O.FinalWeights.count(0), 1u);
   EXPECT_GT(O.FinalWeights.at(0), 1.0);
   EXPECT_LE(O.FinalWeights.at(0),
-            accelos::SloControllerOptions().MaxBoost);
+            accelos::SloWeightController::MaxBoost);
 }
 
 //===----------------------------------------------------------------------===//
@@ -601,7 +601,7 @@ TEST_F(ClosedLoopTest, AdaptiveWeightsReactToMissedSlo) {
   ASSERT_EQ(O.FinalWeights.count(0), 1u);
   EXPECT_GE(O.FinalWeights.at(0), 1.0);
   EXPECT_LE(O.FinalWeights.at(0),
-            accelos::SloControllerOptions().MaxBoost);
+            accelos::SloWeightController::MaxBoost);
   // Static weights report as configured (all default 1).
   StreamOutcome S = runClosedLoop(driver(), SchedulerKind::AccelOSOptimized,
                                   script(), options());
