@@ -6,18 +6,18 @@
 
 #include "kir/DeviceMemory.h"
 
-#include <cassert>
-#include <cstring>
-
 using namespace accel;
 using namespace accel::kir;
 
 // Address 0 is the null pointer; the first 64 bytes are never handed out.
 static constexpr uint64_t ReservedPrefix = 64;
 
-DeviceMemory::DeviceMemory(uint64_t CapacityBytes) : Capacity(CapacityBytes) {
+DeviceMemory::DeviceMemory(uint64_t CapacityBytes)
+    : Capacity(CapacityBytes),
+      Storage(static_cast<uint8_t *>(std::calloc(CapacityBytes, 1))) {
   assert(CapacityBytes > ReservedPrefix && "degenerate device memory");
-  Storage.resize(CapacityBytes, 0);
+  if (!Storage)
+    reportFatalError("cannot reserve simulated device memory");
   FreeList.emplace(ReservedPrefix, CapacityBytes - ReservedPrefix);
 }
 
@@ -37,7 +37,7 @@ Expected<uint64_t> DeviceMemory::allocate(uint64_t Size) {
       FreeList.emplace(Addr + Size, Remaining);
     Allocations.emplace(Addr, Size);
     Used += Size;
-    std::memset(Storage.data() + Addr, 0, Size);
+    std::memset(Storage.get() + Addr, 0, Size);
     return Addr;
   }
   return makeError("device memory exhausted: requested " +
@@ -71,30 +71,6 @@ void DeviceMemory::release(uint64_t Addr) {
   }
 }
 
-uint32_t DeviceMemory::readU32(uint64_t Addr) const {
-  assert(inBounds(Addr, 4) && "device read out of bounds");
-  uint32_t V;
-  std::memcpy(&V, Storage.data() + Addr, 4);
-  return V;
-}
-
-void DeviceMemory::writeU32(uint64_t Addr, uint32_t Value) {
-  assert(inBounds(Addr, 4) && "device write out of bounds");
-  std::memcpy(Storage.data() + Addr, &Value, 4);
-}
-
-uint64_t DeviceMemory::readU64(uint64_t Addr) const {
-  assert(inBounds(Addr, 8) && "device read out of bounds");
-  uint64_t V;
-  std::memcpy(&V, Storage.data() + Addr, 8);
-  return V;
-}
-
-void DeviceMemory::writeU64(uint64_t Addr, uint64_t Value) {
-  assert(inBounds(Addr, 8) && "device write out of bounds");
-  std::memcpy(Storage.data() + Addr, &Value, 8);
-}
-
 Expected<int64_t> DeviceMemory::atomicAddI64(uint64_t Addr, int64_t Delta) {
   if (Addr % 8 != 0)
     return makeError("unaligned i64 atomic at device address " +
@@ -116,10 +92,10 @@ Expected<int32_t> DeviceMemory::atomicRmwI32(uint64_t Addr, int32_t Operand,
 
 void DeviceMemory::copyIn(uint64_t Addr, const void *Src, uint64_t Size) {
   assert(inBounds(Addr, Size) && "copyIn out of bounds");
-  std::memcpy(Storage.data() + Addr, Src, Size);
+  std::memcpy(Storage.get() + Addr, Src, Size);
 }
 
 void DeviceMemory::copyOut(uint64_t Addr, void *Dst, uint64_t Size) const {
   assert(inBounds(Addr, Size) && "copyOut out of bounds");
-  std::memcpy(Dst, Storage.data() + Addr, Size);
+  std::memcpy(Dst, Storage.get() + Addr, Size);
 }

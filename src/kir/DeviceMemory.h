@@ -7,7 +7,11 @@
 /// \file
 /// Byte-addressable simulated device (global) memory with a first-fit
 /// allocator. OpenCL buffers, Virtual NDRange descriptors, and kernel
-/// atomics all live here. Single-threaded by construction; "atomic"
+/// atomics all live here. The capacity is reserved with calloc, so pages
+/// are committed on first touch: a stock 5 GiB device costs only what
+/// its buffers use. allocate() zeroes every range it hands out, so a
+/// reused range reads zero too. The typed accessors are inline for the
+/// interpreter's loop. Single-threaded by construction; "atomic"
 /// operations are atomic with respect to interleaved work-item execution
 /// in the interpreter.
 ///
@@ -18,14 +22,18 @@
 
 #include "support/Error.h"
 
+#include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <map>
-#include <vector>
+#include <memory>
 
 namespace accel {
 namespace kir {
 
-/// Simulated global memory of one accelerator.
+/// Simulated global memory of one accelerator. Move-only: it owns its
+/// storage.
 class DeviceMemory {
 public:
   /// Creates a memory of \p CapacityBytes bytes.
@@ -52,10 +60,26 @@ public:
 
   // Typed accessors. Callers must bounds-check via inBounds first (the
   // interpreter turns violations into kernel traps); these assert.
-  uint32_t readU32(uint64_t Addr) const;
-  void writeU32(uint64_t Addr, uint32_t Value);
-  uint64_t readU64(uint64_t Addr) const;
-  void writeU64(uint64_t Addr, uint64_t Value);
+  uint32_t readU32(uint64_t Addr) const {
+    assert(inBounds(Addr, 4) && "device read out of bounds");
+    uint32_t V;
+    std::memcpy(&V, Storage.get() + Addr, 4);
+    return V;
+  }
+  void writeU32(uint64_t Addr, uint32_t Value) {
+    assert(inBounds(Addr, 4) && "device write out of bounds");
+    std::memcpy(Storage.get() + Addr, &Value, 4);
+  }
+  uint64_t readU64(uint64_t Addr) const {
+    assert(inBounds(Addr, 8) && "device read out of bounds");
+    uint64_t V;
+    std::memcpy(&V, Storage.get() + Addr, 8);
+    return V;
+  }
+  void writeU64(uint64_t Addr, uint64_t Value) {
+    assert(inBounds(Addr, 8) && "device write out of bounds");
+    std::memcpy(Storage.get() + Addr, &Value, 8);
+  }
 
   /// Fetch-add on an i64 cell; \returns the previous value, or a
   /// diagnostic when \p Addr is not 8-byte aligned (real devices fault
@@ -75,7 +99,10 @@ public:
 private:
   uint64_t Capacity;
   uint64_t Used = 0;
-  std::vector<uint8_t> Storage;
+  struct FreeStorage {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
+  std::unique_ptr<uint8_t[], FreeStorage> Storage;
   // Live allocations: address -> size.
   std::map<uint64_t, uint64_t> Allocations;
   // Free regions: address -> size (coalesced).

@@ -1,4 +1,4 @@
-//===- kir/FlatCode.cpp - Flattened code for interpretation ----------------===//
+//===- kir/FlatCode.cpp - Bytecode for interpretation ----------------------===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
@@ -11,17 +11,81 @@
 using namespace accel;
 using namespace accel::kir;
 
-std::unique_ptr<FlatFunction> kir::lowerFunction(const Function &F) {
+namespace {
+
+Op offset(Op Base, unsigned By) {
+  return static_cast<Op>(static_cast<unsigned>(Base) + By);
+}
+
+constexpr unsigned ord(auto Kind) { return static_cast<unsigned>(Kind); }
+
+// The opcode families follow the order of the enums they lower from.
+static_assert(ord(Op::LShrW) - ord(Op::Add32) ==
+              2 * ord(BinOpKind::LShr) + 1);
+static_assert(ord(Op::FDiv) - ord(Op::FAdd) ==
+              ord(BinOpKind::FDiv) - ord(BinOpKind::FAdd));
+static_assert(ord(Op::CmpSGE) - ord(Op::CmpEQ) == ord(CmpPred::SGE));
+static_assert(ord(Op::FCmpOGE) - ord(Op::FCmpOEQ) ==
+              ord(CmpPred::FOGE) - ord(CmpPred::FOEQ));
+static_assert(ord(Op::IAbs32) - ord(Op::GlobalId) == ord(BuiltinKind::IAbs));
+static_assert(ord(Op::RtNumGroups) - ord(Op::GlobalId) ==
+              ord(BuiltinKind::RtNumGroups) + 1);
+
+Op binaryOp(BinOpKind K, bool Is32) {
+  if (isFloatBinOp(K))
+    return offset(Op::FAdd, ord(K) - ord(BinOpKind::FAdd));
+  return offset(Op::Add32, 2 * ord(K) + (Is32 ? 0 : 1));
+}
+
+Op cmpOp(CmpPred P, bool Is32) {
+  if (isFloatCmpPred(P))
+    return offset(Op::FCmpOEQ, ord(P) - ord(CmpPred::FOEQ));
+  if (P == CmpPred::ULT)
+    return Is32 ? Op::CmpULT32 : Op::CmpULTW;
+  if (P == CmpPred::UGE)
+    return Is32 ? Op::CmpUGE32 : Op::CmpUGEW;
+  return offset(Op::CmpEQ, ord(P));
+}
+
+Op builtinOp(BuiltinKind BK, bool Is32) {
+  unsigned K = ord(BK), IAbs = ord(BuiltinKind::IAbs);
+  return offset(Op::GlobalId, K + (K > IAbs || (K == IAbs && !Is32)));
+}
+
+Op castOp(CastKind CK, bool Is32) {
+  switch (CK) {
+  case CastKind::SExt:
+    return Op::Mov;
+  case CastKind::Trunc:
+    return Op::Trunc;
+  case CastKind::SIToFP:
+    return Op::SIToFP;
+  case CastKind::FPToSI:
+    return Is32 ? Op::FPToSI32 : Op::FPToSIW;
+  case CastKind::ZExtBool:
+    return Op::ZExtBool;
+  }
+  accel_unreachable("bad cast kind");
+}
+
+/// Lowers \p F; call sites are left for CodeCache::get to resolve.
+std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
   auto FF = std::make_unique<FlatFunction>();
   FF->F = &F;
 
-  // Arguments occupy the first register slots.
+  // Local-memory layout: each slot 8-byte aligned.
+  std::vector<uint64_t> LocalSlotOffsets;
+  for (const LocalAllocDecl &Decl : F.localAllocs()) {
+    LocalSlotOffsets.push_back(FF->LocalBytes);
+    FF->LocalBytes += (Decl.sizeBytes() + 7) & ~static_cast<uint64_t>(7);
+  }
+
+  // First pass: argument and value registers, block starts.
   std::map<const Value *, uint32_t> Slot;
+  FF->NumArgs = F.numArguments();
   uint32_t NextReg = 0;
   for (unsigned I = 0; I != F.numArguments(); ++I)
     Slot[F.argument(I)] = NextReg++;
-
-  // First pass: instruction indices, block starts, value slots.
   std::map<const BasicBlock *, uint32_t> BlockStart;
   uint32_t Index = 0;
   for (const auto &BB : F.blocks()) {
@@ -32,48 +96,122 @@ std::unique_ptr<FlatFunction> kir::lowerFunction(const Function &F) {
       ++Index;
     }
   }
-  FF->NumRegs = NextReg;
+  const uint32_t Sink = NextReg++;
+  FF->ConstBase = NextReg;
 
-  // Second pass: emit flat instructions with resolved operands.
-  auto ResolveOperand = [&](const Value *V) {
-    FlatOperand Op;
-    if (const auto *C = dyn_cast<Constant>(V)) {
-      Op.IsImm = true;
-      Op.Imm = C->bits();
-      return Op;
-    }
+  // Second pass: emit, interning constants after the sink.
+  std::map<uint64_t, uint32_t> ConstReg;
+  auto Const = [&](uint64_t Bits) {
+    auto [It, New] = ConstReg.emplace(
+        Bits, FF->ConstBase + static_cast<uint32_t>(FF->Consts.size()));
+    if (New)
+      FF->Consts.push_back(Bits);
+    return It->second;
+  };
+  auto Reg = [&](const Value *V) {
+    if (const auto *C = dyn_cast<Constant>(V))
+      return Const(C->bits());
     auto It = Slot.find(V);
     assert(It != Slot.end() && "operand without a register slot");
-    Op.Reg = It->second;
-    return Op;
+    return It->second;
   };
 
   for (const auto &BB : F.blocks()) {
-    for (const auto &I : BB->instructions()) {
+    for (const auto &IPtr : BB->instructions()) {
+      const Instruction &I = *IPtr;
       FlatInst FI;
-      FI.I = I.get();
-      if (!I->type().isVoid())
-        FI.Dst = Slot.at(I.get());
-      for (const Value *Op : I->operands())
-        FI.Ops.push_back(ResolveOperand(Op));
-      if (const auto *Br = dyn_cast<BrInst>(I.get())) {
-        FI.BrTrue = BlockStart.at(Br->trueTarget());
-        if (Br->isConditional())
-          FI.BrFalse = BlockStart.at(Br->falseTarget());
+      FI.Dst = I.type().isVoid() ? Sink : Slot.at(&I);
+      uint32_t *Ops[] = {&FI.A, &FI.B, &FI.C};
+      if (I.instKind() != InstKind::Call) {
+        assert(I.numOperands() <= 3 && "too many operands");
+        for (unsigned K = 0; K != I.numOperands(); ++K)
+          *Ops[K] = Reg(I.operand(K));
       }
-      FF->Code.push_back(std::move(FI));
+      bool Is32 = I.type().kind() == Type::Kind::I32;
+      switch (I.instKind()) {
+      case InstKind::Binary:
+        FI.Opcode = binaryOp(cast<BinaryInst>(I).op(), Is32);
+        break;
+      case InstKind::Cmp: {
+        const auto &C = cast<CmpInst>(I);
+        FI.Opcode =
+            cmpOp(C.pred(), C.lhs()->type().kind() == Type::Kind::I32);
+        break;
+      }
+      case InstKind::Select:
+        FI.Opcode = Op::Select;
+        break;
+      case InstKind::Cast:
+        FI.Opcode = castOp(cast<CastInst>(I).castKind(), Is32);
+        break;
+      case InstKind::Alloca: {
+        const auto &A = cast<AllocaInst>(I);
+        FI.Opcode = Op::Alloca;
+        FI.A = Const(A.count() * Type::scalarSizeBytes(A.elemKind()));
+        break;
+      }
+      case InstKind::LocalAddr: {
+        unsigned Idx = cast<LocalAddrInst>(I).slotIndex();
+        if (Idx >= LocalSlotOffsets.size()) {
+          FI.Opcode = Op::BadLocalSlot;
+          break;
+        }
+        FI.Opcode = Op::Mov;
+        FI.A = Const(tagAddr(AddrTag::Local, LocalSlotOffsets[Idx]));
+        break;
+      }
+      case InstKind::Load:
+        FI.Opcode = I.type().kind() == Type::Kind::I64 ? Op::Load8
+                    : Is32                             ? Op::Load4S
+                                                       : Op::Load4;
+        break;
+      case InstKind::Store:
+        FI.Opcode = Type::scalarSizeBytes(
+                        cast<StoreInst>(I).value()->type().kind()) == 8
+                        ? Op::Store8
+                        : Op::Store4;
+        break;
+      case InstKind::Gep:
+        FI.Opcode = I.type().elemSizeBytes() == 8 ? Op::Gep8 : Op::Gep4;
+        break;
+      case InstKind::Call: {
+        FlatCallSite CS;
+        CS.Target = cast<CallInst>(I).callee();
+        for (const Value *Arg : I.operands())
+          CS.ArgRegs.push_back(Reg(Arg));
+        FI.Opcode = Op::Call;
+        FI.A = static_cast<uint32_t>(FF->Calls.size());
+        FF->Calls.push_back(std::move(CS));
+        break;
+      }
+      case InstKind::Builtin:
+        FI.Opcode = builtinOp(cast<BuiltinInst>(I).builtinKind(), Is32);
+        break;
+      case InstKind::Br: {
+        const auto &Br = cast<BrInst>(I);
+        if (Br.isConditional()) {
+          FI.Opcode = Op::CondBr;
+          FI.B = BlockStart.at(Br.trueTarget());
+          FI.C = BlockStart.at(Br.falseTarget());
+        } else {
+          FI.Opcode = Op::Br;
+          FI.A = BlockStart.at(Br.trueTarget());
+        }
+        break;
+      }
+      case InstKind::Ret:
+        FI.Opcode = cast<RetInst>(I).hasValue() ? Op::Ret : Op::RetVoid;
+        break;
+      }
+      FF->Code.push_back(FI);
     }
   }
-
-  // Local-memory layout: each slot 8-byte aligned.
-  uint64_t Offset = 0;
-  for (const LocalAllocDecl &Decl : F.localAllocs()) {
-    FF->LocalSlotOffsets.push_back(Offset);
-    Offset += (Decl.sizeBytes() + 7) & ~static_cast<uint64_t>(7);
-  }
-  FF->LocalBytes = Offset;
+  FF->Code.push_back(FlatInst());
+  FF->NumRegs = FF->ConstBase + static_cast<uint32_t>(FF->Consts.size());
   return FF;
 }
+
+} // namespace
 
 void CodeCache::invalidate(const Module &M) {
   for (const std::unique_ptr<Function> &F : M.functions())
@@ -84,8 +222,11 @@ const FlatFunction &CodeCache::get(const Function &F) {
   auto It = Cache.find(&F);
   if (It != Cache.end())
     return *It->second;
-  auto Lowered = lowerFunction(F);
-  const FlatFunction &Ref = *Lowered;
-  Cache.emplace(&F, std::move(Lowered));
-  return Ref;
+  // Cache the function before resolving its callees, so recursion ends.
+  FlatFunction &FF = *Cache.emplace(&F, lowerFunction(F)).first->second;
+  for (FlatCallSite &CS : FF.Calls) {
+    CS.Callee = &get(*CS.Target);
+    assert(CS.ArgRegs.size() == CS.Callee->NumArgs && "call arity mismatch");
+  }
+  return FF;
 }

@@ -1,13 +1,23 @@
-//===- kir/FlatCode.h - Flattened code for interpretation -------*- C++-*-===//
+//===- kir/FlatCode.h - Bytecode for interpretation -------------*- C++-*-===//
 //
 // Part of the accelOS reproduction (CGO'16, Margiolas & O'Boyle).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers a KIR function into a flat instruction array with pre-resolved
-/// register slots and branch targets, so the interpreter's inner loop is
-/// an index-based dispatch instead of pointer chasing through blocks.
+/// Lowers each KIR function once into a dense bytecode for the
+/// interpreter. Every instruction becomes one fixed-size FlatInst whose
+/// opcode already encodes the instruction kind, its sub-operation, width
+/// and sign handling, so the interpreter runs it from one switch with no
+/// type tests. Operands are registers of the frame's window into its work
+/// item's register file, laid out as
+///
+///   [arguments][one per value][sink][constants]
+///
+/// Void instructions name the sink as their destination, and constants
+/// (including local-memory addresses and alloca sizes) are preset when
+/// the frame is entered. Branch targets are instruction indices. A call
+/// names a call site whose callee's code the CodeCache resolves once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,50 +34,100 @@
 namespace accel {
 namespace kir {
 
-/// Sentinel register index for instructions that produce no value.
-constexpr uint32_t NoReg = ~0u;
+/// Pointer values carry their address space in their top two bits so the
+/// interpreter can route accesses to global, local, or private storage.
+enum class AddrTag : uint8_t { Global = 0, Local = 1, Private = 2 };
+constexpr unsigned AddrTagShift = 62;
+constexpr uint64_t AddrOffsetMask = (1ULL << AddrTagShift) - 1;
 
-/// A pre-resolved operand: either an immediate payload or a register.
-struct FlatOperand {
-  bool IsImm = false;
-  uint32_t Reg = NoReg;
-  uint64_t Imm = 0;
+constexpr uint64_t tagAddr(AddrTag Tag, uint64_t Offset) {
+  return (static_cast<uint64_t>(Tag) << AddrTagShift) | Offset;
+}
+
+/// Bytecode operations. "32" forms sign-extend their i32 result from bit
+/// 31 (i32 registers are kept sign-extended); "W" forms keep all 64 bits
+/// (i64, i1 and pointers). The opcodes of one family follow the order of
+/// the KIR enum they lower from (see FlatCode.cpp).
+enum class Op : uint8_t {
+  // Integer binary operators, in BinOpKind order, 32 and W alternating.
+  Add32, AddW, Sub32, SubW, Mul32, MulW, SDiv32, SDivW, SRem32, SRemW,
+  And32, AndW, Or32, OrW, Xor32, XorW, Shl32, ShlW, AShr32, AShrW,
+  LShr32, LShrW,
+  // f32 binary operators.
+  FAdd, FSub, FMul, FDiv,
+  // Comparisons yielding 0 or 1. Equality and signed predicates compare
+  // the registers; the unsigned ones mask i32 operands to 32 bits.
+  CmpEQ, CmpNE, CmpSLT, CmpSLE, CmpSGT, CmpSGE, CmpULT32, CmpULTW,
+  CmpUGE32, CmpUGEW,
+  FCmpOEQ, FCmpONE, FCmpOLT, FCmpOLE, FCmpOGT, FCmpOGE,
+  Select,
+  // Casts. Mov also lowers sext (a no-op on sign-extended registers) and
+  // local_addr (whose address is a preset constant).
+  Mov, Trunc, SIToFP, FPToSI32, FPToSIW, ZExtBool,
+  // Memory: alloca reads its byte size from register A; Load4S loads an
+  // i32 and sign-extends it, Load4 an f32.
+  Alloca, Load4S, Load4, Load8, Store4, Store8, Gep4, Gep8,
+  // Control flow: A is the target (Br), the call site (Call) or the
+  // returned value (Ret); CondBr jumps to B if A holds nonzero, else C.
+  Br, CondBr, Call, Ret, RetVoid,
+  // Builtins, in BuiltinKind order with IAbs split by width.
+  GlobalId, LocalId, GroupId, GlobalSize, LocalSize, NumGroups, WorkDim,
+  Barrier, Sqrt, Rsqrt, Sin, Cos, Exp, Log, Fabs, FMin, FMax, Floor,
+  IMin, IMax, IAbs32, IAbsW,
+  AtomicAdd, AtomicSub, AtomicMin, AtomicMax, AtomicXchg,
+  RtIsMaster, RtEnvInit, RtSchedWGroup, RtGlobalId, RtGroupId,
+  RtGlobalSize, RtNumGroups,
+  // Traps: a local_addr of a slot the function does not declare, and the
+  // sentinel after the last instruction.
+  BadLocalSlot, FellOff
 };
 
-/// One lowered instruction.
+/// One bytecode instruction: an opcode and up to four register operands.
 struct FlatInst {
-  const Instruction *I = nullptr;
-  uint32_t Dst = NoReg;
-  std::vector<FlatOperand> Ops;
-  uint32_t BrTrue = 0;  ///< Target index for (true-edge of) branches.
-  uint32_t BrFalse = 0; ///< Target index for the false edge.
+  Op Opcode = Op::FellOff;
+  uint32_t Dst = 0;
+  uint32_t A = 0;
+  uint32_t B = 0;
+  uint32_t C = 0;
+};
+
+struct FlatFunction;
+
+/// One call site: the callee and the caller registers holding its
+/// arguments.
+struct FlatCallSite {
+  const Function *Target = nullptr;
+  /// Target's lowered code, resolved by CodeCache::get.
+  const FlatFunction *Callee = nullptr;
+  std::vector<uint32_t> ArgRegs;
 };
 
 /// A fully lowered function.
 struct FlatFunction {
   const Function *F = nullptr;
+  /// The bytecode; the last instruction is Op::FellOff.
   std::vector<FlatInst> Code;
-  /// Total register slots (arguments occupy slots [0, numArguments)).
+  std::vector<FlatCallSite> Calls;
+  /// Constant payloads, preset into registers [ConstBase, NumRegs).
+  std::vector<uint64_t> Consts;
+  uint32_t NumArgs = 0;
+  uint32_t ConstBase = 0;
   uint32_t NumRegs = 0;
-  /// Byte offset of each local-memory slot within the group's local
-  /// buffer, parallel to F->localAllocs().
-  std::vector<uint64_t> LocalSlotOffsets;
   /// Total local-memory bytes required by the function.
   uint64_t LocalBytes = 0;
 };
 
-/// Lowers \p F. The function must verify.
-std::unique_ptr<FlatFunction> lowerFunction(const Function &F);
-
 /// Caches lowered functions per Function identity.
 class CodeCache {
 public:
-  /// \returns the lowered form of \p F, lowering on first use.
+  /// \returns the lowered form of \p F, lowering it and, transitively,
+  /// its callees on first use. \p F must verify.
   const FlatFunction &get(const Function &F);
 
   /// Drops the cached code of every function in \p M. Call it before \p
   /// M is destroyed: cache keys are function addresses, which a later
-  /// module's functions may reuse.
+  /// module's functions may reuse. Calls stay inside one module, so no
+  /// cached call site outlives its callee.
   void invalidate(const Module &M);
 
 private:

@@ -7,11 +7,10 @@
 #include "kir/Interpreter.h"
 
 #include "kir/RtLayout.h"
-#include "support/Casting.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <string>
 
 using namespace accel;
@@ -19,22 +18,8 @@ using namespace accel::kir;
 
 namespace {
 
-// Pointer values carry their address space in the top two bits so the
-// interpreter can route accesses to global, local, or private storage.
-constexpr uint64_t TagShift = 62;
-constexpr uint64_t OffsetMask = (1ULL << TagShift) - 1;
-
-enum class Space : uint64_t { Global = 0, Local = 1, Private = 2 };
-
-uint64_t makeAddr(Space S, uint64_t Offset) {
-  return (static_cast<uint64_t>(S) << TagShift) | Offset;
-}
-
-Space addrSpaceOf(uint64_t Addr) {
-  return static_cast<Space>(Addr >> TagShift);
-}
-
-uint64_t addrOffset(uint64_t Addr) { return Addr & OffsetMask; }
+/// Call depth at which a call traps.
+constexpr size_t MaxCallDepth = 64;
 
 uint64_t canonicalizeI32(uint64_t Bits) {
   return static_cast<uint64_t>(
@@ -54,75 +39,114 @@ uint64_t fromF32(float F) {
   return I;
 }
 
-/// One invocation record on a work-item's call stack.
+/// f32 -> signed integer toward zero, saturating, NaN to 0.
+uint64_t fpToSI(uint64_t Bits) {
+  float F = asF32(Bits);
+  int64_t Out;
+  if (std::isnan(F))
+    Out = 0;
+  else if (F >= 9.2233715e18f)
+    Out = INT64_MAX;
+  else if (F <= -9.2233715e18f)
+    Out = INT64_MIN;
+  else
+    Out = static_cast<int64_t>(F);
+  return static_cast<uint64_t>(Out);
+}
+
+unsigned dim(uint64_t Bits) { return static_cast<unsigned>(Bits); }
+
+/// One invocation record on a work item's call stack: a window of the
+/// work item's register file.
 struct Frame {
   const FlatFunction *FF = nullptr;
   uint32_t PC = 0;
-  uint32_t RetDst = NoReg;
+  /// First register of the window.
+  uint32_t Base = 0;
+  /// Caller register that receives the return value.
+  uint32_t RetDst = 0;
   size_t PrivateWatermark = 0;
-  std::vector<uint64_t> Regs;
 };
 
-/// A single work item: call stack, private memory, and fixed ids.
+/// A single work item: call stack, registers, private memory, fixed ids.
 struct WorkItem {
   std::vector<Frame> Stack;
+  std::vector<uint64_t> Regs;
   std::vector<uint8_t> PrivateMem;
   uint64_t LocalId[3] = {0, 0, 0};
   uint64_t GlobalIdBase[3] = {0, 0, 0};
   uint64_t LocalLinear = 0;
   bool Done = false;
-  bool AtBarrier = false;
   uint64_t Steps = 0;
 };
 
-/// A resident work group: its work items plus local memory.
-struct Group {
+enum class SuspendKind : uint8_t { Done, Barrier, Trap };
+
+} // namespace
+
+/// A resident work group: its work items plus local memory. Reuse keeps
+/// every vector's capacity, so a recycled group allocates nothing.
+struct Interpreter::Group {
   uint64_t GroupId[3] = {0, 0, 0};
   uint64_t Linear = 0;
   std::vector<uint8_t> LocalMem;
+  /// The first NumWIs entries are the current launch's work items; the
+  /// rest are kept for launches with larger work groups.
   std::vector<WorkItem> WIs;
+  uint64_t NumWIs = 0;
   uint64_t DynInsts = 0;
   bool Finished = false;
 };
 
-enum class SuspendKind { Done, Barrier, Trap };
+namespace {
+
+using Group = Interpreter::Group;
+using GroupPool = std::vector<std::unique_ptr<Group>>;
 
 /// Executes one kernel launch to completion.
 class Machine {
 public:
-  Machine(DeviceMemory &GlobalMem, CodeCache &Cache, const Function &Kernel,
+  Machine(DeviceMemory &GlobalMem, GroupPool &Pool, const FlatFunction &Kernel,
           const std::vector<uint64_t> &Args, const NDRangeCfg &Range,
           uint64_t MaxSteps, uint64_t MaxGroups)
-      : GlobalMem(GlobalMem), Cache(Cache), KernelFF(Cache.get(Kernel)),
-        Args(Args), Range(Range), MaxSteps(MaxSteps), MaxGroups(MaxGroups) {}
+      : GlobalMem(GlobalMem), Pool(Pool), KernelFF(Kernel), Args(Args),
+        Range(Range), MaxSteps(MaxSteps), MaxGroups(MaxGroups) {}
 
   Expected<ExecStats> run();
 
 private:
+  Error runGroups(GroupPool &Active);
   SuspendKind runWorkItem(Group &G, WorkItem &WI);
-  SuspendKind execInst(Group &G, WorkItem &WI, Frame &Fr, const FlatInst &FI);
 
-  std::unique_ptr<Group> makeGroup(uint64_t Linear);
+  std::unique_ptr<Group> acquire(uint64_t Linear);
+  void retire(std::unique_ptr<Group> G);
+  static uint64_t *enterFrame(WorkItem &WI, const FlatFunction &FF,
+                              uint32_t Base);
 
-  SuspendKind trap(const std::string &Why) {
-    TrapMessage = Why;
+  // Typed memory access; false on a bounds violation (see memoryTrap).
+  template <typename T>
+  bool load(Group &G, WorkItem &WI, uint64_t Addr, T &Out);
+  template <typename T>
+  bool store(Group &G, WorkItem &WI, uint64_t Addr, T Value);
+  static uint8_t *scratch(Group &G, WorkItem &WI, uint64_t Addr,
+                          unsigned Size);
+  bool writeSchedDesc(Group &G, WorkItem &WI, uint64_t Sd, int64_t Status,
+                      int64_t Base, int64_t End);
+
+  SuspendKind trap(std::string Why) {
+    TrapMessage = std::move(Why);
     return SuspendKind::Trap;
   }
-
-  static uint64_t opVal(const Frame &Fr, const FlatOperand &Op) {
-    return Op.IsImm ? Op.Imm : Fr.Regs[Op.Reg];
+  SuspendKind trapIn(const char *Why, const FlatFunction &FF) {
+    return trap(std::string(Why) + " in '" + FF.F->name() + "'");
   }
-
-  // Typed memory access; returns false (and sets TrapMessage) on a
-  // bounds violation.
-  bool loadScalar(Group &G, WorkItem &WI, uint64_t Addr, Type::Kind Kind,
-                  uint64_t &Out);
-  bool storeScalar(Group &G, WorkItem &WI, uint64_t Addr, Type::Kind Kind,
-                   uint64_t Bits);
-  uint8_t *resolveSpan(Group &G, WorkItem &WI, uint64_t Addr, unsigned Size);
+  SuspendKind fellOff(const FlatFunction &FF) {
+    return trap("fell off the end of function '" + FF.F->name() + "'");
+  }
+  SuspendKind memoryTrap(uint64_t Addr, bool IsStore);
 
   DeviceMemory &GlobalMem;
-  CodeCache &Cache;
+  GroupPool &Pool;
   const FlatFunction &KernelFF;
   const std::vector<uint64_t> &Args;
   const NDRangeCfg &Range;
@@ -132,8 +156,14 @@ private:
   std::string TrapMessage;
 };
 
-std::unique_ptr<Group> Machine::makeGroup(uint64_t Linear) {
-  auto G = std::make_unique<Group>();
+std::unique_ptr<Group> Machine::acquire(uint64_t Linear) {
+  std::unique_ptr<Group> G;
+  if (Pool.empty()) {
+    G = std::make_unique<Group>();
+  } else {
+    G = std::move(Pool.back());
+    Pool.pop_back();
+  }
   G->Linear = Linear;
   uint64_t NG0 = Range.numGroups(0);
   uint64_t NG1 = Range.numGroups(1);
@@ -141,9 +171,13 @@ std::unique_ptr<Group> Machine::makeGroup(uint64_t Linear) {
   G->GroupId[1] = (Linear / NG0) % NG1;
   G->GroupId[2] = Linear / (NG0 * NG1);
   G->LocalMem.assign(KernelFF.LocalBytes, 0);
+  G->DynInsts = 0;
+  G->Finished = false;
 
   uint64_t WGSize = Range.workGroupSize();
-  G->WIs.resize(WGSize);
+  if (G->WIs.size() < WGSize)
+    G->WIs.resize(WGSize);
+  G->NumWIs = WGSize;
   for (uint64_t L = 0; L != WGSize; ++L) {
     WorkItem &WI = G->WIs[L];
     WI.LocalLinear = L;
@@ -152,678 +186,686 @@ std::unique_ptr<Group> Machine::makeGroup(uint64_t Linear) {
     WI.LocalId[2] = L / (Range.LocalSize[0] * Range.LocalSize[1]);
     for (unsigned D = 0; D != 3; ++D)
       WI.GlobalIdBase[D] = G->GroupId[D] * Range.LocalSize[D];
-    Frame Fr;
-    Fr.FF = &KernelFF;
-    Fr.Regs.assign(KernelFF.NumRegs, 0);
-    for (size_t A = 0; A != Args.size(); ++A)
-      Fr.Regs[A] = Args[A];
-    WI.Stack.push_back(std::move(Fr));
+    WI.Done = false;
+    WI.Steps = 0;
+    // Clearing suffices for allocas to read zero: each alloca zero-fills
+    // the bytes it adds.
+    WI.PrivateMem.clear();
+    WI.Stack.clear();
+    std::copy(Args.begin(), Args.end(), enterFrame(WI, KernelFF, 0));
+    WI.Stack.push_back({&KernelFF, 0, 0, 0, 0});
   }
   return G;
 }
 
-uint8_t *Machine::resolveSpan(Group &G, WorkItem &WI, uint64_t Addr,
-                              unsigned Size) {
-  uint64_t Off = addrOffset(Addr);
-  switch (addrSpaceOf(Addr)) {
-  case Space::Global:
-    // Handled separately through DeviceMemory; not reached.
-    return nullptr;
-  case Space::Local:
-    if (Off + Size > G.LocalMem.size()) {
-      TrapMessage = "local memory access out of bounds";
-      return nullptr;
-    }
-    return G.LocalMem.data() + Off;
-  case Space::Private:
-    if (Off + Size > WI.PrivateMem.size()) {
-      TrapMessage = "private memory access out of bounds";
-      return nullptr;
-    }
-    return WI.PrivateMem.data() + Off;
+void Machine::retire(std::unique_ptr<Group> G) {
+  if (Pool.size() < MaxGroups)
+    Pool.push_back(std::move(G));
+}
+
+/// Prepares the register window of a frame of \p FF at \p Base: zeroes
+/// its value registers and presets its constants. The caller writes the
+/// arguments. \returns the window.
+uint64_t *Machine::enterFrame(WorkItem &WI, const FlatFunction &FF,
+                              uint32_t Base) {
+  if (WI.Regs.size() < Base + FF.NumRegs)
+    WI.Regs.resize(Base + FF.NumRegs);
+  uint64_t *R = WI.Regs.data() + Base;
+  std::fill(R + FF.NumArgs, R + FF.ConstBase, 0);
+  std::copy(FF.Consts.begin(), FF.Consts.end(), R + FF.ConstBase);
+  return R;
+}
+
+uint8_t *Machine::scratch(Group &G, WorkItem &WI, uint64_t Addr,
+                          unsigned Size) {
+  uint64_t Off = Addr & AddrOffsetMask;
+  switch (static_cast<AddrTag>(Addr >> AddrTagShift)) {
+  case AddrTag::Private:
+    return Off + Size <= WI.PrivateMem.size() ? WI.PrivateMem.data() + Off
+                                              : nullptr;
+  case AddrTag::Local:
+    return Off + Size <= G.LocalMem.size() ? G.LocalMem.data() + Off
+                                           : nullptr;
+  case AddrTag::Global:
+    break;
   }
-  TrapMessage = "access through invalid pointer tag";
   return nullptr;
 }
 
-bool Machine::loadScalar(Group &G, WorkItem &WI, uint64_t Addr,
-                         Type::Kind Kind, uint64_t &Out) {
-  unsigned Size = Type::scalarSizeBytes(Kind);
-  if (addrSpaceOf(Addr) == Space::Global) {
-    uint64_t Off = addrOffset(Addr);
-    if (!GlobalMem.inBounds(Off, Size)) {
-      TrapMessage = "global memory load out of bounds (addr " +
-                    std::to_string(Off) + ")";
+template <typename T>
+bool Machine::load(Group &G, WorkItem &WI, uint64_t Addr, T &Out) {
+  if (static_cast<AddrTag>(Addr >> AddrTagShift) == AddrTag::Global) {
+    if (!GlobalMem.inBounds(Addr, sizeof(T)))
       return false;
-    }
-    if (Size == 8)
-      Out = GlobalMem.readU64(Off);
+    if constexpr (sizeof(T) == 8)
+      Out = GlobalMem.readU64(Addr);
     else
-      Out = GlobalMem.readU32(Off);
-  } else {
-    const uint8_t *Ptr = resolveSpan(G, WI, Addr, Size);
-    if (!Ptr)
-      return false;
-    if (Size == 8) {
-      std::memcpy(&Out, Ptr, 8);
-    } else {
-      uint32_t V;
-      std::memcpy(&V, Ptr, 4);
-      Out = V;
-    }
+      Out = GlobalMem.readU32(Addr);
+    return true;
   }
-  if (Kind == Type::Kind::I32)
-    Out = canonicalizeI32(Out);
+  const uint8_t *P = scratch(G, WI, Addr, sizeof(T));
+  if (!P)
+    return false;
+  std::memcpy(&Out, P, sizeof(T));
   return true;
 }
 
-bool Machine::storeScalar(Group &G, WorkItem &WI, uint64_t Addr,
-                          Type::Kind Kind, uint64_t Bits) {
-  unsigned Size = Type::scalarSizeBytes(Kind);
-  if (addrSpaceOf(Addr) == Space::Global) {
-    uint64_t Off = addrOffset(Addr);
-    if (!GlobalMem.inBounds(Off, Size)) {
-      TrapMessage = "global memory store out of bounds (addr " +
-                    std::to_string(Off) + ")";
+template <typename T>
+bool Machine::store(Group &G, WorkItem &WI, uint64_t Addr, T Value) {
+  if (static_cast<AddrTag>(Addr >> AddrTagShift) == AddrTag::Global) {
+    if (!GlobalMem.inBounds(Addr, sizeof(T)))
       return false;
-    }
-    if (Size == 8)
-      GlobalMem.writeU64(Off, Bits);
+    if constexpr (sizeof(T) == 8)
+      GlobalMem.writeU64(Addr, Value);
     else
-      GlobalMem.writeU32(Off, static_cast<uint32_t>(Bits));
+      GlobalMem.writeU32(Addr, Value);
     return true;
   }
-  uint8_t *Ptr = resolveSpan(G, WI, Addr, Size);
-  if (!Ptr)
+  uint8_t *P = scratch(G, WI, Addr, sizeof(T));
+  if (!P)
     return false;
-  if (Size == 8) {
-    std::memcpy(Ptr, &Bits, 8);
-  } else {
-    uint32_t V = static_cast<uint32_t>(Bits);
-    std::memcpy(Ptr, &V, 4);
+  std::memcpy(P, &Value, sizeof(T));
+  return true;
+}
+
+SuspendKind Machine::memoryTrap(uint64_t Addr, bool IsStore) {
+  switch (static_cast<AddrTag>(Addr >> AddrTagShift)) {
+  case AddrTag::Global:
+    return trap(std::string("global memory ") + (IsStore ? "store" : "load") +
+                " out of bounds (addr " +
+                std::to_string(Addr & AddrOffsetMask) + ")");
+  case AddrTag::Local:
+    return trap("local memory access out of bounds");
+  case AddrTag::Private:
+    return trap("private memory access out of bounds");
   }
+  return trap("access through invalid pointer tag");
+}
+
+bool Machine::writeSchedDesc(Group &G, WorkItem &WI, uint64_t Sd,
+                             int64_t Status, int64_t Base, int64_t End) {
+  using namespace rtlayout;
+  for (auto [Word, V] : {std::pair<unsigned, int64_t>{SDW_Status, Status},
+                         {SDW_Base, Base},
+                         {SDW_End, End}})
+    if (!store(G, WI, Sd + 8 * Word, static_cast<uint64_t>(V))) {
+      memoryTrap(Sd + 8 * Word, /*IsStore=*/true);
+      return false;
+    }
   return true;
 }
 
 SuspendKind Machine::runWorkItem(Group &G, WorkItem &WI) {
+  using namespace rtlayout;
+  Frame *Fr = &WI.Stack.back();
+  const FlatFunction *FF = Fr->FF;
+  const FlatInst *Code = FF->Code.data();
+  uint32_t PC = Fr->PC;
+  uint64_t *R = WI.Regs.data() + Fr->Base;
+  // Steps of this run; flushed into the counters at every suspension.
+  uint64_t Steps = 0;
+  const uint64_t Budget = MaxSteps - WI.Steps;
+  SuspendKind S = SuspendKind::Trap;
+
   for (;;) {
-    if (WI.Stack.empty()) {
-      WI.Done = true;
-      return SuspendKind::Done;
+    const FlatInst &I = Code[PC++];
+    ++Steps;
+    if (Steps > Budget) {
+      // Falling off the end is no step, so it wins over the budget.
+      S = I.Opcode == Op::FellOff
+              ? fellOff(*FF)
+              : trapIn("work item exceeded step budget", *FF);
+      goto Suspend;
     }
-    Frame &Fr = WI.Stack.back();
-    if (Fr.PC >= Fr.FF->Code.size())
-      return trap("fell off the end of function '" + Fr.FF->F->name() + "'");
-    const FlatInst &FI = Fr.FF->Code[Fr.PC];
-    ++Fr.PC;
-    ++WI.Steps;
-    ++G.DynInsts;
-    ++Stats.InstsExecuted;
-    if (WI.Steps > MaxSteps)
-      return trap("work item exceeded step budget in '" +
-                  Fr.FF->F->name() + "'");
-    SuspendKind S = execInst(G, WI, Fr, FI);
-    if (S == SuspendKind::Barrier || S == SuspendKind::Trap)
-      return S;
-    if (WI.Done)
-      return SuspendKind::Done;
-  }
-}
-
-SuspendKind Machine::execInst(Group &G, WorkItem &WI, Frame &Fr,
-                              const FlatInst &FI) {
-  const Instruction &I = *FI.I;
-  auto SetDst = [&](uint64_t V) {
-    if (FI.Dst != NoReg)
-      Fr.Regs[FI.Dst] = V;
-  };
-
-  switch (I.instKind()) {
-  case InstKind::Binary: {
-    const auto &B = cast<BinaryInst>(I);
-    uint64_t L = opVal(Fr, FI.Ops[0]);
-    uint64_t R = opVal(Fr, FI.Ops[1]);
-    if (isFloatBinOp(B.op())) {
-      float A = asF32(L), C = asF32(R), Out = 0;
-      switch (B.op()) {
-      case BinOpKind::FAdd:
-        Out = A + C;
-        break;
-      case BinOpKind::FSub:
-        Out = A - C;
-        break;
-      case BinOpKind::FMul:
-        Out = A * C;
-        break;
-      case BinOpKind::FDiv:
-        Out = A / C;
-        break;
-      default:
-        accel_unreachable("non-float op in float path");
-      }
-      SetDst(fromF32(Out));
-      return SuspendKind::Done;
-    }
-    bool Is32 = I.type().kind() == Type::Kind::I32;
-    uint64_t Out = 0;
-    switch (B.op()) {
-    case BinOpKind::Add:
-      Out = L + R;
-      break;
-    case BinOpKind::Sub:
-      Out = L - R;
-      break;
-    case BinOpKind::Mul:
-      Out = L * R;
-      break;
-    case BinOpKind::SDiv:
-    case BinOpKind::SRem: {
+    switch (I.Opcode) {
+    case Op::Add32:
+      R[I.Dst] = canonicalizeI32(R[I.A] + R[I.B]);
+      continue;
+    case Op::AddW:
+      R[I.Dst] = R[I.A] + R[I.B];
+      continue;
+    case Op::Sub32:
+      R[I.Dst] = canonicalizeI32(R[I.A] - R[I.B]);
+      continue;
+    case Op::SubW:
+      R[I.Dst] = R[I.A] - R[I.B];
+      continue;
+    case Op::Mul32:
+      R[I.Dst] = canonicalizeI32(R[I.A] * R[I.B]);
+      continue;
+    case Op::MulW:
+      R[I.Dst] = R[I.A] * R[I.B];
+      continue;
+    case Op::SDiv32:
+    case Op::SDivW:
+    case Op::SRem32:
+    case Op::SRemW: {
+      uint64_t L = R[I.A];
       int64_t Num = static_cast<int64_t>(L);
-      int64_t Den = static_cast<int64_t>(R);
-      if (Den == 0)
-        return trap("integer division by zero in '" + Fr.FF->F->name() +
-                    "'");
-      if (Den == -1) {
-        // Avoid signed-overflow UB on INT_MIN / -1; wraps like hardware.
-        Out = B.op() == BinOpKind::SDiv ? (0 - L) : 0;
-      } else {
-        Out = static_cast<uint64_t>(B.op() == BinOpKind::SDiv ? Num / Den
-                                                              : Num % Den);
+      int64_t Den = static_cast<int64_t>(R[I.B]);
+      if (Den == 0) {
+        S = trapIn("integer division by zero", *FF);
+        goto Suspend;
       }
-      break;
-    }
-    case BinOpKind::And:
-      Out = L & R;
-      break;
-    case BinOpKind::Or:
-      Out = L | R;
-      break;
-    case BinOpKind::Xor:
-      Out = L ^ R;
-      break;
-    case BinOpKind::Shl:
-      Out = L << (R & (Is32 ? 31 : 63));
-      break;
-    case BinOpKind::AShr:
-      Out = static_cast<uint64_t>(static_cast<int64_t>(L) >>
-                                  (R & (Is32 ? 31 : 63)));
-      break;
-    case BinOpKind::LShr:
-      Out = (Is32 ? (L & 0xFFFFFFFFULL) : L) >> (R & (Is32 ? 31 : 63));
-      break;
-    default:
-      accel_unreachable("float op in int path");
-    }
-    SetDst(Is32 ? canonicalizeI32(Out) : Out);
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Cmp: {
-    const auto &C = cast<CmpInst>(I);
-    uint64_t L = opVal(Fr, FI.Ops[0]);
-    uint64_t R = opVal(Fr, FI.Ops[1]);
-    bool Out = false;
-    if (isFloatCmpPred(C.pred())) {
-      float A = asF32(L), B = asF32(R);
-      switch (C.pred()) {
-      case CmpPred::FOEQ:
-        Out = A == B;
-        break;
-      case CmpPred::FONE:
-        Out = A != B;
-        break;
-      case CmpPred::FOLT:
-        Out = A < B;
-        break;
-      case CmpPred::FOLE:
-        Out = A <= B;
-        break;
-      case CmpPred::FOGT:
-        Out = A > B;
-        break;
-      case CmpPred::FOGE:
-        Out = A >= B;
-        break;
-      default:
-        accel_unreachable("int pred in float path");
-      }
-    } else {
-      bool Is32 = C.lhs()->type().kind() == Type::Kind::I32;
-      int64_t A = static_cast<int64_t>(L), B = static_cast<int64_t>(R);
-      uint64_t UA = Is32 ? (L & 0xFFFFFFFFULL) : L;
-      uint64_t UB = Is32 ? (R & 0xFFFFFFFFULL) : R;
-      switch (C.pred()) {
-      case CmpPred::EQ:
-        Out = A == B;
-        break;
-      case CmpPred::NE:
-        Out = A != B;
-        break;
-      case CmpPred::SLT:
-        Out = A < B;
-        break;
-      case CmpPred::SLE:
-        Out = A <= B;
-        break;
-      case CmpPred::SGT:
-        Out = A > B;
-        break;
-      case CmpPred::SGE:
-        Out = A >= B;
-        break;
-      case CmpPred::ULT:
-        Out = UA < UB;
-        break;
-      case CmpPred::UGE:
-        Out = UA >= UB;
-        break;
-      default:
-        accel_unreachable("float pred in int path");
-      }
-    }
-    SetDst(Out ? 1 : 0);
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Select: {
-    uint64_t Cond = opVal(Fr, FI.Ops[0]);
-    SetDst(Cond ? opVal(Fr, FI.Ops[1]) : opVal(Fr, FI.Ops[2]));
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Cast: {
-    const auto &C = cast<CastInst>(I);
-    uint64_t V = opVal(Fr, FI.Ops[0]);
-    switch (C.castKind()) {
-    case CastKind::SExt:
-      SetDst(V); // i32 values are kept sign-extended already.
-      break;
-    case CastKind::Trunc:
-      SetDst(canonicalizeI32(V));
-      break;
-    case CastKind::SIToFP:
-      SetDst(fromF32(static_cast<float>(static_cast<int64_t>(V))));
-      break;
-    case CastKind::FPToSI: {
-      float F = asF32(V);
-      int64_t Out;
-      if (std::isnan(F))
-        Out = 0;
-      else if (F >= 9.2233715e18f)
-        Out = INT64_MAX;
-      else if (F <= -9.2233715e18f)
-        Out = INT64_MIN;
+      bool IsDiv = I.Opcode == Op::SDiv32 || I.Opcode == Op::SDivW;
+      uint64_t Out;
+      if (Den == -1) // INT_MIN / -1 would be UB; wraps like hardware.
+        Out = IsDiv ? 0 - L : 0;
       else
-        Out = static_cast<int64_t>(F);
-      if (C.type().kind() == Type::Kind::I32)
-        SetDst(canonicalizeI32(static_cast<uint64_t>(Out)));
-      else
-        SetDst(static_cast<uint64_t>(Out));
-      break;
+        Out = static_cast<uint64_t>(IsDiv ? Num / Den : Num % Den);
+      bool Is32 = I.Opcode == Op::SDiv32 || I.Opcode == Op::SRem32;
+      R[I.Dst] = Is32 ? canonicalizeI32(Out) : Out;
+      continue;
     }
-    case CastKind::ZExtBool:
-      SetDst(V & 1);
-      break;
+    case Op::And32:
+      R[I.Dst] = canonicalizeI32(R[I.A] & R[I.B]);
+      continue;
+    case Op::AndW:
+      R[I.Dst] = R[I.A] & R[I.B];
+      continue;
+    case Op::Or32:
+      R[I.Dst] = canonicalizeI32(R[I.A] | R[I.B]);
+      continue;
+    case Op::OrW:
+      R[I.Dst] = R[I.A] | R[I.B];
+      continue;
+    case Op::Xor32:
+      R[I.Dst] = canonicalizeI32(R[I.A] ^ R[I.B]);
+      continue;
+    case Op::XorW:
+      R[I.Dst] = R[I.A] ^ R[I.B];
+      continue;
+    case Op::Shl32:
+      R[I.Dst] = canonicalizeI32(R[I.A] << (R[I.B] & 31));
+      continue;
+    case Op::ShlW:
+      R[I.Dst] = R[I.A] << (R[I.B] & 63);
+      continue;
+    case Op::AShr32:
+      R[I.Dst] = canonicalizeI32(static_cast<uint64_t>(
+          static_cast<int64_t>(R[I.A]) >> (R[I.B] & 31)));
+      continue;
+    case Op::AShrW:
+      R[I.Dst] = static_cast<uint64_t>(static_cast<int64_t>(R[I.A]) >>
+                                       (R[I.B] & 63));
+      continue;
+    case Op::LShr32:
+      R[I.Dst] = canonicalizeI32((R[I.A] & 0xFFFFFFFFULL) >> (R[I.B] & 31));
+      continue;
+    case Op::LShrW:
+      R[I.Dst] = R[I.A] >> (R[I.B] & 63);
+      continue;
+
+    case Op::FAdd:
+      R[I.Dst] = fromF32(asF32(R[I.A]) + asF32(R[I.B]));
+      continue;
+    case Op::FSub:
+      R[I.Dst] = fromF32(asF32(R[I.A]) - asF32(R[I.B]));
+      continue;
+    case Op::FMul:
+      R[I.Dst] = fromF32(asF32(R[I.A]) * asF32(R[I.B]));
+      continue;
+    case Op::FDiv:
+      R[I.Dst] = fromF32(asF32(R[I.A]) / asF32(R[I.B]));
+      continue;
+
+    case Op::CmpEQ:
+      R[I.Dst] = R[I.A] == R[I.B];
+      continue;
+    case Op::CmpNE:
+      R[I.Dst] = R[I.A] != R[I.B];
+      continue;
+    case Op::CmpSLT:
+      R[I.Dst] = static_cast<int64_t>(R[I.A]) < static_cast<int64_t>(R[I.B]);
+      continue;
+    case Op::CmpSLE:
+      R[I.Dst] =
+          static_cast<int64_t>(R[I.A]) <= static_cast<int64_t>(R[I.B]);
+      continue;
+    case Op::CmpSGT:
+      R[I.Dst] = static_cast<int64_t>(R[I.A]) > static_cast<int64_t>(R[I.B]);
+      continue;
+    case Op::CmpSGE:
+      R[I.Dst] =
+          static_cast<int64_t>(R[I.A]) >= static_cast<int64_t>(R[I.B]);
+      continue;
+    case Op::CmpULT32:
+      R[I.Dst] = (R[I.A] & 0xFFFFFFFFULL) < (R[I.B] & 0xFFFFFFFFULL);
+      continue;
+    case Op::CmpULTW:
+      R[I.Dst] = R[I.A] < R[I.B];
+      continue;
+    case Op::CmpUGE32:
+      R[I.Dst] = (R[I.A] & 0xFFFFFFFFULL) >= (R[I.B] & 0xFFFFFFFFULL);
+      continue;
+    case Op::CmpUGEW:
+      R[I.Dst] = R[I.A] >= R[I.B];
+      continue;
+    case Op::FCmpOEQ:
+      R[I.Dst] = asF32(R[I.A]) == asF32(R[I.B]);
+      continue;
+    case Op::FCmpONE:
+      R[I.Dst] = asF32(R[I.A]) != asF32(R[I.B]);
+      continue;
+    case Op::FCmpOLT:
+      R[I.Dst] = asF32(R[I.A]) < asF32(R[I.B]);
+      continue;
+    case Op::FCmpOLE:
+      R[I.Dst] = asF32(R[I.A]) <= asF32(R[I.B]);
+      continue;
+    case Op::FCmpOGT:
+      R[I.Dst] = asF32(R[I.A]) > asF32(R[I.B]);
+      continue;
+    case Op::FCmpOGE:
+      R[I.Dst] = asF32(R[I.A]) >= asF32(R[I.B]);
+      continue;
+
+    case Op::Select:
+      R[I.Dst] = R[I.A] ? R[I.B] : R[I.C];
+      continue;
+
+    case Op::Mov:
+      R[I.Dst] = R[I.A];
+      continue;
+    case Op::Trunc:
+      R[I.Dst] = canonicalizeI32(R[I.A]);
+      continue;
+    case Op::SIToFP:
+      R[I.Dst] = fromF32(static_cast<float>(static_cast<int64_t>(R[I.A])));
+      continue;
+    case Op::FPToSI32:
+      R[I.Dst] = canonicalizeI32(fpToSI(R[I.A]));
+      continue;
+    case Op::FPToSIW:
+      R[I.Dst] = fpToSI(R[I.A]);
+      continue;
+    case Op::ZExtBool:
+      R[I.Dst] = R[I.A] & 1;
+      continue;
+
+    case Op::Alloca: {
+      size_t Offset = (WI.PrivateMem.size() + 7) & ~static_cast<size_t>(7);
+      WI.PrivateMem.resize(Offset + R[I.A], 0);
+      R[I.Dst] = tagAddr(AddrTag::Private, Offset);
+      continue;
     }
-    return SuspendKind::Done;
-  }
+    case Op::Load4S:
+    case Op::Load4: {
+      uint32_t V = 0;
+      ++Stats.MemoryOps;
+      if (!load(G, WI, R[I.A], V)) {
+        S = memoryTrap(R[I.A], /*IsStore=*/false);
+        goto Suspend;
+      }
+      R[I.Dst] = I.Opcode == Op::Load4S ? canonicalizeI32(V) : V;
+      continue;
+    }
+    case Op::Load8: {
+      ++Stats.MemoryOps;
+      if (!load(G, WI, R[I.A], R[I.Dst])) {
+        S = memoryTrap(R[I.A], /*IsStore=*/false);
+        goto Suspend;
+      }
+      continue;
+    }
+    case Op::Store4:
+      ++Stats.MemoryOps;
+      if (!store(G, WI, R[I.A], static_cast<uint32_t>(R[I.B]))) {
+        S = memoryTrap(R[I.A], /*IsStore=*/true);
+        goto Suspend;
+      }
+      continue;
+    case Op::Store8:
+      ++Stats.MemoryOps;
+      if (!store(G, WI, R[I.A], R[I.B])) {
+        S = memoryTrap(R[I.A], /*IsStore=*/true);
+        goto Suspend;
+      }
+      continue;
+    case Op::Gep4:
+      R[I.Dst] = R[I.A] + R[I.B] * 4;
+      continue;
+    case Op::Gep8:
+      R[I.Dst] = R[I.A] + R[I.B] * 8;
+      continue;
 
-  case InstKind::Alloca: {
-    const auto &A = cast<AllocaInst>(I);
-    uint64_t Bytes = A.count() * Type::scalarSizeBytes(A.elemKind());
-    size_t Offset = (WI.PrivateMem.size() + 7) & ~static_cast<size_t>(7);
-    WI.PrivateMem.resize(Offset + Bytes, 0);
-    SetDst(makeAddr(Space::Private, Offset));
-    return SuspendKind::Done;
-  }
+    case Op::Br:
+      PC = I.A;
+      continue;
+    case Op::CondBr:
+      PC = R[I.A] ? I.B : I.C;
+      continue;
+    case Op::Call: {
+      if (WI.Stack.size() >= MaxCallDepth) {
+        S = trapIn("call stack overflow (recursion?)", *FF);
+        goto Suspend;
+      }
+      const FlatCallSite &CS = FF->Calls[I.A];
+      uint32_t Base = Fr->Base + FF->NumRegs;
+      Fr->PC = PC;
+      uint64_t *CalleeR = enterFrame(WI, *CS.Callee, Base);
+      R = WI.Regs.data() + Fr->Base; // enterFrame may have grown Regs.
+      for (size_t K = 0; K != CS.ArgRegs.size(); ++K)
+        CalleeR[K] = R[CS.ArgRegs[K]];
+      WI.Stack.push_back(
+          {CS.Callee, 0, Base, I.Dst, WI.PrivateMem.size()});
+      Fr = &WI.Stack.back();
+      FF = CS.Callee;
+      Code = FF->Code.data();
+      PC = 0;
+      R = CalleeR;
+      continue;
+    }
+    case Op::Ret:
+    case Op::RetVoid: {
+      uint64_t RetVal = R[I.A];
+      uint32_t RetDst = Fr->RetDst;
+      size_t Watermark = Fr->PrivateWatermark;
+      WI.Stack.pop_back();
+      if (WI.Stack.empty()) {
+        WI.Done = true;
+        S = SuspendKind::Done;
+        goto Suspend;
+      }
+      WI.PrivateMem.resize(Watermark);
+      Fr = &WI.Stack.back();
+      FF = Fr->FF;
+      Code = FF->Code.data();
+      PC = Fr->PC;
+      R = WI.Regs.data() + Fr->Base;
+      if (I.Opcode == Op::Ret)
+        R[RetDst] = RetVal;
+      continue;
+    }
 
-  case InstKind::LocalAddr: {
-    const auto &L = cast<LocalAddrInst>(I);
-    if (L.slotIndex() >= Fr.FF->LocalSlotOffsets.size())
-      return trap("local slot out of range");
-    SetDst(makeAddr(Space::Local, Fr.FF->LocalSlotOffsets[L.slotIndex()]));
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Load: {
-    uint64_t Out;
-    ++Stats.MemoryOps;
-    if (!loadScalar(G, WI, opVal(Fr, FI.Ops[0]), I.type().kind(), Out))
-      return SuspendKind::Trap;
-    SetDst(Out);
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Store: {
-    const auto &S = cast<StoreInst>(I);
-    Type::Kind Kind = S.value()->type().kind();
-    ++Stats.MemoryOps;
-    if (!storeScalar(G, WI, opVal(Fr, FI.Ops[0]), Kind,
-                     opVal(Fr, FI.Ops[1])))
-      return SuspendKind::Trap;
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Gep: {
-    const auto &Ptr = cast<GepInst>(I);
-    uint64_t Base = opVal(Fr, FI.Ops[0]);
-    int64_t Index = static_cast<int64_t>(opVal(Fr, FI.Ops[1]));
-    uint64_t Elem = Ptr.type().elemSizeBytes();
-    SetDst(Base + static_cast<uint64_t>(Index) * Elem);
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Call: {
-    const auto &C = cast<CallInst>(I);
-    if (WI.Stack.size() >= 64)
-      return trap("call stack overflow (recursion?) in '" +
-                  Fr.FF->F->name() + "'");
-    const FlatFunction &CalleeFF = Cache.get(*C.callee());
-    Frame NewFr;
-    NewFr.FF = &CalleeFF;
-    NewFr.RetDst = FI.Dst;
-    NewFr.PrivateWatermark = WI.PrivateMem.size();
-    NewFr.Regs.assign(CalleeFF.NumRegs, 0);
-    for (size_t A = 0; A != FI.Ops.size(); ++A)
-      NewFr.Regs[A] = opVal(Fr, FI.Ops[A]);
-    // Note: pushing may invalidate Fr; do not touch it afterwards.
-    WI.Stack.push_back(std::move(NewFr));
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Builtin: {
-    const auto &B = cast<BuiltinInst>(I);
-    auto Dim = [&](unsigned OpIdx) {
-      return static_cast<unsigned>(opVal(Fr, FI.Ops[OpIdx]));
-    };
-    using namespace rtlayout;
-    switch (B.builtinKind()) {
-    case BuiltinKind::GetGlobalId:
-      SetDst(WI.GlobalIdBase[Dim(0)] + WI.LocalId[Dim(0)]);
-      return SuspendKind::Done;
-    case BuiltinKind::GetLocalId:
-      SetDst(WI.LocalId[Dim(0)]);
-      return SuspendKind::Done;
-    case BuiltinKind::GetGroupId:
-      SetDst(G.GroupId[Dim(0)]);
-      return SuspendKind::Done;
-    case BuiltinKind::GetGlobalSize:
-      SetDst(Range.GlobalSize[Dim(0)]);
-      return SuspendKind::Done;
-    case BuiltinKind::GetLocalSize:
-      SetDst(Range.LocalSize[Dim(0)]);
-      return SuspendKind::Done;
-    case BuiltinKind::GetNumGroups:
-      SetDst(Range.numGroups(Dim(0)));
-      return SuspendKind::Done;
-    case BuiltinKind::GetWorkDim:
-      SetDst(Range.WorkDim);
-      return SuspendKind::Done;
-    case BuiltinKind::Barrier:
+    case Op::GlobalId:
+      R[I.Dst] = WI.GlobalIdBase[dim(R[I.A])] + WI.LocalId[dim(R[I.A])];
+      continue;
+    case Op::LocalId:
+      R[I.Dst] = WI.LocalId[dim(R[I.A])];
+      continue;
+    case Op::GroupId:
+      R[I.Dst] = G.GroupId[dim(R[I.A])];
+      continue;
+    case Op::GlobalSize:
+      R[I.Dst] = Range.GlobalSize[dim(R[I.A])];
+      continue;
+    case Op::LocalSize:
+      R[I.Dst] = Range.LocalSize[dim(R[I.A])];
+      continue;
+    case Op::NumGroups:
+      R[I.Dst] = Range.numGroups(dim(R[I.A]));
+      continue;
+    case Op::WorkDim:
+      R[I.Dst] = Range.WorkDim;
+      continue;
+    case Op::Barrier:
       ++Stats.Barriers;
-      WI.AtBarrier = true;
-      return SuspendKind::Barrier;
-    case BuiltinKind::Sqrt:
+      Fr->PC = PC;
+      S = SuspendKind::Barrier;
+      goto Suspend;
+    case Op::Sqrt:
       ++Stats.MathOps;
-      SetDst(fromF32(std::sqrt(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Rsqrt:
+      R[I.Dst] = fromF32(std::sqrt(asF32(R[I.A])));
+      continue;
+    case Op::Rsqrt:
       ++Stats.MathOps;
-      SetDst(fromF32(1.0f / std::sqrt(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Sin:
+      R[I.Dst] = fromF32(1.0f / std::sqrt(asF32(R[I.A])));
+      continue;
+    case Op::Sin:
       ++Stats.MathOps;
-      SetDst(fromF32(std::sin(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Cos:
+      R[I.Dst] = fromF32(std::sin(asF32(R[I.A])));
+      continue;
+    case Op::Cos:
       ++Stats.MathOps;
-      SetDst(fromF32(std::cos(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Exp:
+      R[I.Dst] = fromF32(std::cos(asF32(R[I.A])));
+      continue;
+    case Op::Exp:
       ++Stats.MathOps;
-      SetDst(fromF32(std::exp(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Log:
+      R[I.Dst] = fromF32(std::exp(asF32(R[I.A])));
+      continue;
+    case Op::Log:
       ++Stats.MathOps;
-      SetDst(fromF32(std::log(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Fabs:
-      SetDst(fromF32(std::fabs(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::FMin:
-      SetDst(fromF32(std::fmin(asF32(opVal(Fr, FI.Ops[0])),
-                               asF32(opVal(Fr, FI.Ops[1])))));
-      return SuspendKind::Done;
-    case BuiltinKind::FMax:
-      SetDst(fromF32(std::fmax(asF32(opVal(Fr, FI.Ops[0])),
-                               asF32(opVal(Fr, FI.Ops[1])))));
-      return SuspendKind::Done;
-    case BuiltinKind::Floor:
-      SetDst(fromF32(std::floor(asF32(opVal(Fr, FI.Ops[0])))));
-      return SuspendKind::Done;
-    case BuiltinKind::IMin: {
-      int64_t A = static_cast<int64_t>(opVal(Fr, FI.Ops[0]));
-      int64_t C = static_cast<int64_t>(opVal(Fr, FI.Ops[1]));
-      SetDst(static_cast<uint64_t>(A < C ? A : C));
-      return SuspendKind::Done;
+      R[I.Dst] = fromF32(std::log(asF32(R[I.A])));
+      continue;
+    case Op::Fabs:
+      R[I.Dst] = fromF32(std::fabs(asF32(R[I.A])));
+      continue;
+    case Op::FMin:
+      R[I.Dst] = fromF32(std::fmin(asF32(R[I.A]), asF32(R[I.B])));
+      continue;
+    case Op::FMax:
+      R[I.Dst] = fromF32(std::fmax(asF32(R[I.A]), asF32(R[I.B])));
+      continue;
+    case Op::Floor:
+      R[I.Dst] = fromF32(std::floor(asF32(R[I.A])));
+      continue;
+    case Op::IMin:
+      R[I.Dst] = static_cast<uint64_t>(std::min(
+          static_cast<int64_t>(R[I.A]), static_cast<int64_t>(R[I.B])));
+      continue;
+    case Op::IMax:
+      R[I.Dst] = static_cast<uint64_t>(std::max(
+          static_cast<int64_t>(R[I.A]), static_cast<int64_t>(R[I.B])));
+      continue;
+    case Op::IAbs32:
+    case Op::IAbsW: {
+      uint64_t V = R[I.A];
+      uint64_t Out = static_cast<int64_t>(V) < 0 ? 0 - V : V;
+      R[I.Dst] = I.Opcode == Op::IAbs32 ? canonicalizeI32(Out) : Out;
+      continue;
     }
-    case BuiltinKind::IMax: {
-      int64_t A = static_cast<int64_t>(opVal(Fr, FI.Ops[0]));
-      int64_t C = static_cast<int64_t>(opVal(Fr, FI.Ops[1]));
-      SetDst(static_cast<uint64_t>(A > C ? A : C));
-      return SuspendKind::Done;
-    }
-    case BuiltinKind::IAbs: {
-      int64_t A = static_cast<int64_t>(opVal(Fr, FI.Ops[0]));
-      uint64_t Out = static_cast<uint64_t>(A < 0 ? -A : A);
-      SetDst(I.type().kind() == Type::Kind::I32 ? canonicalizeI32(Out)
-                                                : Out);
-      return SuspendKind::Done;
-    }
-    case BuiltinKind::AtomicAdd:
-    case BuiltinKind::AtomicSub:
-    case BuiltinKind::AtomicMin:
-    case BuiltinKind::AtomicMax:
-    case BuiltinKind::AtomicXchg: {
-      uint64_t Addr = opVal(Fr, FI.Ops[0]);
-      int32_t Operand = static_cast<int32_t>(opVal(Fr, FI.Ops[1]));
-      uint64_t OldBits;
-      if (!loadScalar(G, WI, Addr, Type::Kind::I32, OldBits))
-        return SuspendKind::Trap;
+    case Op::AtomicAdd:
+    case Op::AtomicSub:
+    case Op::AtomicMin:
+    case Op::AtomicMax:
+    case Op::AtomicXchg: {
+      uint64_t Addr = R[I.A];
+      int32_t Operand = static_cast<int32_t>(R[I.B]);
+      uint32_t OldBits = 0;
+      if (!load(G, WI, Addr, OldBits)) {
+        S = memoryTrap(Addr, /*IsStore=*/false);
+        goto Suspend;
+      }
       int32_t Old = static_cast<int32_t>(OldBits);
-      int32_t New = Old;
-      switch (B.builtinKind()) {
-      case BuiltinKind::AtomicAdd:
-        New = static_cast<int32_t>(static_cast<uint32_t>(Old) +
-                                   static_cast<uint32_t>(Operand));
+      uint32_t New = static_cast<uint32_t>(Operand); // AtomicXchg
+      switch (I.Opcode) {
+      case Op::AtomicAdd:
+        New = OldBits + static_cast<uint32_t>(Operand);
         break;
-      case BuiltinKind::AtomicSub:
-        New = static_cast<int32_t>(static_cast<uint32_t>(Old) -
-                                   static_cast<uint32_t>(Operand));
+      case Op::AtomicSub:
+        New = OldBits - static_cast<uint32_t>(Operand);
         break;
-      case BuiltinKind::AtomicMin:
-        New = Old < Operand ? Old : Operand;
+      case Op::AtomicMin:
+        New = static_cast<uint32_t>(std::min(Old, Operand));
         break;
-      case BuiltinKind::AtomicMax:
-        New = Old > Operand ? Old : Operand;
-        break;
-      case BuiltinKind::AtomicXchg:
-        New = Operand;
+      case Op::AtomicMax:
+        New = static_cast<uint32_t>(std::max(Old, Operand));
         break;
       default:
-        accel_unreachable("non-atomic in atomic path");
+        break;
       }
-      if (!storeScalar(G, WI, Addr, Type::Kind::I32,
-                       static_cast<uint32_t>(New)))
-        return SuspendKind::Trap;
+      if (!store(G, WI, Addr, New)) {
+        S = memoryTrap(Addr, /*IsStore=*/true);
+        goto Suspend;
+      }
       ++Stats.AtomicOps;
-      SetDst(canonicalizeI32(static_cast<uint32_t>(Old)));
-      return SuspendKind::Done;
+      R[I.Dst] = canonicalizeI32(OldBits);
+      continue;
     }
-    case BuiltinKind::RtIsMaster:
-      SetDst(WI.LocalLinear == 0 ? 1 : 0);
-      return SuspendKind::Done;
-    case BuiltinKind::RtEnvInit: {
-      uint64_t Sd = opVal(Fr, FI.Ops[1]);
-      if (!storeScalar(G, WI, Sd + 8 * SDW_Status, Type::Kind::I64,
-                       RUN_CONTINUE) ||
-          !storeScalar(G, WI, Sd + 8 * SDW_Base, Type::Kind::I64, 0) ||
-          !storeScalar(G, WI, Sd + 8 * SDW_End, Type::Kind::I64, 0))
-        return SuspendKind::Trap;
-      return SuspendKind::Done;
-    }
-    case BuiltinKind::RtSchedWGroup: {
-      uint64_t Rt = addrOffset(opVal(Fr, FI.Ops[0]));
-      uint64_t Sd = opVal(Fr, FI.Ops[1]);
-      if (!GlobalMem.inBounds(Rt, rtlayout::virtualNDRangeBytes()))
-        return trap("rt_sched_wgroup: bad Virtual NDRange pointer");
-      if (GlobalMem.readU64(Rt + 8 * RTW_Magic) != VirtualNDRangeMagic)
-        return trap("rt_sched_wgroup: Virtual NDRange magic mismatch");
+
+    case Op::RtIsMaster:
+      R[I.Dst] = WI.LocalLinear == 0;
+      continue;
+    case Op::RtEnvInit:
+      if (!writeSchedDesc(G, WI, R[I.B], RUN_CONTINUE, 0, 0)) {
+        S = SuspendKind::Trap;
+        goto Suspend;
+      }
+      continue;
+    case Op::RtSchedWGroup: {
+      uint64_t Rt = R[I.A] & AddrOffsetMask;
+      if (!GlobalMem.inBounds(Rt, virtualNDRangeBytes())) {
+        S = trap("rt_sched_wgroup: bad Virtual NDRange pointer");
+        goto Suspend;
+      }
+      if (GlobalMem.readU64(Rt + 8 * RTW_Magic) != VirtualNDRangeMagic) {
+        S = trap("rt_sched_wgroup: Virtual NDRange magic mismatch");
+        goto Suspend;
+      }
       int64_t Total =
           static_cast<int64_t>(GlobalMem.readU64(Rt + 8 * RTW_TotalGroups));
       int64_t Batch =
           static_cast<int64_t>(GlobalMem.readU64(Rt + 8 * RTW_Batch));
       Expected<int64_t> OldOrErr =
           GlobalMem.atomicAddI64(Rt + 8 * RTW_Next, Batch);
-      if (!OldOrErr)
-        return trap("rt_sched_wgroup: " + OldOrErr.message());
+      if (!OldOrErr) {
+        S = trap("rt_sched_wgroup: " + OldOrErr.message());
+        goto Suspend;
+      }
       int64_t Old = *OldOrErr;
       ++Stats.AtomicOps;
-      int64_t Status, Base = 0, End = 0;
-      if (Old >= Total) {
-        Status = RUN_TERMINATE;
-      } else {
-        Status = RUN_CONTINUE;
-        Base = Old;
-        End = Old + Batch < Total ? Old + Batch : Total;
+      bool Ok = Old >= Total
+                    ? writeSchedDesc(G, WI, R[I.B], RUN_TERMINATE, 0, 0)
+                    : writeSchedDesc(G, WI, R[I.B], RUN_CONTINUE, Old,
+                                     std::min(Old + Batch, Total));
+      if (!Ok) {
+        S = SuspendKind::Trap;
+        goto Suspend;
       }
-      if (!storeScalar(G, WI, Sd + 8 * SDW_Status, Type::Kind::I64,
-                       static_cast<uint64_t>(Status)) ||
-          !storeScalar(G, WI, Sd + 8 * SDW_Base, Type::Kind::I64,
-                       static_cast<uint64_t>(Base)) ||
-          !storeScalar(G, WI, Sd + 8 * SDW_End, Type::Kind::I64,
-                       static_cast<uint64_t>(End)))
-        return SuspendKind::Trap;
-      return SuspendKind::Done;
+      continue;
     }
-    case BuiltinKind::RtGlobalId:
-    case BuiltinKind::RtGroupId: {
-      uint64_t Rt = addrOffset(opVal(Fr, FI.Ops[0]));
-      uint64_t Hdlr = opVal(Fr, FI.Ops[1]);
-      unsigned D = Dim(2);
-      if (!GlobalMem.inBounds(Rt, rtlayout::virtualNDRangeBytes()))
-        return trap("rt id builtin: bad Virtual NDRange pointer");
+    case Op::RtGlobalId:
+    case Op::RtGroupId: {
+      uint64_t Rt = R[I.A] & AddrOffsetMask;
+      uint64_t Hdlr = R[I.B];
+      unsigned D = dim(R[I.C]);
+      if (!GlobalMem.inBounds(Rt, virtualNDRangeBytes())) {
+        S = trap("rt id builtin: bad Virtual NDRange pointer");
+        goto Suspend;
+      }
+      if (D > 2) {
+        S = trap("rt id builtin: dimension out of range");
+        goto Suspend;
+      }
       uint64_t NG0 = GlobalMem.readU64(Rt + 8 * RTW_NumGroups0);
       uint64_t NG1 = GlobalMem.readU64(Rt + 8 * RTW_NumGroups1);
-      uint64_t Coord;
-      if (D == 0)
-        Coord = Hdlr % NG0;
-      else if (D == 1)
-        Coord = (Hdlr / NG0) % NG1;
+      uint64_t Coord = D == 0   ? Hdlr % NG0
+                       : D == 1 ? (Hdlr / NG0) % NG1
+                                : Hdlr / (NG0 * NG1);
+      if (I.Opcode == Op::RtGroupId)
+        R[I.Dst] = Coord;
       else
-        Coord = Hdlr / (NG0 * NG1);
-      if (B.builtinKind() == BuiltinKind::RtGroupId) {
-        SetDst(Coord);
-      } else {
-        uint64_t LS = GlobalMem.readU64(Rt + 8 * (RTW_LocalSize0 + D));
-        SetDst(Coord * LS + WI.LocalId[D]);
+        R[I.Dst] =
+            Coord * GlobalMem.readU64(Rt + 8 * (RTW_LocalSize0 + D)) +
+            WI.LocalId[D];
+      continue;
+    }
+    case Op::RtGlobalSize:
+    case Op::RtNumGroups: {
+      uint64_t Rt = R[I.A] & AddrOffsetMask;
+      unsigned D = dim(R[I.B]);
+      if (!GlobalMem.inBounds(Rt, virtualNDRangeBytes())) {
+        S = trap("rt size builtin: bad Virtual NDRange pointer");
+        goto Suspend;
       }
-      return SuspendKind::Done;
+      if (D > 2) {
+        S = trap("rt size builtin: dimension out of range");
+        goto Suspend;
+      }
+      unsigned Word0 =
+          I.Opcode == Op::RtGlobalSize ? RTW_GlobalSize0 : RTW_NumGroups0;
+      R[I.Dst] = GlobalMem.readU64(Rt + 8 * (Word0 + D));
+      continue;
     }
-    case BuiltinKind::RtGlobalSize: {
-      uint64_t Rt = addrOffset(opVal(Fr, FI.Ops[0]));
-      SetDst(GlobalMem.readU64(Rt + 8 * (RTW_GlobalSize0 + Dim(1))));
-      return SuspendKind::Done;
+
+    case Op::BadLocalSlot:
+      S = trap("local slot out of range");
+      goto Suspend;
+    case Op::FellOff:
+      S = fellOff(*FF);
+      goto Suspend;
     }
-    case BuiltinKind::RtNumGroups: {
-      uint64_t Rt = addrOffset(opVal(Fr, FI.Ops[0]));
-      SetDst(GlobalMem.readU64(Rt + 8 * (RTW_NumGroups0 + Dim(1))));
-      return SuspendKind::Done;
-    }
-    }
-    accel_unreachable("unhandled builtin");
+    accel_unreachable("unhandled opcode");
   }
 
-  case InstKind::Br: {
-    const auto &Br = cast<BrInst>(I);
-    if (!Br.isConditional()) {
-      Fr.PC = FI.BrTrue;
-    } else {
-      Fr.PC = opVal(Fr, FI.Ops[0]) ? FI.BrTrue : FI.BrFalse;
-    }
-    return SuspendKind::Done;
-  }
-
-  case InstKind::Ret: {
-    uint64_t RetVal = FI.Ops.empty() ? 0 : opVal(Fr, FI.Ops[0]);
-    uint32_t RetDst = Fr.RetDst;
-    size_t Watermark = Fr.PrivateWatermark;
-    bool HadValue = !FI.Ops.empty();
-    WI.Stack.pop_back();
-    if (WI.Stack.empty()) {
-      WI.Done = true;
-      return SuspendKind::Done;
-    }
-    WI.PrivateMem.resize(Watermark);
-    if (HadValue && RetDst != NoReg)
-      WI.Stack.back().Regs[RetDst] = RetVal;
-    return SuspendKind::Done;
-  }
-  }
-  accel_unreachable("unhandled instruction kind");
+Suspend:
+  WI.Steps += Steps;
+  G.DynInsts += Steps;
+  Stats.InstsExecuted += Steps;
+  return S;
 }
 
-Expected<ExecStats> Machine::run() {
+Error Machine::runGroups(GroupPool &Active) {
   uint64_t Total = Range.totalGroups();
-  Stats.GroupInsts.assign(Total, 0);
-  if (Total == 0)
-    return Stats;
-
-  std::vector<std::unique_ptr<Group>> Active;
   uint64_t NextGroup = 0;
   uint64_t Completed = 0;
+  Active.reserve(std::min(MaxGroups, Total));
 
   while (Completed < Total) {
     while (Active.size() < MaxGroups && NextGroup < Total)
-      Active.push_back(makeGroup(NextGroup++));
+      Active.push_back(acquire(NextGroup++));
 
-    for (auto &G : Active) {
+    for (std::unique_ptr<Group> &GP : Active) {
+      Group &G = *GP;
       bool AllDone = true;
-      for (WorkItem &WI : G->WIs) {
+      for (uint64_t L = 0; L != G.NumWIs; ++L) {
+        WorkItem &WI = G.WIs[L];
         if (WI.Done)
           continue;
-        SuspendKind S = runWorkItem(*G, WI);
+        SuspendKind S = runWorkItem(G, WI);
         if (S == SuspendKind::Trap)
-          return makeError("kernel trap in group " +
-                           std::to_string(G->Linear) + ": " + TrapMessage);
+          return makeError("kernel trap in group " + std::to_string(G.Linear) +
+                           ": " + TrapMessage);
         if (S == SuspendKind::Barrier)
           AllDone = false;
       }
       if (AllDone) {
-        Stats.GroupInsts[G->Linear] = G->DynInsts;
-        G->Finished = true;
+        Stats.GroupInsts[G.Linear] = G.DynInsts;
+        G.Finished = true;
         ++Completed;
         continue;
       }
       // Every live work item is suspended at a barrier. OpenCL requires
       // barriers to be reached by all work items of the group.
-      for (WorkItem &WI : G->WIs) {
-        if (WI.Done)
+      for (uint64_t L = 0; L != G.NumWIs; ++L)
+        if (G.WIs[L].Done)
           return makeError(
               "barrier divergence: work item finished while others wait "
               "(group " +
-              std::to_string(G->Linear) + ")");
-        WI.AtBarrier = false;
-      }
+              std::to_string(G.Linear) + ")");
     }
 
-    std::erase_if(Active,
-                  [](const std::unique_ptr<Group> &G) { return G->Finished; });
+    // Retire finished groups; the rest keep their window order.
+    size_t Kept = 0;
+    for (std::unique_ptr<Group> &GP : Active) {
+      if (GP->Finished)
+        retire(std::move(GP));
+      else
+        Active[Kept++].swap(GP);
+    }
+    Active.resize(Kept);
   }
-  return Stats;
+  return Error::success();
+}
+
+Expected<ExecStats> Machine::run() {
+  Stats.GroupInsts.assign(Range.totalGroups(), 0);
+  GroupPool Active;
+  Error E = runGroups(Active);
+  // A trapped launch returns its groups too: acquire() resets them.
+  for (std::unique_ptr<Group> &G : Active)
+    retire(std::move(G));
+  if (E)
+    return Expected<ExecStats>(std::move(E));
+  return std::move(Stats);
 }
 
 } // namespace
+
+Interpreter::Interpreter(DeviceMemory &GlobalMem) : GlobalMem(GlobalMem) {}
+
+Interpreter::~Interpreter() = default;
 
 Expected<ExecStats> Interpreter::run(const Function &Kernel,
                                      const std::vector<uint64_t> &Args,
@@ -835,6 +877,7 @@ Expected<ExecStats> Interpreter::run(const Function &Kernel,
     assert(Range.GlobalSize[D] % Range.LocalSize[D] == 0 &&
            "global size not divisible by local size");
   }
-  Machine M(GlobalMem, Cache, Kernel, Args, Range, MaxSteps, MaxGroups);
+  Machine M(GlobalMem, Pool, Cache.get(Kernel), Args, Range, MaxSteps,
+            MaxGroups);
   return M.run();
 }

@@ -8,9 +8,15 @@
 /// Executes KIR kernels over an NDRange against simulated device memory.
 /// Work-groups run in interleaved barrier-delimited phases so the
 /// device-side scheduling library's atomic dequeues (paper Fig. 8b)
-/// interleave across physical work-groups the way they would on hardware.
-/// Used to validate that the accelOS JIT transformation preserves kernel
-/// semantics; the timing model in src/sim handles performance.
+/// interleave across physical work-groups the way they would on hardware:
+/// the groups of a window run in order, each work item of a group runs to
+/// its next barrier before the next one starts. Kernels run from the
+/// bytecode of kir/FlatCode.h. Each work item has one register file whose
+/// windows are its call frames, and group and work-item state is recycled
+/// across groups and launches, so a steady-state launch allocates no heap
+/// memory per work item or per call. Used to validate that the accelOS JIT
+/// transformation preserves kernel semantics and to run the Runtime's
+/// kernels; the timing model in src/sim handles performance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +28,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace accel {
@@ -68,10 +75,12 @@ struct ExecStats {
   std::vector<uint64_t> GroupInsts;
 };
 
-/// Functional executor for KIR kernels.
+/// Functional executor for KIR kernels. Single-threaded: one launch at a
+/// time.
 class Interpreter {
 public:
-  explicit Interpreter(DeviceMemory &GlobalMem) : GlobalMem(GlobalMem) {}
+  explicit Interpreter(DeviceMemory &GlobalMem);
+  ~Interpreter();
 
   /// Runs \p Kernel over \p Range with the given argument payloads
   /// (scalars by value, buffers as device addresses). \returns execution
@@ -91,11 +100,17 @@ public:
   /// destroyed (see CodeCache::invalidate).
   void forget(const Module &M) { Cache.invalidate(M); }
 
+  /// The state of one resident work group (defined in Interpreter.cpp).
+  struct Group;
+
 private:
   DeviceMemory &GlobalMem;
   CodeCache Cache;
   uint64_t MaxSteps = 50'000'000;
   uint64_t MaxGroups = 64;
+  /// Retired groups, reset and reused by later groups and launches; at
+  /// most MaxGroups.
+  std::vector<std::unique_ptr<Group>> Pool;
 };
 
 } // namespace kir

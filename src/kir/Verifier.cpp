@@ -212,6 +212,11 @@ private:
     auto RequireArgs = [&](unsigned N) -> bool {
       return B.numOperands() == N;
     };
+    // Dimensions index three-element arrays in the interpreter.
+    auto DimInRange = [&](unsigned Op) {
+      int64_t D = cast<Constant>(B.operand(Op))->intValue();
+      return D >= 0 && D <= 2;
+    };
     switch (B.builtinKind()) {
     case BuiltinKind::GetGlobalId:
     case BuiltinKind::GetLocalId:
@@ -221,8 +226,7 @@ private:
     case BuiltinKind::GetNumGroups:
       if (!RequireArgs(1) || !isa<Constant>(B.operand(0)))
         return fail("work-item query needs a constant dimension");
-      if (cast<Constant>(B.operand(0))->intValue() < 0 ||
-          cast<Constant>(B.operand(0))->intValue() > 2)
+      if (!DimInRange(0))
         return fail("work-item dimension out of range");
       return Error::success();
     case BuiltinKind::GetWorkDim:
@@ -288,12 +292,16 @@ private:
       if (!RequireArgs(3) || !B.operand(0)->type().isPtr() ||
           !B.operand(1)->type().isInt() || !isa<Constant>(B.operand(2)))
         return fail("rt id builtin signature mismatch");
+      if (!DimInRange(2))
+        return fail("rt id builtin dimension out of range");
       return Error::success();
     case BuiltinKind::RtGlobalSize:
     case BuiltinKind::RtNumGroups:
       if (!RequireArgs(2) || !B.operand(0)->type().isPtr() ||
           !isa<Constant>(B.operand(1)))
         return fail("rt size builtin signature mismatch");
+      if (!DimInRange(1))
+        return fail("rt size builtin dimension out of range");
       return Error::success();
     }
     accel_unreachable("unhandled builtin kind");

@@ -4,16 +4,69 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "kir/IRBuilder.h"
+#include "kir/RtLayout.h"
+#include "passes/AccelOSTransform.h"
+#include "passes/ConstantFold.h"
+#include "passes/DCE.h"
+#include "passes/Inliner.h"
+#include "passes/Pass.h"
+#include "support/Random.h"
+#include "workloads/KernelSpec.h"
+
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <new>
 #include <numeric>
+#include <sstream>
+
+namespace {
+/// Every global operator new in this binary, so a test can count the
+/// heap allocations one launch makes.
+std::atomic<uint64_t> HeapAllocations{0};
+} // namespace
+
+// Out of line, so no caller sees malloc and free paired with new/delete.
+[[gnu::noinline]] void *operator new(std::size_t Size) {
+  ++HeapAllocations;
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 using namespace accel;
 using accel::testutil::KernelHarness;
 using accel::testutil::compileOrDie;
 
 namespace {
+
+/// Runs \p Kernel over one 1-D range and \returns its trap message ("" if
+/// it ran to completion).
+std::string trapOf(kir::Interpreter &Interp, const kir::Function &Kernel,
+                   const std::vector<uint64_t> &Args, uint64_t Global = 1,
+                   uint64_t Local = 1) {
+  kir::NDRangeCfg Range;
+  Range.GlobalSize[0] = Global;
+  Range.LocalSize[0] = Local;
+  Expected<kir::ExecStats> Stats = Interp.run(Kernel, Args, Range);
+  return Stats ? "" : Stats.message();
+}
+
+/// Every ExecStats field, for comparing two launches.
+std::vector<uint64_t> statsFields(const kir::ExecStats &S) {
+  std::vector<uint64_t> F = {S.InstsExecuted, S.AtomicOps, S.Barriers,
+                             S.MemoryOps, S.MathOps};
+  F.insert(F.end(), S.GroupInsts.begin(), S.GroupInsts.end());
+  return F;
+}
 
 TEST(InterpTest, VectorAdd) {
   auto M = compileOrDie(R"(
@@ -278,21 +331,34 @@ TEST(InterpTest, MemoryAndMathOpsCounted) {
 }
 
 TEST(InterpTest, OutOfBoundsTraps) {
+  // One wild index per address space.
   auto M = compileOrDie(R"(
-    kernel void k(global float* d) {
+    kernel void wild_global(global float* d) {
       d[1000000] = 1.0f;
     }
+    kernel void wild_local(global int* d) {
+      local int tile[4];
+      long i = d[0];
+      tile[i] = 1;
+    }
+    kernel void wild_private(global int* d) {
+      int a[4];
+      long i = d[0];
+      a[i] = 1;
+      d[1] = a[0];
+    }
   )");
-  // Small device memory so the wild index lands outside the device.
+  // Small device memory so the wild global index lands outside it.
   KernelHarness H(/*MemBytes=*/1 << 20);
-  uint64_t PD = H.allocF32(std::vector<float>(4, 0));
-  kir::Function *K = M->getFunction("k");
-  kir::NDRangeCfg Range;
-  Range.GlobalSize[0] = 1;
-  Range.LocalSize[0] = 1;
-  auto Stats = H.Interp.run(*K, {PD}, Range);
-  ASSERT_FALSE(static_cast<bool>(Stats));
-  EXPECT_NE(Stats.message().find("out of bounds"), std::string::npos);
+  uint64_t PD = H.allocI32({100000, 0, 0, 0});
+  EXPECT_EQ(trapOf(H.Interp, *M->getFunction("wild_global"), {PD}),
+            "kernel trap in group 0: global memory store out of bounds "
+            "(addr " +
+                std::to_string(PD + 4000000) + ")");
+  EXPECT_EQ(trapOf(H.Interp, *M->getFunction("wild_local"), {PD}),
+            "kernel trap in group 0: local memory access out of bounds");
+  EXPECT_EQ(trapOf(H.Interp, *M->getFunction("wild_private"), {PD}),
+            "kernel trap in group 0: private memory access out of bounds");
 }
 
 TEST(InterpTest, DivisionByZeroTraps) {
@@ -313,7 +379,16 @@ TEST(InterpTest, DivisionByZeroTraps) {
 }
 
 TEST(InterpTest, RunawayLoopTraps) {
+  // The trap names the function the budget ran out in.
   auto M = compileOrDie(R"(
+    int spin(int n) {
+      int i = n;
+      while (true) {
+        i++;
+        if (i < 0) { break; }
+      }
+      return i;
+    }
     kernel void k(global int* d) {
       int i = 0;
       while (true) {
@@ -322,17 +397,18 @@ TEST(InterpTest, RunawayLoopTraps) {
       }
       d[0] = i;
     }
+    kernel void k_callee(global int* d) {
+      d[0] = spin(d[0]);
+    }
   )");
   KernelHarness H;
   H.Interp.setMaxStepsPerWorkItem(10000);
   uint64_t PD = H.allocI32({0});
-  kir::Function *K = M->getFunction("k");
-  kir::NDRangeCfg Range;
-  Range.GlobalSize[0] = 1;
-  Range.LocalSize[0] = 1;
-  auto Stats = H.Interp.run(*K, {PD}, Range);
-  ASSERT_FALSE(static_cast<bool>(Stats));
-  EXPECT_NE(Stats.message().find("step budget"), std::string::npos);
+  EXPECT_EQ(trapOf(H.Interp, *M->getFunction("k"), {PD}),
+            "kernel trap in group 0: work item exceeded step budget in 'k'");
+  EXPECT_EQ(trapOf(H.Interp, *M->getFunction("k_callee"), {PD}),
+            "kernel trap in group 0: work item exceeded step budget in "
+            "'spin'");
 }
 
 TEST(InterpTest, BarrierDivergenceTraps) {
@@ -372,6 +448,497 @@ TEST(InterpTest, ManyGroupsBeyondWindow) {
   auto D = H.readI32(PD, 256);
   for (int I = 0; I < 256; ++I)
     EXPECT_EQ(D[I], I * 3);
+}
+
+//===----------------------------------------------------------------------===//
+// Traps and recycled state
+//===----------------------------------------------------------------------===//
+
+TEST(InterpTest, WidthSpecificOpcodes) {
+  // i32 registers hold sign-extended values; each result is stored as
+  // its full 64-bit register. MiniCL emits neither lshr nor the unsigned
+  // compares, so the kernel is built by hand.
+  using namespace kir;
+  Module M("m");
+  Function *K = M.createFunction("k", Type::voidTy(), true);
+  Argument *Out =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "out");
+  IRBuilder B(K);
+  B.setInsertPoint(B.createBlock("entry"));
+  std::vector<int64_t> Want;
+  auto Emit = [&](Value *V, int64_t Expected) {
+    if (V->type().isBool())
+      V = B.cast(CastKind::ZExtBool, V, Type::i32());
+    V = B.cast(CastKind::SExt, V, Type::i64());
+    B.store(B.gep(Out, B.i64Const(static_cast<int64_t>(Want.size()))), V);
+    Want.push_back(Expected);
+  };
+  Value *I32Min = B.i32Const(INT32_MIN);
+  // An i32 constant outside the sign-extended form: only its low 32
+  // bits (zero) count.
+  Value *Wide = K->getIntConstant(Type::i32(), int64_t(1) << 32);
+  Emit(B.add(B.i32Const(INT32_MAX), B.i32Const(1)), INT32_MIN);
+  Emit(B.add(B.i64Const(INT32_MAX), B.i64Const(1)), int64_t(1) << 31);
+  Emit(B.binary(BinOpKind::Shl, B.i32Const(1), B.i32Const(31)), INT32_MIN);
+  Emit(B.binary(BinOpKind::Shl, B.i32Const(1), B.i32Const(33)), 2);
+  Emit(B.binary(BinOpKind::AShr, B.i32Const(-8), B.i32Const(1)), -4);
+  Emit(B.binary(BinOpKind::LShr, B.i32Const(-8), B.i32Const(1)),
+       0x7FFFFFFC);
+  Emit(B.binary(BinOpKind::LShr, B.i64Const(-8), B.i64Const(1)),
+       INT64_MAX - 3);
+  Emit(B.binary(BinOpKind::SDiv, I32Min, B.i32Const(-1)), INT32_MIN);
+  Emit(B.binary(BinOpKind::SDiv, B.i64Const(INT64_MIN), B.i64Const(-1)),
+       INT64_MIN);
+  Emit(B.cmp(CmpPred::ULT, Wide, B.i32Const(1)), 1);
+  Emit(B.cmp(CmpPred::UGE, Wide, B.i32Const(1)), 0);
+  Emit(B.cast(CastKind::Trunc, B.i64Const(int64_t(3) << 31), Type::i32()),
+       INT32_MIN);
+  Emit(B.cast(CastKind::FPToSI, B.f32Const(3e9f), Type::i32()),
+       int64_t(3000000000) - (int64_t(1) << 32));
+  Emit(B.cast(CastKind::FPToSI, B.f32Const(3e9f), Type::i64()), 3000000000);
+  Emit(B.builtin(BuiltinKind::IAbs, Type::i32(), {I32Min}), INT32_MIN);
+  Emit(B.builtin(BuiltinKind::IAbs, Type::i64(), {B.i64Const(INT32_MIN)}),
+       int64_t(1) << 31);
+  B.retVoid();
+
+  KernelHarness H;
+  uint64_t POut = cantFail(H.Mem.allocate(8 * Want.size()));
+  EXPECT_EQ(trapOf(H.Interp, *K, {POut}), "");
+  std::vector<int64_t> Got(Want.size());
+  H.Mem.copyOut(POut, Got.data(), 8 * Got.size());
+  EXPECT_EQ(Got, Want);
+}
+
+TEST(InterpTest, RegistersReadZeroAfterReuse) {
+  // %x is defined only when `flag` is set but read either way (the
+  // verifier does not check dominance), so with `flag` clear it must
+  // read zero, as on a fresh interpreter, not the previous launch's 42.
+  using namespace kir;
+  Module M("m");
+  Function *K = M.createFunction("k", Type::voidTy(), true);
+  Argument *Out =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "out");
+  Argument *Flag = K->addArgument(Type::i64(), "flag");
+  IRBuilder B(K);
+  BasicBlock *Entry = B.createBlock("entry");
+  BasicBlock *Def = B.createBlock("def");
+  BasicBlock *Use = B.createBlock("use");
+  B.setInsertPoint(Def);
+  Value *X = B.add(Flag, B.i64Const(41), "x");
+  B.br(Use);
+  B.setInsertPoint(Entry);
+  B.condBr(B.cmp(CmpPred::NE, Flag, B.i64Const(0)), Def, Use);
+  B.setInsertPoint(Use);
+  Value *Gid = B.builtin(BuiltinKind::GetGlobalId, Type::i64(),
+                         {B.i32Const(0)});
+  B.store(B.gep(Out, Gid), X);
+  B.retVoid();
+
+  KernelHarness H;
+  uint64_t POut = cantFail(H.Mem.allocate(8 * 4));
+  auto Run = [&](uint64_t FlagValue) {
+    EXPECT_EQ(trapOf(H.Interp, *K, {POut, FlagValue}, 4, 2), "");
+    std::vector<uint64_t> Got(4);
+    H.Mem.copyOut(POut, Got.data(), 8 * Got.size());
+    return Got;
+  };
+  EXPECT_EQ(Run(1), std::vector<uint64_t>(4, 42));
+  EXPECT_EQ(Run(0), std::vector<uint64_t>(4, 0));
+}
+
+TEST(InterpTest, CallStackOverflowsAtSixtyFourFrames) {
+  // MiniCL rejects recursion, so build the self-call by hand.
+  kir::Module M("m");
+  kir::Function *F = M.createFunction("f", kir::Type::voidTy(), false);
+  kir::IRBuilder FB(F);
+  FB.setInsertPoint(FB.createBlock("entry"));
+  FB.call(F, {});
+  FB.retVoid();
+  kir::Function *K = M.createFunction("k", kir::Type::voidTy(), true);
+  kir::IRBuilder KB(K);
+  KB.setInsertPoint(KB.createBlock("entry"));
+  KB.call(F, {});
+  KB.retVoid();
+
+  // Each of the 64 frames executes one call; the 64th one traps.
+  KernelHarness H;
+  H.Interp.setMaxStepsPerWorkItem(64);
+  EXPECT_EQ(trapOf(H.Interp, *K, {}),
+            "kernel trap in group 0: call stack overflow (recursion?) in "
+            "'f'");
+  H.Interp.setMaxStepsPerWorkItem(63);
+  EXPECT_EQ(trapOf(H.Interp, *K, {}),
+            "kernel trap in group 0: work item exceeded step budget in 'f'");
+}
+
+TEST(InterpTest, CleanLaunchAfterTrappedLaunch) {
+  // Group `bad` traps after the barrier, while the other groups of the
+  // window hold live frames, private arrays and local memory.
+  auto M = compileOrDie(R"(
+    int twice(int v) { return v * 2; }
+    kernel void k(global int* d, int bad) {
+      local int tile[8];
+      long lid = get_local_id(0);
+      int acc[2];
+      tile[lid] = (int)lid;
+      barrier();
+      if (get_group_id(0) == (long)bad) {
+        d[100000000] = 1;
+      }
+      acc[1] = twice(tile[7 - lid]);
+      d[get_global_id(0)] = acc[0] + acc[1];
+    }
+  )");
+  kir::Function *K = M->getFunction("k");
+  KernelHarness Fresh, Reused;
+  uint64_t PFresh = Fresh.allocI32(std::vector<int32_t>(64, -1));
+  uint64_t PReused = Reused.allocI32(std::vector<int32_t>(64, -1));
+  EXPECT_NE(trapOf(Reused.Interp, *K, {PReused, 2}, 64, 8)
+                .find("global memory store out of bounds"),
+            std::string::npos);
+
+  kir::ExecStats Want = Fresh.run1D(*M, "k", {PFresh, 99}, 64, 8);
+  kir::ExecStats Got = Reused.run1D(*M, "k", {PReused, 99}, 64, 8);
+  EXPECT_EQ(statsFields(Got), statsFields(Want));
+  std::vector<int32_t> Out = Reused.readI32(PReused, 64);
+  for (int I = 0; I < 64; ++I)
+    EXPECT_EQ(Out[I], 2 * (7 - I % 8)) << "element " << I;
+}
+
+TEST(InterpTest, UninitializedMemoryReadsZeroAfterReuse) {
+  // `r` reads private and local arrays it never wrote, on the work items
+  // and group state `w` just filled.
+  auto M = compileOrDie(R"(
+    kernel void w(global int* d) {
+      int a[16];
+      local int tile[16];
+      for (int i = 0; i < 16; i++) {
+        a[i] = 7;
+        tile[i] = 7;
+      }
+      d[get_global_id(0)] = a[15] + tile[15];
+    }
+    kernel void r(global int* d) {
+      int a[16];
+      local int tile[16];
+      int s = 0;
+      for (int i = 0; i < 16; i++) {
+        s += a[i] + tile[i];
+      }
+      d[get_global_id(0)] = s;
+    }
+  )");
+  KernelHarness H;
+  uint64_t PD = H.allocI32(std::vector<int32_t>(8, -1));
+  H.run1D(*M, "w", {PD}, 8, 4);
+  EXPECT_EQ(H.readI32(PD, 8), std::vector<int32_t>(8, 14));
+  H.run1D(*M, "r", {PD}, 8, 4);
+  EXPECT_EQ(H.readI32(PD, 8), std::vector<int32_t>(8, 0));
+}
+
+TEST(InterpTest, StepBudgetIsPerLaunch) {
+  auto M = compileOrDie(R"(
+    kernel void k(global int* d) {
+      int s = 0;
+      for (int i = 0; i < 100; i++) {
+        s += i;
+      }
+      d[get_global_id(0)] = s;
+    }
+  )");
+  KernelHarness H;
+  uint64_t PD = H.allocI32(std::vector<int32_t>(8, 0));
+  kir::ExecStats First = H.run1D(*M, "k", {PD}, 8, 4);
+  // Every work item runs the same steps; allow exactly that many.
+  H.Interp.setMaxStepsPerWorkItem(First.InstsExecuted / 8);
+  for (int Launch = 0; Launch != 3; ++Launch)
+    EXPECT_EQ(statsFields(H.run1D(*M, "k", {PD}, 8, 4)), statsFields(First));
+  H.Interp.setMaxStepsPerWorkItem(First.InstsExecuted / 8 - 1);
+  EXPECT_NE(trapOf(H.Interp, *M->getFunction("k"), {PD}, 8, 4)
+                .find("step budget"),
+            std::string::npos);
+}
+
+TEST(InterpTest, AlternatingKernelsAndWorkGroupSizes) {
+  // Two kernels with different local memory, private arrays and calls
+  // take turns on one interpreter at changing work-group sizes; each
+  // launch must match a fresh interpreter's.
+  auto M = compileOrDie(R"(
+    int twice(int v) { return v * 2; }
+    kernel void sum(global int* d) {
+      local int tile[16];
+      long lid = get_local_id(0);
+      long n = get_local_size(0);
+      tile[lid] = d[get_global_id(0)];
+      barrier();
+      if (lid == 0) {
+        int s = 0;
+        for (long i = 0; i < n; i++) {
+          s += tile[i];
+        }
+        d[64 + get_group_id(0)] = s;
+      }
+    }
+    kernel void mix(global int* d) {
+      int a[3];
+      long g = get_global_id(0);
+      a[g % 3] = twice(d[g]);
+      d[g] = a[0] + a[1] + a[2] + (int)get_local_id(0);
+    }
+  )");
+  std::vector<int32_t> In(128);
+  std::iota(In.begin(), In.end(), 0);
+  KernelHarness Reused;
+  uint64_t RD = Reused.allocI32(In);
+  for (auto [Name, Local] :
+       {std::pair<const char *, uint64_t>{"sum", 16}, {"mix", 4},
+        {"sum", 2}, {"mix", 16}, {"sum", 8}, {"mix", 1}}) {
+    KernelHarness Fresh;
+    uint64_t FD = Fresh.allocI32(Reused.readI32(RD, 128));
+    kir::ExecStats Want = Fresh.run1D(*M, Name, {FD}, 64, Local);
+    kir::ExecStats Got = Reused.run1D(*M, Name, {RD}, 64, Local);
+    EXPECT_EQ(statsFields(Got), statsFields(Want)) << Name << " " << Local;
+    EXPECT_EQ(Reused.readI32(RD, 128), Fresh.readI32(FD, 128))
+        << Name << " " << Local;
+  }
+}
+
+TEST(InterpTest, LaunchHeapAllocationsIndependentOfWorkItemsAndCalls) {
+  // Work items and calls run on recycled state: once warm, a launch makes
+  // the same few heap allocations however many groups, work items and
+  // calls it runs, even right after a trapped launch.
+  auto M = compileOrDie(R"(
+    float scale(float v, float f) {
+      float t[2];
+      t[0] = v * f;
+      return t[0];
+    }
+    kernel void k(global float* d) {
+      local float tile[16];
+      long lid = get_local_id(0);
+      tile[lid] = scale(d[get_global_id(0)], 2.0f);
+      barrier();
+      d[get_global_id(0)] = scale(tile[15 - lid], 0.5f);
+    }
+  )");
+  KernelHarness H;
+  uint64_t PD = H.allocF32(std::vector<float>(512, 1.0f));
+  kir::Function *K = M->getFunction("k");
+  std::vector<uint64_t> Args = {PD};
+  auto AllocationsOf = [&](uint64_t Global) {
+    kir::NDRangeCfg Range;
+    Range.GlobalSize[0] = Global;
+    Range.LocalSize[0] = 16;
+    uint64_t Before = HeapAllocations.load();
+    Expected<kir::ExecStats> Stats = H.Interp.run(*K, Args, Range);
+    uint64_t After = HeapAllocations.load();
+    EXPECT_TRUE(static_cast<bool>(Stats)) << Stats.message();
+    return After - Before;
+  };
+  AllocationsOf(512); // warm: lowers the code, fills the group pool
+  // A trapped launch (null buffer) hands its groups back too.
+  EXPECT_NE(trapOf(H.Interp, *K, {0}, 512, 16), "");
+  uint64_t Small = AllocationsOf(32);
+  uint64_t Large = AllocationsOf(512);
+  EXPECT_EQ(Small, Large);
+  EXPECT_LE(Large, 4u);
+}
+
+//===----------------------------------------------------------------------===//
+// accelOS runtime builtins on a malformed descriptor
+//===----------------------------------------------------------------------===//
+
+/// Builds kernel k(global i64* out, global i64* rt) storing \p BK's
+/// result for dimension \p Dim into out[0]; MiniCL cannot name the rt_*
+/// builtins.
+kir::Function *rtQueryKernel(kir::Module &M, kir::BuiltinKind BK,
+                             int32_t Dim) {
+  using namespace kir;
+  Function *K = M.createFunction("k", Type::voidTy(), true);
+  Argument *Out =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "out");
+  Argument *Rt =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "rt");
+  IRBuilder B(K);
+  B.setInsertPoint(B.createBlock("entry"));
+  std::vector<Value *> Args = {Rt};
+  if (BK == BuiltinKind::RtGlobalId || BK == BuiltinKind::RtGroupId)
+    Args.push_back(B.i64Const(5));
+  Args.push_back(B.i32Const(Dim));
+  B.store(Out, B.builtin(BK, Type::i64(), Args));
+  B.retVoid();
+  return K;
+}
+
+TEST(InterpTest, RtQueriesCheckDescriptorAndDimension) {
+  using namespace kir::rtlayout;
+  KernelHarness H;
+  uint64_t Out = cantFail(H.Mem.allocate(8));
+  uint64_t Rt = cantFail(H.Mem.allocate(virtualNDRangeBytes()));
+  for (unsigned W = 0; W != RTW_WordCount; ++W)
+    H.Mem.writeU64(Rt + 8 * W, 100 + W);
+  H.Mem.writeU64(Rt + 8 * RTW_NumGroups0, 2); // group 5 = (1, 2, ...)
+  H.Mem.writeU64(Rt + 8 * RTW_NumGroups1, 3);
+
+  struct Case {
+    kir::BuiltinKind BK;
+    const char *Name;
+    uint64_t Want[3];
+  };
+  for (const Case &C :
+       {Case{kir::BuiltinKind::RtGlobalSize, "size", {111, 112, 113}},
+        Case{kir::BuiltinKind::RtNumGroups, "size", {2, 3, 107}},
+        Case{kir::BuiltinKind::RtGroupId, "id", {1, 2, 0}},
+        Case{kir::BuiltinKind::RtGlobalId, "id", {108, 218, 0}}}) {
+    std::string Prefix = std::string("kernel trap in group 0: rt ") + C.Name +
+                         " builtin: ";
+    for (int32_t Dim = 0; Dim != 4; ++Dim) {
+      kir::Module M("m");
+      kir::Function *K = rtQueryKernel(M, C.BK, Dim);
+      std::string Msg = trapOf(H.Interp, *K, {Out, Rt});
+      if (Dim == 3) {
+        EXPECT_EQ(Msg, Prefix + "dimension out of range");
+      } else {
+        EXPECT_EQ(Msg, "");
+        EXPECT_EQ(H.Mem.readU64(Out), C.Want[Dim])
+            << kir::builtinName(C.BK) << " dim " << Dim;
+      }
+      EXPECT_EQ(trapOf(H.Interp, *K, {Out, 0}),
+                Prefix + "bad Virtual NDRange pointer");
+      H.Interp.forget(M);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden: every suite kernel, untransformed and through the JIT
+//===----------------------------------------------------------------------===//
+
+uint64_t fnv1a(const void *Data, size_t Size,
+               uint64_t Hash = 0xcbf29ce484222325ULL) {
+  const auto *Bytes = static_cast<const uint8_t *>(Data);
+  for (size_t I = 0; I != Size; ++I) {
+    Hash ^= Bytes[I];
+    Hash *= 0x100000001b3ULL;
+  }
+  return Hash;
+}
+
+/// Runs suite kernel \p Idx over 4 original groups of its work-group size,
+/// either as compiled or through the Runtime's JIT pipeline on 2 physical
+/// groups with batch 2, and \returns the run's golden line: a hash of
+/// every buffer afterwards plus every ExecStats field, or the trap.
+std::string suiteRunLine(kir::DeviceMemory &Mem, kir::Interpreter &Interp,
+                         size_t Idx, bool Jit) {
+  const workloads::KernelSpec &Spec = workloads::parboilSuite()[Idx];
+  auto M = compileOrDie(Spec.Source);
+  if (!M)
+    return Spec.Id + ": compile error\n";
+  if (Jit) {
+    passes::PassManager PM;
+    PM.addPass(std::make_unique<passes::InlinerPass>());
+    PM.addPass(std::make_unique<passes::ConstantFoldPass>());
+    PM.addPass(std::make_unique<passes::DCEPass>());
+    PM.addPass(std::make_unique<passes::AccelOSTransform>());
+    cantFail(PM.run(*M));
+  }
+  kir::Function *K = M->getFunction(Spec.KernelName);
+  kir::NDRangeCfg Orig;
+  Orig.GlobalSize[0] = 4 * Spec.WGSize;
+  Orig.LocalSize[0] = Spec.WGSize;
+
+  // Seeded inputs: integers in [0, 8), floats a quarter of that.
+  uint64_t Elems = 32 * Orig.GlobalSize[0] + 4096;
+  SplitMix64 Rng(0x5eed + Idx);
+  std::vector<uint64_t> Args;
+  std::vector<std::pair<uint64_t, uint64_t>> Buffers; // address, bytes
+  unsigned NumArgs = K->numArguments() - (Jit ? 1 : 0);
+  for (unsigned A = 0; A != NumArgs; ++A) {
+    const kir::Type &Ty = K->argument(A)->type();
+    if (!Ty.isPtr()) {
+      Args.push_back(Ty.isFloat() ? kir::Constant::encodeFloat(1.5f) : 4);
+      continue;
+    }
+    unsigned Size = Ty.elemSizeBytes();
+    uint64_t Addr = cantFail(Mem.allocate(Elems * Size));
+    for (uint64_t E = 0; E != Elems; ++E) {
+      uint64_t V = Rng.nextBelow(8);
+      if (Ty.elemKind() == kir::Type::Kind::F32)
+        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(
+                                       kir::Constant::encodeFloat(0.25f * V)));
+      else if (Size == 4)
+        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(V));
+      else
+        Mem.writeU64(Addr + 8 * E, V);
+    }
+    Args.push_back(Addr);
+    Buffers.push_back({Addr, Elems * Size});
+  }
+
+  kir::NDRangeCfg Range = Orig;
+  uint64_t Rt = 0;
+  if (Jit) {
+    using namespace kir::rtlayout;
+    Rt = cantFail(Mem.allocate(virtualNDRangeBytes()));
+    Mem.writeU64(Rt + 8 * RTW_Magic, VirtualNDRangeMagic);
+    Mem.writeU64(Rt + 8 * RTW_TotalGroups, Orig.totalGroups());
+    Mem.writeU64(Rt + 8 * RTW_Next, 0);
+    Mem.writeU64(Rt + 8 * RTW_Batch, 2);
+    Mem.writeU64(Rt + 8 * RTW_WorkDim, Orig.WorkDim);
+    for (unsigned D = 0; D != 3; ++D) {
+      Mem.writeU64(Rt + 8 * (RTW_NumGroups0 + D), Orig.numGroups(D));
+      Mem.writeU64(Rt + 8 * (RTW_LocalSize0 + D), Orig.LocalSize[D]);
+      Mem.writeU64(Rt + 8 * (RTW_GlobalSize0 + D), Orig.GlobalSize[D]);
+    }
+    Args.push_back(Rt);
+    Range.GlobalSize[0] = 2 * Spec.WGSize;
+  }
+
+  std::ostringstream Line;
+  Line << Spec.Id << (Jit ? " jit" : " plain");
+  Expected<kir::ExecStats> Stats = Interp.run(*K, Args, Range);
+  if (!Stats) {
+    Line << " trap: " << Stats.message();
+  } else {
+    Line << std::hex;
+    for (auto [Addr, Bytes] : Buffers) {
+      std::vector<uint8_t> Out(Bytes);
+      Mem.copyOut(Addr, Out.data(), Bytes);
+      Line << " " << fnv1a(Out.data(), Bytes);
+    }
+    Line << std::dec << " insts " << Stats->InstsExecuted << " atomics "
+         << Stats->AtomicOps << " barriers " << Stats->Barriers
+         << " memops " << Stats->MemoryOps << " mathops " << Stats->MathOps
+         << " groups " << Stats->GroupInsts.size() << " " << std::hex
+         << fnv1a(Stats->GroupInsts.data(),
+                  Stats->GroupInsts.size() * sizeof(uint64_t));
+  }
+  Line << "\n";
+
+  for (auto [Addr, Bytes] : Buffers)
+    Mem.release(Addr);
+  if (Rt)
+    Mem.release(Rt);
+  Interp.forget(*M);
+  return Line.str();
+}
+
+TEST(InterpTest, SuiteMatchesGolden) {
+  // One memory and one interpreter for all 50 runs, so launches of
+  // different kernels and work-group sizes follow one another.
+  kir::DeviceMemory Mem(16ull << 20);
+  kir::Interpreter Interp(Mem);
+  std::string Got;
+  for (size_t Idx = 0; Idx != workloads::parboilSuite().size(); ++Idx)
+    for (bool Jit : {false, true})
+      Got += suiteRunLine(Mem, Interp, Idx, Jit);
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/interpreter_suite.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 } // namespace

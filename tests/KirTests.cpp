@@ -161,6 +161,37 @@ TEST(VerifierTest, RejectsBadWorkItemDimension) {
   EXPECT_NE(E.message().find("dimension"), std::string::npos);
 }
 
+TEST(VerifierTest, RtBuiltinDimensionsLimitedToThree) {
+  // The rt_* id and size builtins index the same three dimensions as the
+  // OpenCL work-item queries.
+  for (BuiltinKind BK : {BuiltinKind::RtGlobalId, BuiltinKind::RtGroupId,
+                         BuiltinKind::RtGlobalSize, BuiltinKind::RtNumGroups})
+    for (int64_t Dim : {-1, 0, 2, 3}) {
+      Module M("m");
+      Function *F = M.createFunction("k", Type::voidTy(), true);
+      Argument *Rt = F->addArgument(
+          Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "rt");
+      IRBuilder B(F);
+      B.setInsertPoint(B.createBlock("entry"));
+      bool IsId = BK == BuiltinKind::RtGlobalId || BK == BuiltinKind::RtGroupId;
+      std::vector<Value *> Args = {Rt};
+      if (IsId)
+        Args.push_back(B.i64Const(5));
+      Args.push_back(B.i32Const(static_cast<int32_t>(Dim)));
+      B.builtin(BK, Type::i64(), Args);
+      B.retVoid();
+      Error E = verifyFunction(*F);
+      bool InRange = Dim >= 0 && Dim <= 2;
+      EXPECT_EQ(static_cast<bool>(E), !InRange)
+          << builtinName(BK) << " dim " << Dim;
+      if (!InRange) {
+        EXPECT_NE(E.message().find("dimension out of range"),
+                  std::string::npos)
+            << E.message();
+      }
+    }
+}
+
 TEST(VerifierTest, RejectsAtomicOnFloat) {
   Module M("m");
   Function *F = M.createFunction("k", Type::voidTy(), true);
