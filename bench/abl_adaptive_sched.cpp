@@ -41,7 +41,6 @@ int main() {
 
     auto RunWithBatch = [&](uint64_t Batch) {
       sim::KernelLaunchDesc L;
-      L.Name = Id;
       L.WGThreads = CK.Spec->WGSize;
       L.LocalMemPerWG = CK.LocalMemBytes;
       L.RegsPerThread = CK.RegsPerThread;

@@ -42,7 +42,6 @@ int main() {
         std::vector<double> Costs(CK.WGCosts.begin(),
                                   CK.WGCosts.begin() + WGs);
         sim::KernelLaunchDesc Base;
-        Base.Name = Id;
         Base.WGThreads = CK.Spec->WGSize;
         Base.LocalMemPerWG = CK.LocalMemBytes;
         Base.RegsPerThread = CK.RegsPerThread;

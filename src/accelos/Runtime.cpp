@@ -310,7 +310,7 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   if (!R.Started) {
     R.Started = true;
     StatusOf[Id] = static_cast<uint8_t>(RequestStatus::Running);
-    ReportQueue.push_back(Id);
+    R.GrantSeq = NextGrantSeq++;
     R.Exec.AdmitTime = T;
     R.Exec.PhysicalWGs = WGs;
     if (R.WGCosts.empty()) {
@@ -334,7 +334,6 @@ Runtime::GrantOutcome Runtime::buildGrantLocked(uint64_t Id, uint64_t WGs,
   // Timing slice over [Cursor, End) of the virtual range. A round
   // grant runs the whole remaining range.
   sim::KernelLaunchDesc L;
-  L.Name = R.Exec.KernelName;
   L.AppId = static_cast<int>(Id); // request-id channel through the sim
   L.ArrivalTime = T;
   L.WGThreads = R.Demand.WGThreads;
@@ -439,6 +438,7 @@ void Runtime::finalizeLocked(uint64_t Id) {
   auto It = Requests.find(Id);
   FinishedRecord Rec;
   Rec.Exec = std::move(It->second.Exec);
+  Rec.GrantSeq = It->second.GrantSeq;
   CompletionCallback Cb = std::move(It->second.Cb);
   Requests.erase(It);
   StatusOf[Id] = static_cast<uint8_t>(RequestStatus::Completed);
@@ -462,6 +462,7 @@ void Runtime::failLocked(uint64_t Id, std::string Msg) {
   FinishedRecord Rec;
   Rec.Exec = std::move(It->second.Exec);
   Rec.Error = std::move(Msg);
+  Rec.GrantSeq = It->second.GrantSeq;
   Requests.erase(It);
   StatusOf[Id] = static_cast<uint8_t>(RequestStatus::Failed);
   Finished.emplace(Id, std::move(Rec));
@@ -522,21 +523,25 @@ Expected<std::vector<ScheduledExecution>> Runtime::drain() {
   }
 
   std::lock_guard<std::mutex> L(Mu);
+  std::vector<FinishedRecord *> Order;
+  Order.reserve(Finished.size());
+  for (auto &Entry : Finished)
+    Order.push_back(&Entry.second);
+  std::sort(Order.begin(), Order.end(),
+            [](const FinishedRecord *A, const FinishedRecord *B) {
+              return A->GrantSeq < B->GrantSeq;
+            });
   std::vector<ScheduledExecution> Out;
   std::string FirstError;
-  for (uint64_t Id : ReportQueue) {
-    auto It = Finished.find(Id);
-    if (It == Finished.end())
-      continue; // Consumed by wait().
-    if (!It->second.Error.empty()) {
+  for (FinishedRecord *Rec : Order) {
+    if (!Rec->Error.empty()) {
       if (FirstError.empty())
-        FirstError = It->second.Error;
+        FirstError = Rec->Error;
     } else {
-      Out.push_back(std::move(It->second.Exec));
+      Out.push_back(std::move(Rec->Exec));
     }
-    Finished.erase(It);
   }
-  ReportQueue.clear();
+  Finished.clear();
   if (!FirstError.empty())
     return Expected<std::vector<ScheduledExecution>>(
         makeError(FirstError));

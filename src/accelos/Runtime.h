@@ -332,6 +332,7 @@ private:
     uint64_t InstCount = 0;
     bool Started = false;         ///< First grant processed.
     bool StartSeen = false;       ///< First slice completion recorded.
+    uint64_t GrantSeq = 0;        ///< Position in first-grant order.
     CompletionCallback Cb;
     ScheduledExecution Exec;
   };
@@ -339,6 +340,9 @@ private:
   struct FinishedRecord {
     ScheduledExecution Exec;
     std::string Error; ///< Non-empty: the request failed.
+    /// drain()'s report order, matching the legacy flush's round-major
+    /// grant order.
+    uint64_t GrantSeq = 0;
   };
 
   /// Result of processing one grant: a timing-slice launch, or nothing
@@ -391,11 +395,9 @@ private:
   sim::EngineSession Session;
 
   std::map<uint64_t, RequestState> Requests; ///< Live, by request id.
+  /// Retired, not yet consumed by wait() or drain().
   std::map<uint64_t, FinishedRecord> Finished;
   std::vector<uint8_t> StatusOf; ///< RequestStatus by request id.
-  /// Retired-but-unconsumed ids in first-grant order — drain()'s report
-  /// order, matching the legacy flush's round-major grant order.
-  std::vector<uint64_t> ReportQueue;
   /// Scripted arrivals not yet fed to the scheduler: (time, id)
   /// min-heap, id-ordered within one instant.
   std::priority_queue<std::pair<double, uint64_t>,
@@ -403,6 +405,7 @@ private:
                       std::greater<std::pair<double, uint64_t>>>
       Arrivals;
   uint64_t NextRequestId = 0;
+  uint64_t NextGrantSeq = 0;
   bool NeedAdmit = false;
   std::vector<sim::KernelLaunchDesc> LaunchBuf;   ///< Reused per pass.
   std::vector<sim::KernelExecResult> CompletionBuf;

@@ -42,7 +42,6 @@ ek::planMergedLaunch(const sim::DeviceSpec &Spec,
     // Each elastic work group serially executes a statically assigned
     // contiguous chunk of the original grid.
     sim::KernelLaunchDesc L;
-    L.Name = D.Name;
     L.AppId = D.AppId;
     L.WGThreads = D.WGThreads;
     L.LocalMemPerWG = D.LocalMemPerWG;

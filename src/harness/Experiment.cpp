@@ -82,7 +82,6 @@ sim::KernelLaunchDesc ExperimentDriver::baselineDesc(size_t Idx,
                                                      int AppId) const {
   const CompiledKernel &CK = Kernels[Idx];
   sim::KernelLaunchDesc L;
-  L.Name = CK.Spec->Id;
   L.AppId = AppId;
   L.WGThreads = CK.Spec->WGSize;
   L.LocalMemPerWG = CK.LocalMemBytes;
@@ -121,7 +120,6 @@ ExperimentDriver::accelosDesc(size_t Idx, int AppId, uint64_t PhysWGs,
                               accelos::SchedulingMode Mode) const {
   const CompiledKernel &CK = Kernels[Idx];
   sim::KernelLaunchDesc L;
-  L.Name = CK.Spec->Id;
   L.AppId = AppId;
   L.WGThreads = CK.Spec->WGSize;
   L.LocalMemPerWG = CK.LocalMemBytes + kir::rtlayout::schedDescBytes();

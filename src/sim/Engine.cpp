@@ -12,10 +12,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <queue>
 #include <set>
+#include <tuple>
 
 using namespace accel;
 using namespace accel::sim;
@@ -42,13 +42,19 @@ namespace accel {
 namespace sim {
 namespace detail {
 
-/// The persistent simulation state behind EngineSession (and, through
-/// it, Engine::run). Launches are admitted incrementally; advanceTo
+/// The persistent simulation state behind EngineSession and
+/// Engine::run. Launches are admitted incrementally; advanceTo
 /// processes arrival and completion events up to a time bound, so the
 /// caller can interleave scheduling decisions with device progress.
+///
+/// Launch ids are slots in States. A session recycles a launch's slot
+/// once the done prefix passes it; \p KeepRecords (Engine::run) keeps
+/// every slot instead, for records() and for merge groups, which
+/// resolve over the whole batch.
 class SessionState {
 public:
-  explicit SessionState(const DeviceSpec &Spec) : Spec(Spec) {
+  explicit SessionState(const DeviceSpec &Spec, bool KeepRecords = false)
+      : Spec(Spec), KeepRecords(KeepRecords) {
     CUs.resize(Spec.NumCUs);
   }
 
@@ -60,8 +66,9 @@ public:
   void advanceCore(double T);
   std::vector<KernelExecResult> drain();
   std::vector<KernelLaunchDesc> cancelAll();
-  size_t inFlight() const { return States.size() - FinishedCount; }
-  std::vector<KernelExecResult> history() const;
+  size_t inFlight() const { return InFlight; }
+  /// Every launch's result in admission order (KeepRecords only).
+  std::vector<KernelExecResult> records() const;
 
 private:
   /// One work group resident on a compute unit.
@@ -120,6 +127,7 @@ private:
   /// callers need not keep their vectors alive between admits.
   struct LaunchState {
     KernelLaunchDesc Desc;
+    uint64_t Seq = 0; ///< Admission order: breaks arrival-time ties.
     uint64_t NextWG = 0;
     uint64_t DoneWGs = 0;
     uint64_t LiveWGs = 0;
@@ -142,7 +150,6 @@ private:
 
   KernelExecResult resultFor(const LaunchState &L) const {
     KernelExecResult R;
-    R.Name = L.Desc.Name;
     R.AppId = L.Desc.AppId;
     R.ArrivalTime = L.Desc.ArrivalTime;
     R.StartTime = L.Start;
@@ -158,12 +165,15 @@ private:
   /// that has not arrived yet neither blocks nor is blocked.
   /// [0, DonePrefix) is entirely finished and can be skipped, which
   /// keeps a long-lived session's per-event work proportional to the
-  /// *active* launches, not everything ever admitted.
+  /// *active* launches, not everything ever admitted. A session has
+  /// recycled the slots there, so only heldBegin() onwards may be read.
+  size_t heldBegin() const { return KeepRecords ? 0 : DonePrefix; }
+
   bool sharesMergeGroupWithEarlier(size_t Pos) const {
     const LaunchState &L = States[QueueOrder[Pos]];
     if (L.Desc.MergeGroup < 0)
       return false;
-    for (size_t P = 0; P != Pos; ++P)
+    for (size_t P = heldBegin(); P != Pos; ++P)
       if (States[QueueOrder[P]].Desc.MergeGroup == L.Desc.MergeGroup)
         return true;
     return false;
@@ -288,7 +298,7 @@ private:
   /// no member monopolises freed slots.
   void dispatchMergeGroup(int Group, double Now) {
     std::vector<size_t> Members;
-    for (size_t P = 0; P != ArrivedCount; ++P)
+    for (size_t P = heldBegin(); P != ArrivedCount; ++P)
       if (States[QueueOrder[P]].Desc.MergeGroup == Group)
         Members.push_back(QueueOrder[P]);
     size_t &Cursor = GroupCursor[Group];
@@ -307,12 +317,41 @@ private:
     }
   }
 
+  /// Moves the done prefix past finished launches. Their completions
+  /// are already in Completed and no resident refers to them, so a
+  /// session recycles their slots, and drops the prefix from QueueOrder
+  /// once it is half the vector (amortized O(1) per launch).
+  void passFinished() {
+    while (DonePrefix != ArrivedCount &&
+           States[QueueOrder[DonePrefix]].Finished) {
+      if (!KeepRecords)
+        FreeSlots.push_back(QueueOrder[DonePrefix]);
+      ++DonePrefix;
+    }
+    if (KeepRecords || 2 * DonePrefix < QueueOrder.size())
+      return;
+    QueueOrder.erase(QueueOrder.begin(),
+                     QueueOrder.begin() + static_cast<ptrdiff_t>(DonePrefix));
+    ArrivedCount -= DonePrefix;
+    DonePrefix = 0;
+  }
+
+  /// \returns the slot for a new launch, recycled when one is free.
+  size_t takeSlot() {
+    if (FreeSlots.empty()) {
+      States.emplace_back();
+      return States.size() - 1;
+    }
+    size_t Li = FreeSlots.back();
+    FreeSlots.pop_back();
+    States[Li] = LaunchState();
+    return Li;
+  }
+
   /// Dispatches as much pending work as policies and space allow,
   /// considering only launches that have arrived.
   void dispatchAll(double Now) {
-    while (DonePrefix != ArrivedCount &&
-           States[QueueOrder[DonePrefix]].Finished)
-      ++DonePrefix;
+    passFinished();
     std::set<int> GroupsDone;
     // Window facts over the scanned prefix [DonePrefix, Pos), carried
     // forward as the scan advances (see canStart).
@@ -360,12 +399,13 @@ private:
     if (L.DoneWGs == D.numPhysicalWGs()) {
       L.Finished = true;
       L.End = Now;
-      ++FinishedCount;
+      --InFlight;
       Completed.push_back(resultFor(L));
-      // A persistent session keeps finished LaunchStates for history();
-      // the drained virtual queue is the one part nothing reads again,
-      // and per-group cost vectors dominate a long session's footprint.
-      // (StaticCosts must stay: numPhysicalWGs() is its size.)
+      // The record outlives the launch until the done prefix recycles
+      // it (for good under Engine::run); the drained virtual queue is
+      // the one part nothing reads again, and per-group cost vectors
+      // dominate a large batch's footprint. (StaticCosts must stay:
+      // numPhysicalWGs() is its size.)
       L.Desc.VirtualCosts.clear();
       L.Desc.VirtualCosts.shrink_to_fit();
       // View-mode launches drop their borrowed window too, so a
@@ -385,7 +425,7 @@ private:
            States[QueueOrder[ArrivedCount]].Desc.ArrivalTime <= Now) {
       const LaunchState &L = States[QueueOrder[ArrivedCount]];
       if (L.Finished) {
-        ++FinishedCount;
+        --InFlight;
         Completed.push_back(resultFor(L));
       }
       ++ArrivedCount;
@@ -405,12 +445,15 @@ private:
   }
 
   DeviceSpec Spec;
+  bool KeepRecords;
   std::vector<CUState> CUs;
-  std::deque<LaunchState> States; ///< Stable across incremental admits.
-  std::vector<size_t> QueueOrder; ///< Launch indices in arrival order.
-  size_t ArrivedCount = 0;        ///< Arrived prefix of QueueOrder.
-  size_t DonePrefix = 0;          ///< Finished prefix of QueueOrder.
-  size_t FinishedCount = 0;
+  std::vector<LaunchState> States; ///< Launch slots.
+  std::vector<size_t> FreeSlots;   ///< Recycled slots of States.
+  std::vector<size_t> QueueOrder;  ///< Launch slots in arrival order.
+  size_t ArrivedCount = 0;         ///< Arrived prefix of QueueOrder.
+  size_t DonePrefix = 0;           ///< Finished prefix of QueueOrder.
+  size_t InFlight = 0;
+  uint64_t NextSeq = 0;
   std::vector<size_t> Dirty;
   std::map<int, size_t> GroupCursor;
   unsigned RoundRobin = 0;
@@ -438,14 +481,16 @@ void SessionState::admit(std::vector<KernelLaunchDesc> &Launches) {
   if (Launches.empty())
     return;
   bool AnyDue = false;
+  const size_t First = QueueOrder.size();
   for (KernelLaunchDesc &D : Launches) {
     assert(D.WGThreads <= Spec.MaxThreadsPerCU &&
            D.LocalMemPerWG <= Spec.LocalMemPerCU &&
            D.WGThreads * D.RegsPerThread <= Spec.RegsPerCU &&
            "work group can never fit a compute unit");
-    size_t Li = States.size();
-    LaunchState S;
+    size_t Li = takeSlot();
+    LaunchState &S = States[Li];
     S.Desc = std::move(D);
+    S.Seq = NextSeq++;
     // A launch admitted after its nominal arrival reached the device
     // late: it becomes visible now.
     if (S.Desc.ArrivalTime < Now)
@@ -458,18 +503,24 @@ void SessionState::admit(std::vector<KernelLaunchDesc> &Launches) {
       S.Start = S.End = S.Desc.ArrivalTime;
     }
     AnyDue |= S.Desc.ArrivalTime <= Now;
-    States.push_back(std::move(S));
+    ++InFlight;
     QueueOrder.push_back(Li);
   }
-  // Merge into the un-arrived suffix: it stays sorted by arrival, and
-  // the stable sort keeps admission order for ties (and the identity
-  // for an all-zero-arrival batch).
-  std::stable_sort(QueueOrder.begin() +
-                       static_cast<ptrdiff_t>(ArrivedCount),
-                   QueueOrder.end(), [&](size_t A, size_t B) {
-                     return States[A].Desc.ArrivalTime <
-                            States[B].Desc.ArrivalTime;
-                   });
+  // Merge into the un-arrived suffix, which stays ordered by (arrival,
+  // admission). Launches admitted in arrival order, as serving loops
+  // admit them, cost one comparison each; an unsorted batch is sorted
+  // in place, without a buffer.
+  auto Before = [&](size_t A, size_t B) {
+    const LaunchState &X = States[A], &Y = States[B];
+    return std::tie(X.Desc.ArrivalTime, X.Seq) <
+           std::tie(Y.Desc.ArrivalTime, Y.Seq);
+  };
+  // The suffix before First was ordered already: check from the seam.
+  size_t From = First == ArrivedCount ? First : First - 1;
+  if (!std::is_sorted(QueueOrder.begin() + static_cast<ptrdiff_t>(From),
+                      QueueOrder.end(), Before))
+    std::sort(QueueOrder.begin() + static_cast<ptrdiff_t>(ArrivedCount),
+              QueueOrder.end(), Before);
   Launches.clear();
   if (AnyDue) {
     admitArrivals(Now);
@@ -529,15 +580,16 @@ void SessionState::advanceCore(double T) {
                    "engine livelock? now=%g cu=%zu residents=%zu "
                    "heap=%zu\n",
                    E.Time, E.CU, CU.Residents.size(), Heap.size());
-      for (const LaunchState &L : States)
+      for (size_t Pos = DonePrefix; Pos != QueueOrder.size(); ++Pos) {
+        const LaunchState &L = States[QueueOrder[Pos]];
         std::fprintf(stderr,
-                     "  launch %s next=%llu done=%llu live=%llu "
+                     "  launch app=%d next=%llu done=%llu live=%llu "
                      "cursor=%llu fin=%d\n",
-                     L.Desc.Name.c_str(),
-                     (unsigned long long)L.NextWG,
+                     L.Desc.AppId, (unsigned long long)L.NextWG,
                      (unsigned long long)L.DoneWGs,
                      (unsigned long long)L.LiveWGs,
                      (unsigned long long)L.QueueCursor, L.Finished);
+      }
       reportFatalError("simulation exceeded event budget");
     }
     Now = E.Time;
@@ -613,8 +665,7 @@ std::vector<KernelExecResult> SessionState::drain() {
   // admitted at the current time when nothing else is pending).
   Out.insert(Out.end(), Completed.begin(), Completed.end());
   Completed.clear();
-  assert(FinishedCount == States.size() &&
-         "session drained with unfinished launches");
+  assert(InFlight == 0 && "session drained with unfinished launches");
   return Out;
 }
 
@@ -624,11 +675,11 @@ std::vector<KernelExecResult> SessionState::drain() {
 // queued and not-yet-arrived launches are dropped — and the cancelled
 // descriptors come back in queue order so the caller can rebuild the
 // work elsewhere. Already-delivered completions, the pending Completed
-// buffer, per-launch history records, and the clock are untouched, so
-// the session stays usable if the device later rejoins the fleet.
+// buffer and the clock are untouched, so the session stays usable if
+// the device later rejoins the fleet.
 std::vector<KernelLaunchDesc> SessionState::cancelAll() {
   std::vector<KernelLaunchDesc> Out;
-  for (size_t Pos = 0; Pos != QueueOrder.size(); ++Pos) {
+  for (size_t Pos = DonePrefix; Pos != QueueOrder.size(); ++Pos) {
     LaunchState &L = States[QueueOrder[Pos]];
     // Finished launches in the arrived prefix have already pushed their
     // completion record. A Finished launch *past* the prefix is a
@@ -638,16 +689,8 @@ std::vector<KernelLaunchDesc> SessionState::cancelAll() {
     if (Delivered)
       continue;
     Out.push_back(std::move(L.Desc));
-    // The moved-from descriptor keeps its scalar fields for history();
-    // scrub the borrowed view so the record never dangles.
-    L.Desc.ViewCosts = nullptr;
-    L.Desc.ViewBegin = L.Desc.ViewEnd = 0;
-    L.LiveWGs = 0;
-    if (!L.Finished) {
-      L.Finished = true;
-      L.End = Now;
-    }
-    ++FinishedCount;
+    L.Finished = true; // Lets the done prefix pass (and recycle) it.
+    --InFlight;
   }
   for (CUState &CU : CUs) {
     CU.Residents.clear();
@@ -657,14 +700,15 @@ std::vector<KernelLaunchDesc> SessionState::cancelAll() {
     ++CU.Epoch; // Invalidates this CU's queued heap entries.
   }
   ArrivedCount = QueueOrder.size();
-  DonePrefix = ArrivedCount;
+  passFinished();
   Heap = {};
   Dirty.clear();
   assert(inFlight() == 0 && "cancelAll left launches in flight");
   return Out;
 }
 
-std::vector<KernelExecResult> SessionState::history() const {
+std::vector<KernelExecResult> SessionState::records() const {
+  assert(KeepRecords && "a session recycles finished launches' records");
   std::vector<KernelExecResult> Out;
   Out.reserve(States.size());
   for (const LaunchState &L : States)
@@ -723,16 +767,12 @@ std::vector<KernelLaunchDesc> EngineSession::cancelAll() {
 
 size_t EngineSession::inFlight() const { return State->inFlight(); }
 
-std::vector<KernelExecResult> EngineSession::history() const {
-  return State->history();
-}
-
 SimResult Engine::run(std::vector<KernelLaunchDesc> Launches) {
-  EngineSession S(Spec);
-  S.admit(std::move(Launches));
+  detail::SessionState S(Spec, /*KeepRecords=*/true);
+  S.admit(Launches);
   S.drain();
   SimResult Result;
-  Result.Kernels = S.history();
+  Result.Kernels = S.records();
   for (const KernelExecResult &K : Result.Kernels)
     Result.Makespan = std::max(Result.Makespan, K.EndTime);
   return Result;

@@ -26,7 +26,9 @@
 ///  - EngineSession — a persistent incremental session (admit /
 ///    advanceTo / drain) that lets a host-side scheduler inject
 ///    launches mid-run and react to individual completions, which is
-///    what arrival-aware continuous admission is built on.
+///    what arrival-aware continuous admission is built on. A session
+///    holds only the launches still in play, so its memory tracks the
+///    active window, not every launch it ever ran.
 ///
 /// All of the paper's scheduling effects — serialization and unfairness
 /// under FIFO, space sharing under accelOS, load balancing from dynamic
@@ -42,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace accel {
@@ -50,7 +51,6 @@ namespace sim {
 
 /// One kernel execution request submitted to the device.
 struct KernelLaunchDesc {
-  std::string Name;
   int AppId = 0;
 
   /// Simulation time at which this launch reaches the device. The
@@ -102,7 +102,9 @@ struct KernelLaunchDesc {
 
   /// Launches sharing a merge group dispatch without head-of-line
   /// blocking between each other (the Elastic Kernels merged batch).
-  /// -1 means "own group" (default FIFO semantics).
+  /// -1 means "own group" (default FIFO semantics). Engine::run resolves
+  /// a group over its whole batch, finished members included; a session
+  /// only over the launches it still holds (see EngineSession).
   int MergeGroup = -1;
 
   uint64_t numPhysicalWGs() const {
@@ -115,7 +117,6 @@ struct KernelLaunchDesc {
 
 /// Timing of one kernel execution.
 struct KernelExecResult {
-  std::string Name;
   int AppId = 0;
   double ArrivalTime = 0; ///< Submission to the device queue.
   double StartTime = 0;   ///< First work-group dispatch.
@@ -164,8 +165,14 @@ class SessionState;
 ///
 /// Determinism contract: admitting every launch up front and draining
 /// the session is event-for-event identical to Engine::run on the same
-/// vector (Engine::run is implemented exactly that way), so the
-/// one-shot batch semantics are preserved bit-for-bit.
+/// vector (Engine::run is implemented exactly that way, merge groups
+/// aside), so the one-shot batch semantics are preserved bit-for-bit.
+///
+/// Memory: a session holds only the launches still in play. Once a
+/// launch has delivered its completion and every launch that arrived
+/// before it has finished, its record is recycled for a later admit,
+/// so a long-lived session (a serving loop, the Runtime) runs in memory
+/// bounded by its active window.
 class EngineSession {
 public:
   explicit EngineSession(const DeviceSpec &Spec);
@@ -218,17 +225,13 @@ public:
   /// work groups are evicted mid-leg and their partial progress is
   /// discarded, queued and not-yet-arrived launches are dropped — and
   /// \returns the cancelled descriptors in queue order so the caller
-  /// can rebuild the work elsewhere. Completions already recorded, the
-  /// per-launch history, and the clock survive: the session stays
-  /// usable, e.g. for a failed device rejoining the fleet later.
+  /// can rebuild the work elsewhere. Completions already recorded and
+  /// the clock survive: the session stays usable, e.g. for a failed
+  /// device rejoining the fleet later.
   std::vector<KernelLaunchDesc> cancelAll();
 
   /// Launches admitted but not yet finished.
   size_t inFlight() const;
-
-  /// Per-launch results in admission order. Finished launches carry
-  /// their final times; unfinished ones report partial state.
-  std::vector<KernelExecResult> history() const;
 
 private:
   std::unique_ptr<detail::SessionState> State;

@@ -116,7 +116,6 @@ TEST_P(EngineProperty, WorkConservation) {
   int NumKernels = 1 + GetParam() % 4;
   for (int I = 0; I < NumKernels; ++I) {
     sim::KernelLaunchDesc L;
-    L.Name = "k" + std::to_string(I);
     L.AppId = I;
     L.WGThreads = 64ull << Rng.nextBelow(3);
     L.RegsPerThread = 8;
@@ -149,7 +148,6 @@ TEST_P(EngineProperty, WorkQueueAndStaticAgreeOnTotalWGs) {
     Costs.push_back(500.0 + Rng.nextDouble() * 20000.0);
 
   sim::KernelLaunchDesc L;
-  L.Name = "wq";
   L.WGThreads = 128;
   L.RegsPerThread = 8;
   L.IssueEfficiency = 0.5;
@@ -183,7 +181,6 @@ std::vector<sim::KernelLaunchDesc> randomArrivalLaunches(SplitMix64 &Rng,
   size_t N = 2 + Rng.nextBelow(5);
   for (size_t I = 0; I != N; ++I) {
     sim::KernelLaunchDesc L;
-    L.Name = "k" + std::to_string(I);
     L.AppId = static_cast<int>(I);
     L.WGThreads = 32ull << Rng.nextBelow(4);
     L.RegsPerThread = 8;
@@ -233,7 +230,7 @@ TEST_P(ArrivalProperty, NeverStartsBeforeArrivalAndConservesWork) {
   EXPECT_GE((R.Makespan - FirstArrival) * PeakRate, TotalWork * 0.999);
   for (const sim::KernelExecResult &K : R.Kernels) {
     EXPECT_GE(K.StartTime, K.ArrivalTime - 1e-9)
-        << K.Name << " started before it arrived";
+        << "launch " << K.AppId << " started before it arrived";
     EXPECT_GE(K.EndTime, K.StartTime);
     EXPECT_GE(K.turnaround(), 0.0);
     EXPECT_GE(K.queueDelay(), -1e-9);

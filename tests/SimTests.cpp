@@ -9,6 +9,8 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+
 using namespace accel;
 using namespace accel::sim;
 
@@ -32,11 +34,11 @@ DeviceSpec tinyDevice() {
   return D;
 }
 
-KernelLaunchDesc staticKernel(const std::string &Name, int App,
+/// A static-mode launch; \p Label only names it at the call site.
+KernelLaunchDesc staticKernel(const std::string & /*Label*/, int App,
                               uint64_t WGThreads, size_t NumWGs,
                               double CostPerWG, double Eff = 1.0) {
   KernelLaunchDesc L;
-  L.Name = Name;
   L.AppId = App;
   L.WGThreads = WGThreads;
   L.RegsPerThread = 8;
@@ -184,7 +186,6 @@ TEST(EngineTest, WorkQueueDrainsAllVirtualGroups) {
   DeviceSpec D = tinyDevice();
   Engine E(D);
   KernelLaunchDesc L;
-  L.Name = "wq";
   L.WGThreads = 32;
   L.RegsPerThread = 8;
   L.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
@@ -214,7 +215,6 @@ TEST(EngineTest, DynamicDequeueBalancesSkewedWork) {
     StaticL.StaticCosts[I / 8] += Costs[I];
 
   KernelLaunchDesc WqL;
-  WqL.Name = "wq";
   WqL.WGThreads = 256;
   WqL.RegsPerThread = 8;
   WqL.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
@@ -233,7 +233,6 @@ TEST(EngineTest, DequeueCostPenalizesSmallBatches) {
   D.DequeueCycles = 200.0;
   auto MakeWq = [&](uint64_t Batch) {
     KernelLaunchDesc L;
-    L.Name = "wq";
     L.WGThreads = 32;
     L.RegsPerThread = 8;
     L.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
@@ -381,7 +380,6 @@ TEST(EngineArrivalTest, ZeroWGLaunchCompletesAtArrival) {
   DeviceSpec D = tinyDevice();
   Engine E(D);
   KernelLaunchDesc L;
-  L.Name = "empty";
   L.WGThreads = 32;
   L.ArrivalTime = 250.0;
   SimResult R = E.run({L});
@@ -402,7 +400,6 @@ TEST(EngineSessionTest, AdmitAllThenDrainMatchesBatchRun) {
       staticKernel("a", 0, 256, 16, 25600.0),
       staticKernel("b", 1, 32, 4, 3200.0)};
   KernelLaunchDesc Wq;
-  Wq.Name = "wq";
   Wq.AppId = 2;
   Wq.WGThreads = 32;
   Wq.RegsPerThread = 8;
@@ -419,15 +416,20 @@ TEST(EngineSessionTest, AdmitAllThenDrainMatchesBatchRun) {
   EngineSession S(D);
   S.admit(Batch);
   std::vector<KernelExecResult> Done = S.drain();
-  EXPECT_EQ(Done.size(), Batch.size());
   EXPECT_EQ(S.inFlight(), 0u);
-  std::vector<KernelExecResult> Hist = S.history();
-  ASSERT_EQ(Hist.size(), Ref.Kernels.size());
-  for (size_t I = 0; I != Hist.size(); ++I) {
-    EXPECT_EQ(Hist[I].StartTime, Ref.Kernels[I].StartTime);
-    EXPECT_EQ(Hist[I].EndTime, Ref.Kernels[I].EndTime);
-    EXPECT_EQ(Hist[I].DispatchedWGs, Ref.Kernels[I].DispatchedWGs);
-    EXPECT_EQ(Hist[I].DequeueOps, Ref.Kernels[I].DequeueOps);
+  // drain() reports in completion order; each AppId is its launch's
+  // position in the batch, which is Engine::run's report order.
+  std::sort(Done.begin(), Done.end(),
+            [](const KernelExecResult &A, const KernelExecResult &B) {
+              return A.AppId < B.AppId;
+            });
+  ASSERT_EQ(Done.size(), Ref.Kernels.size());
+  for (size_t I = 0; I != Done.size(); ++I) {
+    EXPECT_EQ(Done[I].AppId, static_cast<int>(I));
+    EXPECT_EQ(Done[I].StartTime, Ref.Kernels[I].StartTime);
+    EXPECT_EQ(Done[I].EndTime, Ref.Kernels[I].EndTime);
+    EXPECT_EQ(Done[I].DispatchedWGs, Ref.Kernels[I].DispatchedWGs);
+    EXPECT_EQ(Done[I].DequeueOps, Ref.Kernels[I].DequeueOps);
   }
 }
 
@@ -494,7 +496,6 @@ TEST(EngineSessionTest, ZeroWGLaunchReportsAtArrival) {
   DeviceSpec D = tinyDevice();
   EngineSession S(D);
   KernelLaunchDesc L;
-  L.Name = "empty";
   L.WGThreads = 32;
   L.ArrivalTime = 250.0;
   S.admit({L});
@@ -506,6 +507,51 @@ TEST(EngineSessionTest, ZeroWGLaunchReportsAtArrival) {
   EXPECT_NEAR(Done[0].StartTime, 250.0, 1e-12);
   EXPECT_NEAR(Done[0].EndTime, 250.0, 1e-12);
   EXPECT_EQ(S.inFlight(), 0u);
+}
+
+TEST(EngineSessionTest, QueueOrdersByArrivalThenAdmission) {
+  // Every launch fills the device, so launches run one at a time in
+  // queue order. A blocker holds the device while two admits bring
+  // future arrivals at t=100, 200 and 300: first a shuffled batch, long
+  // enough that an unstable sort would reorder its ties, then a sorted
+  // one interleaved with it. The queue must run them by arrival, ties
+  // in admission (here: AppId) order.
+  constexpr int Shuffled = 24, Sorted = 6;
+  auto ArrivalOf = [&](int App) {
+    return App <= Shuffled ? 100.0 * (1 + App % 3)
+                           : 100.0 * (1 + (App - Shuffled - 1) / 2);
+  };
+  auto Arriving = [&](int App) {
+    KernelLaunchDesc L = staticKernel("k", App, 256, 4, 25600.0);
+    L.ArrivalTime = ArrivalOf(App);
+    return L;
+  };
+  DeviceSpec D = tinyDevice();
+  EngineSession S(D);
+  std::vector<KernelLaunchDesc> First;
+  First.reserve(Shuffled + 1);
+  First.push_back(staticKernel("blocker", 0, 256, 4, 32000.0));
+  for (int App = 1; App <= Shuffled; ++App)
+    First.push_back(Arriving(App));
+  S.admit(First);
+  S.advanceTo(50.0);
+  std::vector<KernelLaunchDesc> Second;
+  Second.reserve(Sorted);
+  for (int App = Shuffled + 1; App <= Shuffled + Sorted; ++App)
+    Second.push_back(Arriving(App));
+  S.admit(Second);
+
+  std::vector<int> Want = {0};
+  for (double T : {100.0, 200.0, 300.0})
+    for (int App = 1; App <= Shuffled + Sorted; ++App)
+      if (ArrivalOf(App) == T)
+        Want.push_back(App);
+  std::vector<KernelExecResult> Done = S.drain();
+  ASSERT_EQ(Done.size(), Want.size());
+  for (size_t I = 0; I != Done.size(); ++I)
+    EXPECT_EQ(Done[I].AppId, Want[I]) << "position " << I;
+  for (size_t I = 1; I != Done.size(); ++I)
+    EXPECT_NEAR(Done[I].StartTime, Done[I - 1].EndTime, 1e-6);
 }
 
 TEST(EngineArrivalTest, AllZeroArrivalsReproduceBatchSemantics) {
