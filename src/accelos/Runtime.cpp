@@ -145,25 +145,18 @@ Expected<uint64_t> Runtime::validateLocked(int AppId, ocl::Kernel &K,
 
   // The Sec. 3 demand terms and timing costs, captured at the arrival
   // boundary.
-  kir::Function *Comp =
-      K.program().module()->getFunction(Info->ComputeFnName);
+  KernelCostModel M = costModelLocked(*Info, K, Range);
   uint64_t Id = NextRequestId++;
   RequestState R;
   R.AppId = AppId;
   R.Kernel = &K;
   R.Range = Range;
   R.Info = Info;
-  R.InstCount = Info->ComputeInstCount;
-  R.Demand.WGThreads = Range.workGroupSize();
-  R.Demand.LocalMemPerWG =
-      Info->LocalMemBytes + kir::rtlayout::schedDescBytes();
-  R.Demand.RegsPerThread = passes::estimateRegisters(*Comp);
-  R.Demand.RequestedWGs = Range.totalGroups();
+  R.InstCount = M.ComputeInstCount;
+  R.Demand = M.Demand;
   auto WIt = Weights.find(AppId);
   R.Demand.Weight = WIt == Weights.end() ? 1.0 : WIt->second;
-  double WGCost = perItemCyclesLocked(Info, Comp) *
-                  static_cast<double>(R.Demand.WGThreads);
-  R.WGCosts.assign(Range.totalGroups(), WGCost);
+  R.WGCosts.assign(Range.totalGroups(), M.WGCost);
   R.Cb = std::move(Cb);
   R.Exec.KernelName = K.name();
   R.Exec.AppId = AppId;
@@ -220,19 +213,23 @@ Expected<KernelCostModel> Runtime::costModel(ocl::Kernel &K,
   if (Info == nullptr)
     return Expected<KernelCostModel>(makeError(
         "kernel '" + K.name() + "' was not compiled through accelOS"));
-  kir::Function *Comp =
-      K.program().module()->getFunction(Info->ComputeFnName);
+  return Expected<KernelCostModel>(costModelLocked(*Info, K, Range));
+}
+
+KernelCostModel
+Runtime::costModelLocked(const passes::TransformedKernelInfo &Info,
+                         ocl::Kernel &K, const kir::NDRangeCfg &Range) {
+  kir::Function *Comp = K.program().module()->getFunction(Info.ComputeFnName);
   KernelCostModel M;
   M.Demand.WGThreads = Range.workGroupSize();
   M.Demand.LocalMemPerWG =
-      Info->LocalMemBytes + kir::rtlayout::schedDescBytes();
+      Info.LocalMemBytes + kir::rtlayout::schedDescBytes();
   M.Demand.RegsPerThread = passes::estimateRegisters(*Comp);
   M.Demand.RequestedWGs = Range.totalGroups();
-  M.Demand.Weight = 1.0;
-  M.WGCost = perItemCyclesLocked(Info, Comp) *
+  M.WGCost = perItemCyclesLocked(&Info, Comp) *
              static_cast<double>(M.Demand.WGThreads);
-  M.ComputeInstCount = Info->ComputeInstCount;
-  return Expected<KernelCostModel>(std::move(M));
+  M.ComputeInstCount = Info.ComputeInstCount;
+  return M;
 }
 
 //===----------------------------------------------------------------------===//

@@ -356,6 +356,11 @@ private:
   Expected<uint64_t> validateLocked(int AppId, ocl::Kernel &K,
                                     const kir::NDRangeCfg &Range, double At,
                                     CompletionCallback Cb);
+  /// The demand (unit weight) and timing cost of \p K, compiled as \p
+  /// Info, over \p Range: what both submit and costModel derive.
+  KernelCostModel costModelLocked(const passes::TransformedKernelInfo &Info,
+                                  ocl::Kernel &K,
+                                  const kir::NDRangeCfg &Range);
   double perItemCyclesLocked(const passes::TransformedKernelInfo *Info,
                              kir::Function *Comp);
 

@@ -8,6 +8,8 @@
 
 #include "support/Casting.h"
 
+#include <algorithm>
+
 using namespace accel;
 using namespace accel::kir;
 
@@ -66,6 +68,26 @@ Op castOp(CastKind CK, bool Is32) {
     return Op::ZExtBool;
   }
   accel_unreachable("bad cast kind");
+}
+
+/// \returns the opcode of a Binary, Cmp, Select or Cast instruction, or
+/// nothing for any other kind.
+std::optional<Op> pureOp(const Instruction &I) {
+  bool Is32 = I.type().kind() == Type::Kind::I32;
+  switch (I.instKind()) {
+  case InstKind::Binary:
+    return binaryOp(cast<BinaryInst>(I).op(), Is32);
+  case InstKind::Cmp: {
+    const auto &C = cast<CmpInst>(I);
+    return cmpOp(C.pred(), C.lhs()->type().kind() == Type::Kind::I32);
+  }
+  case InstKind::Select:
+    return Op::Select;
+  case InstKind::Cast:
+    return castOp(cast<CastInst>(I).castKind(), Is32);
+  default:
+    return std::nullopt;
+  }
 }
 
 /// Lowers \p F; call sites are left for CodeCache::get to resolve.
@@ -130,19 +152,10 @@ std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
       bool Is32 = I.type().kind() == Type::Kind::I32;
       switch (I.instKind()) {
       case InstKind::Binary:
-        FI.Opcode = binaryOp(cast<BinaryInst>(I).op(), Is32);
-        break;
-      case InstKind::Cmp: {
-        const auto &C = cast<CmpInst>(I);
-        FI.Opcode =
-            cmpOp(C.pred(), C.lhs()->type().kind() == Type::Kind::I32);
-        break;
-      }
+      case InstKind::Cmp:
       case InstKind::Select:
-        FI.Opcode = Op::Select;
-        break;
       case InstKind::Cast:
-        FI.Opcode = castOp(cast<CastInst>(I).castKind(), Is32);
+        FI.Opcode = pureOp(I).value_or(Op::FellOff);
         break;
       case InstKind::Alloca: {
         const auto &A = cast<AllocaInst>(I);
@@ -212,6 +225,31 @@ std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
 }
 
 } // namespace
+
+std::optional<uint64_t> kir::evaluate(const Instruction &I,
+                                      const uint64_t *Bits) {
+  std::optional<Op> Opcode = pureOp(I);
+  if (!Opcode)
+    return std::nullopt;
+  uint64_t Ops[3] = {0, 0, 0};
+  std::copy_n(Bits, I.numOperands(), Ops);
+  [[maybe_unused]] uint64_t A = Ops[0], B = Ops[1], C = Ops[2];
+  switch (*Opcode) {
+#define PURE_OP(Name, Expr)                                                    \
+  case Op::Name:                                                               \
+    return static_cast<uint64_t>(Expr);
+#include "kir/PureOps.def"
+  case Op::SDiv32:
+  case Op::SDivW:
+  case Op::SRem32:
+  case Op::SRemW:
+    if (B == 0)
+      return std::nullopt;
+    return sdivrem(*Opcode, A, B);
+  default:
+    accel_unreachable("pure instruction without a pure opcode");
+  }
+}
 
 void CodeCache::invalidate(const Module &M) {
   for (const std::unique_ptr<Function> &F : M.functions())

@@ -26,9 +26,12 @@
 
 #include "kir/Module.h"
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace accel {
@@ -47,7 +50,8 @@ constexpr uint64_t tagAddr(AddrTag Tag, uint64_t Offset) {
 /// Bytecode operations. "32" forms sign-extend their i32 result from bit
 /// 31 (i32 registers are kept sign-extended); "W" forms keep all 64 bits
 /// (i64, i1 and pointers). The opcodes of one family follow the order of
-/// the KIR enum they lower from (see FlatCode.cpp).
+/// the KIR enum they lower from (see FlatCode.cpp). kir/PureOps.def
+/// defines what the register-only ops compute.
 enum class Op : uint8_t {
   // Integer binary operators, in BinOpKind order, 32 and W alternating.
   Add32, AddW, Sub32, SubW, Mul32, MulW, SDiv32, SDivW, SRem32, SRemW,
@@ -81,6 +85,55 @@ enum class Op : uint8_t {
   // sentinel after the last instruction.
   BadLocalSlot, FellOff
 };
+
+/// \returns the i32 in the low half of \p Bits, sign-extended.
+inline uint64_t canonicalizeI32(uint64_t Bits) {
+  return static_cast<uint64_t>(
+      static_cast<int64_t>(static_cast<int32_t>(Bits)));
+}
+
+/// \returns the f32 in the low half of \p Bits.
+inline float asF32(uint64_t Bits) {
+  return std::bit_cast<float>(static_cast<uint32_t>(Bits));
+}
+
+/// \returns the register bits of \p F.
+inline uint64_t fromF32(float F) { return std::bit_cast<uint32_t>(F); }
+
+/// f32 -> signed integer toward zero, saturating, NaN to 0.
+inline uint64_t fpToSI(uint64_t Bits) {
+  float F = asF32(Bits);
+  int64_t Out;
+  if (std::isnan(F))
+    Out = 0;
+  else if (F >= 9.2233715e18f)
+    Out = INT64_MAX;
+  else if (F <= -9.2233715e18f)
+    Out = INT64_MIN;
+  else
+    Out = static_cast<int64_t>(F);
+  return static_cast<uint64_t>(Out);
+}
+
+/// Computes \p Opcode (SDiv32, SDivW, SRem32 or SRemW) of \p A by \p B,
+/// which must be nonzero: a zero divisor traps.
+inline uint64_t sdivrem(Op Opcode, uint64_t A, uint64_t B) {
+  int64_t Num = static_cast<int64_t>(A), Den = static_cast<int64_t>(B);
+  bool IsDiv = Opcode == Op::SDiv32 || Opcode == Op::SDivW;
+  uint64_t Out;
+  if (Den == -1) // INT_MIN / -1 would be UB; wraps like hardware.
+    Out = IsDiv ? 0 - A : 0;
+  else
+    Out = static_cast<uint64_t>(IsDiv ? Num / Den : Num % Den);
+  bool Is32 = Opcode == Op::SDiv32 || Opcode == Op::SRem32;
+  return Is32 ? canonicalizeI32(Out) : Out;
+}
+
+/// Evaluates the Binary, Cmp, Select or Cast instruction \p I on the
+/// bits of its operands, \p Bits[0, I.numOperands()), exactly as the
+/// interpreter would. \returns nothing for any other instruction and for
+/// one that would trap (a zero divisor).
+std::optional<uint64_t> evaluate(const Instruction &I, const uint64_t *Bits);
 
 /// One bytecode instruction: an opcode and up to four register operands.
 struct FlatInst {

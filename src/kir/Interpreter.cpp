@@ -21,39 +21,6 @@ namespace {
 /// Call depth at which a call traps.
 constexpr size_t MaxCallDepth = 64;
 
-uint64_t canonicalizeI32(uint64_t Bits) {
-  return static_cast<uint64_t>(
-      static_cast<int64_t>(static_cast<int32_t>(Bits)));
-}
-
-float asF32(uint64_t Bits) {
-  uint32_t I = static_cast<uint32_t>(Bits);
-  float F;
-  std::memcpy(&F, &I, 4);
-  return F;
-}
-
-uint64_t fromF32(float F) {
-  uint32_t I;
-  std::memcpy(&I, &F, 4);
-  return I;
-}
-
-/// f32 -> signed integer toward zero, saturating, NaN to 0.
-uint64_t fpToSI(uint64_t Bits) {
-  float F = asF32(Bits);
-  int64_t Out;
-  if (std::isnan(F))
-    Out = 0;
-  else if (F >= 9.2233715e18f)
-    Out = INT64_MAX;
-  else if (F <= -9.2233715e18f)
-    Out = INT64_MIN;
-  else
-    Out = static_cast<int64_t>(F);
-  return static_cast<uint64_t>(Out);
-}
-
 unsigned dim(uint64_t Bits) { return static_cast<unsigned>(Bits); }
 
 /// One invocation record on a work item's call stack: a window of the
@@ -318,169 +285,22 @@ SuspendKind Machine::runWorkItem(Group &G, WorkItem &WI) {
       goto Suspend;
     }
     switch (I.Opcode) {
-    case Op::Add32:
-      R[I.Dst] = canonicalizeI32(R[I.A] + R[I.B]);
-      continue;
-    case Op::AddW:
-      R[I.Dst] = R[I.A] + R[I.B];
-      continue;
-    case Op::Sub32:
-      R[I.Dst] = canonicalizeI32(R[I.A] - R[I.B]);
-      continue;
-    case Op::SubW:
-      R[I.Dst] = R[I.A] - R[I.B];
-      continue;
-    case Op::Mul32:
-      R[I.Dst] = canonicalizeI32(R[I.A] * R[I.B]);
-      continue;
-    case Op::MulW:
-      R[I.Dst] = R[I.A] * R[I.B];
-      continue;
+#define PURE_OP(Name, Expr)                                                    \
+  case Op::Name: {                                                             \
+    [[maybe_unused]] uint64_t A = R[I.A], B = R[I.B], C = R[I.C];              \
+    R[I.Dst] = Expr;                                                           \
+    continue;                                                                  \
+  }
+#include "kir/PureOps.def"
     case Op::SDiv32:
     case Op::SDivW:
     case Op::SRem32:
-    case Op::SRemW: {
-      uint64_t L = R[I.A];
-      int64_t Num = static_cast<int64_t>(L);
-      int64_t Den = static_cast<int64_t>(R[I.B]);
-      if (Den == 0) {
+    case Op::SRemW:
+      if (R[I.B] == 0) {
         S = trapIn("integer division by zero", *FF);
         goto Suspend;
       }
-      bool IsDiv = I.Opcode == Op::SDiv32 || I.Opcode == Op::SDivW;
-      uint64_t Out;
-      if (Den == -1) // INT_MIN / -1 would be UB; wraps like hardware.
-        Out = IsDiv ? 0 - L : 0;
-      else
-        Out = static_cast<uint64_t>(IsDiv ? Num / Den : Num % Den);
-      bool Is32 = I.Opcode == Op::SDiv32 || I.Opcode == Op::SRem32;
-      R[I.Dst] = Is32 ? canonicalizeI32(Out) : Out;
-      continue;
-    }
-    case Op::And32:
-      R[I.Dst] = canonicalizeI32(R[I.A] & R[I.B]);
-      continue;
-    case Op::AndW:
-      R[I.Dst] = R[I.A] & R[I.B];
-      continue;
-    case Op::Or32:
-      R[I.Dst] = canonicalizeI32(R[I.A] | R[I.B]);
-      continue;
-    case Op::OrW:
-      R[I.Dst] = R[I.A] | R[I.B];
-      continue;
-    case Op::Xor32:
-      R[I.Dst] = canonicalizeI32(R[I.A] ^ R[I.B]);
-      continue;
-    case Op::XorW:
-      R[I.Dst] = R[I.A] ^ R[I.B];
-      continue;
-    case Op::Shl32:
-      R[I.Dst] = canonicalizeI32(R[I.A] << (R[I.B] & 31));
-      continue;
-    case Op::ShlW:
-      R[I.Dst] = R[I.A] << (R[I.B] & 63);
-      continue;
-    case Op::AShr32:
-      R[I.Dst] = canonicalizeI32(static_cast<uint64_t>(
-          static_cast<int64_t>(R[I.A]) >> (R[I.B] & 31)));
-      continue;
-    case Op::AShrW:
-      R[I.Dst] = static_cast<uint64_t>(static_cast<int64_t>(R[I.A]) >>
-                                       (R[I.B] & 63));
-      continue;
-    case Op::LShr32:
-      R[I.Dst] = canonicalizeI32((R[I.A] & 0xFFFFFFFFULL) >> (R[I.B] & 31));
-      continue;
-    case Op::LShrW:
-      R[I.Dst] = R[I.A] >> (R[I.B] & 63);
-      continue;
-
-    case Op::FAdd:
-      R[I.Dst] = fromF32(asF32(R[I.A]) + asF32(R[I.B]));
-      continue;
-    case Op::FSub:
-      R[I.Dst] = fromF32(asF32(R[I.A]) - asF32(R[I.B]));
-      continue;
-    case Op::FMul:
-      R[I.Dst] = fromF32(asF32(R[I.A]) * asF32(R[I.B]));
-      continue;
-    case Op::FDiv:
-      R[I.Dst] = fromF32(asF32(R[I.A]) / asF32(R[I.B]));
-      continue;
-
-    case Op::CmpEQ:
-      R[I.Dst] = R[I.A] == R[I.B];
-      continue;
-    case Op::CmpNE:
-      R[I.Dst] = R[I.A] != R[I.B];
-      continue;
-    case Op::CmpSLT:
-      R[I.Dst] = static_cast<int64_t>(R[I.A]) < static_cast<int64_t>(R[I.B]);
-      continue;
-    case Op::CmpSLE:
-      R[I.Dst] =
-          static_cast<int64_t>(R[I.A]) <= static_cast<int64_t>(R[I.B]);
-      continue;
-    case Op::CmpSGT:
-      R[I.Dst] = static_cast<int64_t>(R[I.A]) > static_cast<int64_t>(R[I.B]);
-      continue;
-    case Op::CmpSGE:
-      R[I.Dst] =
-          static_cast<int64_t>(R[I.A]) >= static_cast<int64_t>(R[I.B]);
-      continue;
-    case Op::CmpULT32:
-      R[I.Dst] = (R[I.A] & 0xFFFFFFFFULL) < (R[I.B] & 0xFFFFFFFFULL);
-      continue;
-    case Op::CmpULTW:
-      R[I.Dst] = R[I.A] < R[I.B];
-      continue;
-    case Op::CmpUGE32:
-      R[I.Dst] = (R[I.A] & 0xFFFFFFFFULL) >= (R[I.B] & 0xFFFFFFFFULL);
-      continue;
-    case Op::CmpUGEW:
-      R[I.Dst] = R[I.A] >= R[I.B];
-      continue;
-    case Op::FCmpOEQ:
-      R[I.Dst] = asF32(R[I.A]) == asF32(R[I.B]);
-      continue;
-    case Op::FCmpONE:
-      R[I.Dst] = asF32(R[I.A]) != asF32(R[I.B]);
-      continue;
-    case Op::FCmpOLT:
-      R[I.Dst] = asF32(R[I.A]) < asF32(R[I.B]);
-      continue;
-    case Op::FCmpOLE:
-      R[I.Dst] = asF32(R[I.A]) <= asF32(R[I.B]);
-      continue;
-    case Op::FCmpOGT:
-      R[I.Dst] = asF32(R[I.A]) > asF32(R[I.B]);
-      continue;
-    case Op::FCmpOGE:
-      R[I.Dst] = asF32(R[I.A]) >= asF32(R[I.B]);
-      continue;
-
-    case Op::Select:
-      R[I.Dst] = R[I.A] ? R[I.B] : R[I.C];
-      continue;
-
-    case Op::Mov:
-      R[I.Dst] = R[I.A];
-      continue;
-    case Op::Trunc:
-      R[I.Dst] = canonicalizeI32(R[I.A]);
-      continue;
-    case Op::SIToFP:
-      R[I.Dst] = fromF32(static_cast<float>(static_cast<int64_t>(R[I.A])));
-      continue;
-    case Op::FPToSI32:
-      R[I.Dst] = canonicalizeI32(fpToSI(R[I.A]));
-      continue;
-    case Op::FPToSIW:
-      R[I.Dst] = fpToSI(R[I.A]);
-      continue;
-    case Op::ZExtBool:
-      R[I.Dst] = R[I.A] & 1;
+      R[I.Dst] = sdivrem(I.Opcode, R[I.A], R[I.B]);
       continue;
 
     case Op::Alloca: {

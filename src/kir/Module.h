@@ -188,7 +188,8 @@ public:
     return N;
   }
 
-private:
+  /// Interns the constant of type \p Ty with payload \p Bits (see
+  /// Constant::bits).
   Constant *getConstant(Type Ty, uint64_t Bits) {
     ConstantKey Key{static_cast<uint8_t>(Ty.kind()), Bits};
     auto It = ConstantPool.find(Key);
@@ -200,6 +201,7 @@ private:
     return Raw;
   }
 
+private:
   using ConstantKey = std::pair<uint8_t, uint64_t>;
 
   std::string Name;

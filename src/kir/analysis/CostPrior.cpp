@@ -22,6 +22,51 @@ using namespace accel::kir::analysis;
 
 namespace {
 
+/// The prior's weights, in the synthetic thread-cycle unit the workload
+/// suite's cost profiles use. Calibrated against the Parboil-like suite
+/// (tests/AnalysisTests.cpp keeps every kernel within 3x).
+namespace Weight {
+constexpr double Alu = 1.0;
+/// sin/cos/exp/log (polynomial expansion).
+constexpr double MathTrans = 2000.0;
+constexpr double MathDiv = 40.0;    ///< div/rem/sqrt by a non-constant.
+constexpr double PrivateMem = 1.0;  ///< Alloca traffic (register-like).
+constexpr double LocalMem = 4.0;    ///< Work-group scratchpad access.
+/// Latency-bound load of a shared table: every lane waits on the same
+/// DRAM line, so nothing amortises the round trip.
+constexpr double GlobalUniform = 400.0;
+/// Id-affine streaming access: one line serves the whole work group,
+/// so latency amortises across the lanes.
+constexpr double GlobalCoalesced = 300.0;
+constexpr double GlobalGather = 850.0; ///< Data-dependent scatter/gather.
+/// Access whose index is wrapped by a small constant modulus/mask:
+/// the working set fits in cache, so reuse makes it nearly free.
+constexpr double CacheResident = 40.0;
+/// Global stores cost this fraction of the matching load class
+/// (write-combining hides the latency half).
+constexpr double StoreFactor = 0.5;
+constexpr double AtomicGlobal = 900.0;
+constexpr double AtomicLocal = 700.0; ///< Scratchpad atomics still serialise.
+constexpr double BarrierCost = 40.0;
+constexpr double CallOverhead = 20.0; ///< Added on top of the callee's body.
+/// Default trip counts by loop-bound provenance when no numeric bound
+/// is derivable. Deliberately small: under-estimating an unknown loop
+/// biases the cold-start scheduler toward trying the kernel early,
+/// and the prior self-corrects after the first measurement.
+constexpr double TripArgument = 8.0; ///< Bound chases to a kernel argument.
+constexpr double TripWorkItem = 8.0; ///< Bound derived from work-item ids.
+constexpr double TripData = 3.0;     ///< Bound loaded from memory.
+constexpr double TripFallback = 16.0; ///< Structure unrecognised (diagnosed).
+/// Assumed work-group size for get_local_size()-strided loops.
+constexpr double StrideWGSize = 128.0;
+/// Floor per work item: launch, drain and fixed-issue overhead that
+/// even a two-instruction kernel pays.
+constexpr double MinPerItem = 1100.0;
+constexpr double MaxTripCount = 1u << 20; ///< Clamp for derived trip counts.
+/// Largest modulus/mask constant still considered cache-resident.
+constexpr double CacheWindow = 65536.0;
+} // namespace Weight
+
 //===----------------------------------------------------------------------===//
 // Expression provenance
 //===----------------------------------------------------------------------===//
@@ -311,12 +356,11 @@ struct LoopAnalyzer {
   const UniformityAnalysis &UA;
   const IntervalAnalysis &IA;
   ProvenanceScanner &Prov;
-  const CostWeights &W;
 
   LoopTripInfo analyze(const CfgLoop &L, std::string *FallbackWhy) {
     LoopTripInfo Info;
     Info.Line = firstLine(G.block(L.Header));
-    Info.Trips = W.TripFallback;
+    Info.Trips = Weight::TripFallback;
 
     const auto *Br =
         dyn_cast_or_null<BrInst>(G.block(L.Header)->terminator());
@@ -425,7 +469,7 @@ struct LoopAnalyzer {
       if (SP.SeesLocalSize && Init.hasLowerBound() &&
           BoundIv.hasUpperBound()) {
         double Span = double(BoundIv.Hi) - std::max(0.0, double(Init.Lo));
-        Trips = std::ceil(Span / W.StrideWGSize);
+        Trips = std::ceil(Span / Weight::StrideWGSize);
       }
       break;
     }
@@ -435,7 +479,7 @@ struct LoopAnalyzer {
 
     if (Trips >= 0) {
       Info.BoundKind = TripBoundKind::Exact;
-      Info.Trips = std::clamp(Trips, 1.0, W.MaxTripCount);
+      Info.Trips = std::clamp(Trips, 1.0, Weight::MaxTripCount);
       return Info;
     }
 
@@ -443,13 +487,13 @@ struct LoopAnalyzer {
     Provenance BP = Prov.scan(Bound);
     if (BP.SeesData) {
       Info.BoundKind = TripBoundKind::Data;
-      Info.Trips = W.TripData;
+      Info.Trips = Weight::TripData;
     } else if (BP.SeesId) {
       Info.BoundKind = TripBoundKind::WorkItem;
-      Info.Trips = W.TripWorkItem;
+      Info.Trips = Weight::TripWorkItem;
     } else if (BP.SeesArgument) {
       Info.BoundKind = TripBoundKind::Argument;
-      Info.Trips = W.TripArgument;
+      Info.Trips = Weight::TripArgument;
     } else {
       *FallbackWhy = "loop bound has no derivable range or provenance";
     }
@@ -489,13 +533,12 @@ struct CalleeCosts {
   std::set<const Function *> Visiting;
 };
 
-double calleeBodyCost(const Function &F, const CostWeights &W,
-                      CalleeCosts &Callees);
+double calleeBodyCost(const Function &F, CalleeCosts &Callees);
 
 /// True when the gep index wraps through a small constant modulus or
-/// mask: successive accesses revisit a window of at most W.CacheWindow
+/// mask: successive accesses revisit a window of at most Weight::CacheWindow
 /// elements, so the data stays cache-resident.
-bool isCacheWindowIndex(const Value *Index, const CostWeights &W) {
+bool isCacheWindowIndex(const Value *Index) {
   const auto *B = dyn_cast<BinaryInst>(stripCasts(Index));
   if (!B)
     return false;
@@ -505,69 +548,69 @@ bool isCacheWindowIndex(const Value *Index, const CostWeights &W) {
   if (!C)
     return false;
   int64_t Window = C->intValue() + (B->op() == BinOpKind::And ? 1 : 0);
-  return Window > 0 && double(Window) <= W.CacheWindow;
+  return Window > 0 && double(Window) <= Weight::CacheWindow;
 }
 
 double memoryWeight(const Value *Ptr, bool IsStore,
-                    const UniformityAnalysis &UA, ProvenanceScanner &Prov,
-                    const CostWeights &W) {
+                    const UniformityAnalysis &UA, ProvenanceScanner &Prov) {
   if (!Ptr->type().isPtr())
-    return W.Alu;
+    return Weight::Alu;
   switch (Ptr->type().addrSpace()) {
   case AddrSpaceKind::Private:
-    return W.PrivateMem;
+    return Weight::PrivateMem;
   case AddrSpaceKind::Local:
-    return W.LocalMem;
+    return Weight::LocalMem;
   case AddrSpaceKind::Global:
     break;
   }
   double Load;
   if (const auto *G = dyn_cast<GepInst>(Ptr);
-      G && isCacheWindowIndex(G->index(), W))
-    Load = W.CacheResident;
+      G && isCacheWindowIndex(G->index()))
+    Load = Weight::CacheResident;
   else if (!UA.isDivergent(Ptr))
-    Load = W.GlobalUniform;
+    Load = Weight::GlobalUniform;
   else
-    Load = Prov.isIdAffine(Ptr) ? W.GlobalCoalesced : W.GlobalGather;
-  return IsStore ? Load * W.StoreFactor : Load;
+    Load = Prov.isIdAffine(Ptr) ? Weight::GlobalCoalesced
+                                : Weight::GlobalGather;
+  return IsStore ? Load * Weight::StoreFactor : Load;
 }
 
 double instructionWeight(const Instruction *I, const UniformityAnalysis &UA,
-                         ProvenanceScanner &Prov, const CostWeights &W,
+                         ProvenanceScanner &Prov,
                          CalleeCosts &Callees) {
   switch (I->instKind()) {
   case InstKind::Load:
     return memoryWeight(cast<LoadInst>(*I).pointer(), /*IsStore=*/false, UA,
-                        Prov, W);
+                        Prov);
   case InstKind::Store:
     return memoryWeight(cast<StoreInst>(*I).pointer(), /*IsStore=*/true, UA,
-                        Prov, W);
+                        Prov);
   case InstKind::Binary: {
     const auto &B = cast<BinaryInst>(*I);
     switch (B.op()) {
     case BinOpKind::SDiv:
     case BinOpKind::SRem:
       // A constant divisor lowers to shifts/multiply tricks.
-      return isa<Constant>(stripCasts(B.rhs())) ? W.Alu : W.MathDiv;
+      return isa<Constant>(stripCasts(B.rhs())) ? Weight::Alu : Weight::MathDiv;
     case BinOpKind::FDiv:
-      return W.MathDiv;
+      return Weight::MathDiv;
     default:
-      return W.Alu;
+      return Weight::Alu;
     }
   }
   case InstKind::Builtin: {
     const auto &B = cast<BuiltinInst>(*I);
     switch (B.builtinKind()) {
     case BuiltinKind::Barrier:
-      return W.BarrierCost;
+      return Weight::BarrierCost;
     case BuiltinKind::Sqrt:
     case BuiltinKind::Rsqrt:
-      return W.MathDiv;
+      return Weight::MathDiv;
     case BuiltinKind::Sin:
     case BuiltinKind::Cos:
     case BuiltinKind::Exp:
     case BuiltinKind::Log:
-      return W.MathTrans;
+      return Weight::MathTrans;
     case BuiltinKind::AtomicAdd:
     case BuiltinKind::AtomicSub:
     case BuiltinKind::AtomicMin:
@@ -576,7 +619,7 @@ double instructionWeight(const Instruction *I, const UniformityAnalysis &UA,
       const Value *Ptr = B.operand(0);
       bool Local = Ptr->type().isPtr() &&
                    Ptr->type().addrSpace() == AddrSpaceKind::Local;
-      return Local ? W.AtomicLocal : W.AtomicGlobal;
+      return Local ? Weight::AtomicLocal : Weight::AtomicGlobal;
     }
     case BuiltinKind::RtIsMaster:
     case BuiltinKind::RtEnvInit:
@@ -585,21 +628,21 @@ double instructionWeight(const Instruction *I, const UniformityAnalysis &UA,
     case BuiltinKind::RtGroupId:
     case BuiltinKind::RtGlobalSize:
     case BuiltinKind::RtNumGroups:
-      return 2 * W.Alu;
+      return 2 * Weight::Alu;
     default:
-      return W.Alu;
+      return Weight::Alu;
     }
   }
   case InstKind::Call: {
     const Function *Callee = cast<CallInst>(*I).callee();
-    double Body = Callee ? calleeBodyCost(*Callee, W, Callees) : 0;
-    return W.CallOverhead + Body;
+    double Body = Callee ? calleeBodyCost(*Callee, Callees) : 0;
+    return Weight::CallOverhead + Body;
   }
   case InstKind::Alloca:
   case InstKind::LocalAddr:
     return 0;
   default:
-    return W.Alu;
+    return Weight::Alu;
   }
 }
 
@@ -607,12 +650,12 @@ double instructionWeight(const Instruction *I, const UniformityAnalysis &UA,
 /// the public entry point and call-site charging. Fills \p Est and
 /// emits fallback diagnostics only for the outermost function.
 double rawBodyCost(const Cfg &G, const UniformityAnalysis &UA,
-                   const IntervalAnalysis &IA, const CostWeights &W,
+                   const IntervalAnalysis &IA,
                    CalleeCosts &Callees, CostEstimate *Est,
                    std::vector<Diagnostic> *Diags) {
   const Function &F = G.function();
   ProvenanceScanner Prov(F, UA);
-  LoopAnalyzer LA{G, UA, IA, Prov, W};
+  LoopAnalyzer LA{G, UA, IA, Prov};
 
   std::vector<LoopTripInfo> LoopInfo;
   LoopInfo.reserve(G.loops().size());
@@ -630,7 +673,7 @@ double rawBodyCost(const Cfg &G, const UniformityAnalysis &UA,
         D.BlockName = G.block(L.Header)->name();
         D.Line = Info.Line;
         D.Message = "cannot derive a trip count (" + Why + "); assuming " +
-                    std::to_string(static_cast<long>(W.TripFallback)) +
+                    std::to_string(static_cast<long>(Weight::TripFallback)) +
                     " iterations";
         Diags->push_back(std::move(D));
       }
@@ -644,10 +687,10 @@ double rawBodyCost(const Cfg &G, const UniformityAnalysis &UA,
     for (unsigned LI = 0; LI != G.loops().size(); ++LI)
       if (G.loops()[LI].contains(B))
         Mult *= LoopInfo[LI].Trips;
-    Mult = std::min(Mult, double(W.MaxTripCount));
+    Mult = std::min(Mult, Weight::MaxTripCount);
     double BlockCost = 0;
     for (const auto &IPtr : G.block(B)->instructions())
-      BlockCost += instructionWeight(IPtr.get(), UA, Prov, W, Callees);
+      BlockCost += instructionWeight(IPtr.get(), UA, Prov, Callees);
     Total += Mult * BlockCost;
   }
   if (Est)
@@ -655,8 +698,7 @@ double rawBodyCost(const Cfg &G, const UniformityAnalysis &UA,
   return Total;
 }
 
-double calleeBodyCost(const Function &F, const CostWeights &W,
-                      CalleeCosts &Callees) {
+double calleeBodyCost(const Function &F, CalleeCosts &Callees) {
   if (F.isDeclaration())
     return 0;
   auto It = Callees.Memo.find(&F);
@@ -667,7 +709,7 @@ double calleeBodyCost(const Function &F, const CostWeights &W,
   Cfg G(F);
   UniformityAnalysis UA(G);
   IntervalAnalysis IA(G);
-  double C = rawBodyCost(G, UA, IA, W, Callees, nullptr, nullptr);
+  double C = rawBodyCost(G, UA, IA, Callees, nullptr, nullptr);
   Callees.Visiting.erase(&F);
   Callees.Memo[&F] = C;
   return C;
@@ -693,11 +735,10 @@ const char *analysis::tripBoundKindName(TripBoundKind K) {
 
 CostEstimate analysis::estimateCost(const Cfg &G, const UniformityAnalysis &UA,
                                     const IntervalAnalysis &IA,
-                                    const CostWeights &W,
                                     std::vector<Diagnostic> *Diags) {
   CostEstimate Est;
   CalleeCosts Callees;
-  double Total = rawBodyCost(G, UA, IA, W, Callees, &Est, Diags);
-  Est.PerItemCycles = std::max(W.MinPerItem, Total);
+  double Total = rawBodyCost(G, UA, IA, Callees, &Est, Diags);
+  Est.PerItemCycles = std::max(Weight::MinPerItem, Total);
   return Est;
 }

@@ -32,50 +32,6 @@ class Cfg;
 class IntervalAnalysis;
 class UniformityAnalysis;
 
-/// Tunable weights, in the synthetic thread-cycle unit the workload
-/// suite's cost profiles use. Calibrated against the Parboil-like
-/// suite (tests/AnalysisTests.cpp keeps every kernel within 3x).
-struct CostWeights {
-  double Alu = 1.0;
-  double MathTrans = 2000.0; ///< sin/cos/exp/log (polynomial expansion).
-  double MathDiv = 40.0;     ///< div/rem/sqrt by a non-constant.
-  double PrivateMem = 1.0;   ///< Alloca traffic (register-like).
-  double LocalMem = 4.0;     ///< Work-group scratchpad access.
-  /// Latency-bound load of a shared table: every lane waits on the same
-  /// DRAM line, so nothing amortises the round trip.
-  double GlobalUniform = 400.0;
-  /// Id-affine streaming access: one line serves the whole work group,
-  /// so latency amortises across the lanes.
-  double GlobalCoalesced = 300.0;
-  double GlobalGather = 850.0; ///< Data-dependent scatter/gather.
-  /// Access whose index is wrapped by a small constant modulus/mask:
-  /// the working set fits in cache, so reuse makes it nearly free.
-  double CacheResident = 40.0;
-  /// Global stores cost this fraction of the matching load class
-  /// (write-combining hides the latency half).
-  double StoreFactor = 0.5;
-  double AtomicGlobal = 900.0;
-  double AtomicLocal = 700.0; ///< Scratchpad atomics still serialise.
-  double BarrierCost = 40.0;
-  double CallOverhead = 20.0; ///< Added on top of the callee's body.
-  /// Default trip counts by loop-bound provenance when no numeric bound
-  /// is derivable. Deliberately small: under-estimating an unknown loop
-  /// biases the cold-start scheduler toward trying the kernel early,
-  /// and the prior self-corrects after the first measurement.
-  double TripArgument = 8.0; ///< Bound chases to a kernel argument.
-  double TripWorkItem = 8.0; ///< Bound derived from work-item ids.
-  double TripData = 3.0;     ///< Bound loaded from memory.
-  double TripFallback = 16.0; ///< Structure unrecognised (diagnosed).
-  /// Assumed work-group size for get_local_size()-strided loops.
-  double StrideWGSize = 128.0;
-  /// Floor per work item: launch, drain and fixed-issue overhead that
-  /// even a two-instruction kernel pays.
-  double MinPerItem = 1100.0;
-  double MaxTripCount = 1u << 20; ///< Clamp for derived trip counts.
-  /// Largest modulus/mask constant still considered cache-resident.
-  double CacheWindow = 65536.0;
-};
-
 /// How a loop's iteration bound was established.
 enum class TripBoundKind {
   Exact,    ///< Derived numerically from init/bound/step intervals.
@@ -108,7 +64,6 @@ struct CostEstimate {
 /// unanalysable loop to \p Diags when non-null.
 CostEstimate estimateCost(const Cfg &G, const UniformityAnalysis &UA,
                           const IntervalAnalysis &IA,
-                          const CostWeights &W = CostWeights(),
                           std::vector<Diagnostic> *Diags = nullptr);
 
 } // namespace analysis

@@ -82,7 +82,7 @@ std::vector<Diagnostic> analysis::lintFunction(const Function &F,
   // posts RUN_TERMINATE, so its trip count is contention-dependent and a
   // fallback diagnostic there would be pure noise.
   if (Opts.CheckCost && !IsSchedulingKernel)
-    estimateCost(G, UA, IA, CostWeights(), &Diags);
+    estimateCost(G, UA, IA, &Diags);
 
   return Diags;
 }

@@ -17,12 +17,7 @@ Value *passes::mapValue(const Value *V, ValueMap &VM, Function &Dest) {
   if (It != VM.end())
     return It->second;
   if (const auto *C = dyn_cast<Constant>(V)) {
-    Constant *NewC =
-        C->type().isFloat()
-            ? Dest.getFloatConstant(C->floatValue())
-            : (C->type().isBool()
-                   ? Dest.getBoolConstant(C->bits() != 0)
-                   : Dest.getIntConstant(C->type(), C->intValue()));
+    Constant *NewC = Dest.getConstant(C->type(), C->bits());
     VM.emplace(V, NewC);
     return NewC;
   }

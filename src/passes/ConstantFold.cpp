@@ -6,11 +6,9 @@
 
 #include "passes/ConstantFold.h"
 
-#include "kir/Module.h"
+#include "kir/FlatCode.h"
 #include "passes/CloneUtil.h"
 #include "support/Casting.h"
-
-#include <cmath>
 
 using namespace accel;
 using namespace accel::kir;
@@ -18,192 +16,20 @@ using namespace accel::passes;
 
 namespace {
 
-int64_t asInt(const Constant *C) { return C->intValue(); }
-float asFloat(const Constant *C) { return C->floatValue(); }
-
-/// Folds one instruction if possible. \returns the replacement constant
-/// or null.
+/// Folds one instruction whose operands are all constants, with the
+/// interpreter's semantics. \returns the replacement constant or null.
 Constant *foldInst(Function &F, const Instruction &I) {
-  // All operands must be constants.
-  std::vector<const Constant *> Ops;
+  std::vector<uint64_t> Bits;
   for (const Value *Op : I.operands()) {
     const auto *C = dyn_cast<Constant>(Op);
     if (!C)
       return nullptr;
-    Ops.push_back(C);
+    Bits.push_back(C->bits());
   }
-
-  switch (I.instKind()) {
-  case InstKind::Binary: {
-    const auto &B = cast<BinaryInst>(I);
-    if (isFloatBinOp(B.op())) {
-      float L = asFloat(Ops[0]), R = asFloat(Ops[1]), Out;
-      switch (B.op()) {
-      case BinOpKind::FAdd:
-        Out = L + R;
-        break;
-      case BinOpKind::FSub:
-        Out = L - R;
-        break;
-      case BinOpKind::FMul:
-        Out = L * R;
-        break;
-      case BinOpKind::FDiv:
-        Out = L / R;
-        break;
-      default:
-        return nullptr;
-      }
-      return F.getFloatConstant(Out);
-    }
-    bool Is32 = I.type().kind() == Type::Kind::I32;
-    int64_t L = asInt(Ops[0]), R = asInt(Ops[1]), Out;
-    uint64_t UL = static_cast<uint64_t>(L), UR = static_cast<uint64_t>(R);
-    switch (B.op()) {
-    case BinOpKind::Add:
-      Out = static_cast<int64_t>(UL + UR);
-      break;
-    case BinOpKind::Sub:
-      Out = static_cast<int64_t>(UL - UR);
-      break;
-    case BinOpKind::Mul:
-      Out = static_cast<int64_t>(UL * UR);
-      break;
-    case BinOpKind::SDiv:
-    case BinOpKind::SRem:
-      // Preserve the runtime trap.
-      if (R == 0)
-        return nullptr;
-      if (R == -1)
-        Out = B.op() == BinOpKind::SDiv ? static_cast<int64_t>(0 - UL) : 0;
-      else
-        Out = B.op() == BinOpKind::SDiv ? L / R : L % R;
-      break;
-    case BinOpKind::And:
-      Out = L & R;
-      break;
-    case BinOpKind::Or:
-      Out = L | R;
-      break;
-    case BinOpKind::Xor:
-      Out = L ^ R;
-      break;
-    case BinOpKind::Shl:
-      Out = static_cast<int64_t>(UL << (UR & (Is32 ? 31 : 63)));
-      break;
-    case BinOpKind::AShr:
-      Out = L >> (UR & (Is32 ? 31 : 63));
-      break;
-    case BinOpKind::LShr:
-      Out = static_cast<int64_t>((Is32 ? (UL & 0xFFFFFFFFULL) : UL) >>
-                                 (UR & (Is32 ? 31 : 63)));
-      break;
-    default:
-      return nullptr;
-    }
-    if (Is32)
-      Out = static_cast<int32_t>(Out);
-    return F.getIntConstant(I.type(), Out);
-  }
-  case InstKind::Cmp: {
-    const auto &C = cast<CmpInst>(I);
-    bool Out;
-    if (isFloatCmpPred(C.pred())) {
-      float L = asFloat(Ops[0]), R = asFloat(Ops[1]);
-      switch (C.pred()) {
-      case CmpPred::FOEQ:
-        Out = L == R;
-        break;
-      case CmpPred::FONE:
-        Out = L != R;
-        break;
-      case CmpPred::FOLT:
-        Out = L < R;
-        break;
-      case CmpPred::FOLE:
-        Out = L <= R;
-        break;
-      case CmpPred::FOGT:
-        Out = L > R;
-        break;
-      case CmpPred::FOGE:
-        Out = L >= R;
-        break;
-      default:
-        return nullptr;
-      }
-    } else {
-      bool Is32 = C.lhs()->type().kind() == Type::Kind::I32;
-      int64_t L = asInt(Ops[0]), R = asInt(Ops[1]);
-      uint64_t UL = Is32 ? (static_cast<uint64_t>(L) & 0xFFFFFFFFULL)
-                         : static_cast<uint64_t>(L);
-      uint64_t UR = Is32 ? (static_cast<uint64_t>(R) & 0xFFFFFFFFULL)
-                         : static_cast<uint64_t>(R);
-      switch (C.pred()) {
-      case CmpPred::EQ:
-        Out = L == R;
-        break;
-      case CmpPred::NE:
-        Out = L != R;
-        break;
-      case CmpPred::SLT:
-        Out = L < R;
-        break;
-      case CmpPred::SLE:
-        Out = L <= R;
-        break;
-      case CmpPred::SGT:
-        Out = L > R;
-        break;
-      case CmpPred::SGE:
-        Out = L >= R;
-        break;
-      case CmpPred::ULT:
-        Out = UL < UR;
-        break;
-      case CmpPred::UGE:
-        Out = UL >= UR;
-        break;
-      default:
-        return nullptr;
-      }
-    }
-    return F.getBoolConstant(Out);
-  }
-  case InstKind::Select: {
-    const Constant *Arm = Ops[0]->bits() ? Ops[1] : Ops[2];
-    if (I.type().isFloat())
-      return F.getFloatConstant(Arm->floatValue());
-    return F.getIntConstant(I.type(), Arm->intValue());
-  }
-  case InstKind::Cast: {
-    const auto &C = cast<CastInst>(I);
-    switch (C.castKind()) {
-    case CastKind::SExt:
-      return F.getIntConstant(Type::i64(), Ops[0]->intValue());
-    case CastKind::Trunc:
-      return F.getIntConstant(
-          Type::i32(), static_cast<int32_t>(Ops[0]->intValue()));
-    case CastKind::SIToFP:
-      return F.getFloatConstant(
-          static_cast<float>(Ops[0]->intValue()));
-    case CastKind::FPToSI: {
-      float V = asFloat(Ops[0]);
-      if (std::isnan(V))
-        return F.getIntConstant(I.type(), 0);
-      int64_t Out = static_cast<int64_t>(V);
-      if (I.type().kind() == Type::Kind::I32)
-        Out = static_cast<int32_t>(Out);
-      return F.getIntConstant(I.type(), Out);
-    }
-    case CastKind::ZExtBool:
-      return F.getIntConstant(I.type(), Ops[0]->bits() & 1);
-    }
-    return nullptr;
-  }
-  default:
-    return nullptr;
-  }
+  // Only Binary, Cmp, Select and Cast evaluate, and a zero divisor does
+  // not: the runtime trap is preserved.
+  std::optional<uint64_t> Out = evaluate(I, Bits.data());
+  return Out ? F.getConstant(I.type(), *Out) : nullptr;
 }
 
 bool runOnFunction(Function &F) {

@@ -7,7 +7,9 @@
 /// \file
 /// Folds binary, comparison, select and cast instructions whose operands
 /// are all constants, re-interning the results in the owning function's
-/// constant pool. Runs to a fixed point so chains fold completely.
+/// constant pool. kir::evaluate computes each result with the
+/// interpreter's own op table, so folding never changes what a kernel
+/// computes. Runs to a fixed point so chains fold completely.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -510,6 +510,21 @@ TEST(RoundSchedulerTest, RepeatedlyDeferredHeadGetsSoloRound) {
   EXPECT_LE(S.stats().Deferrals, RoundScheduler::MaxDeferrals + 1);
 }
 
+TEST(RoundSchedulerTest, OversizedWorkGroupIsSoloRescued) {
+  // A single work group wider than the device sheds every request, so
+  // the round forces the head through alone: one work group, which the
+  // execution layer serializes, and no deferral left on the books.
+  RoundScheduler S(tinyCaps());
+  S.submit(request(9, demand(2048, 0, 4, 10)));
+  auto Grants = S.nextRound();
+  ASSERT_EQ(Grants.size(), 1u);
+  EXPECT_EQ(Grants[0].Id, 9u);
+  EXPECT_EQ(Grants[0].WGs, 1u);
+  EXPECT_EQ(S.pending(), 0u);
+  EXPECT_EQ(S.stats().SoloRescues, 1u);
+  EXPECT_EQ(S.stats().Deferrals, 0u);
+}
+
 TEST(RoundSchedulerTest, EveryRoundFitsTheDevice) {
   // Randomized drain: whatever the mix, each round's aggregate grant
   // fits the caps and the queue always empties.
@@ -1577,6 +1592,33 @@ TEST(StrideSchedulerTest, DeterministicReplay) {
       if (G.WGs > 0)
         InFlight.push_back(G.Id);
   }
+}
+
+TEST(StrideSchedulerTest, OversizedWorkGroupIsSoloRescued) {
+  // Work conservation: an idle device never refuses its minimum-pass
+  // request, even one whose single work group exceeds the device.
+  StrideScheduler S(tinyCaps());
+  S.submit(request(9, demand(2048, 0, 4, 10)));
+  const std::vector<RoundGrant> &G = S.admit();
+  ASSERT_EQ(G.size(), 1u);
+  EXPECT_EQ(G[0].Id, 9u);
+  EXPECT_EQ(G[0].WGs, 1u);
+  EXPECT_EQ(S.pending(), 0u);
+  EXPECT_EQ(S.inFlight(), 1u);
+  EXPECT_EQ(S.stats().SoloRescues, 1u);
+  EXPECT_EQ(S.stats().Deferrals, 0u);
+}
+
+TEST(StrideSchedulerTest, ZeroWorkRequestGrantsZeroWithoutFlight) {
+  StrideScheduler S(tinyCaps());
+  S.submit(request(0, demand(128, 0, 4, 0)));
+  const std::vector<RoundGrant> &G = S.admit();
+  ASSERT_EQ(G.size(), 1u);
+  EXPECT_EQ(G[0].Id, 0u);
+  EXPECT_EQ(G[0].WGs, 0u);
+  EXPECT_EQ(S.pending(), 0u);
+  EXPECT_EQ(S.inFlight(), 0u);
+  EXPECT_EQ(S.stats().SoloRescues, 0u);
 }
 
 TEST(StrideSchedulerTest, ReEntryDoesNotBankCredit) {

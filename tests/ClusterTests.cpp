@@ -17,8 +17,8 @@
 /// resilience machinery: deterministic fault replay, no-lost-requests
 /// while capacity remains (continuous and stride admission), work
 /// conservation across migration and failover, elastic scale-up,
-/// retry-budget exhaustion, and closed-loop scripts draining through
-/// faults.
+/// retry-budget exhaustion, whole-fleet outages that park work until a
+/// device returns, and closed-loop scripts draining through faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -875,6 +875,60 @@ TEST_F(ClusterTest, FullOutageLosesLateArrivalsUnplaced) {
   }
   EXPECT_GT(LateArrivals, 0u) << "trace ended before the outage";
   EXPECT_GE(O.LostRequests.size(), LateArrivals);
+}
+
+TEST_F(ClusterTest, FullOutageParksUntilTheFleetReturns) {
+  // When the whole fleet goes dark but capacity is scripted to return,
+  // nothing is lost: arrivals during the outage park unplaced and get
+  // their first placement at the rejoin, and the requests the outage
+  // displaced park too and fail over at the rejoin.
+  std::vector<workloads::TimedRequest> Trace = poisson(24, 17);
+  ClusterOptions Opts = options();
+  Opts.MaxRetries = 100;
+  double Down = 2.0 * meanDur();
+  double Up = 6.0 * meanDur();
+  Opts.FleetPlan = {
+      {.Time = Down, .Device = 0, .What = FleetEvent::Kind::Down},
+      {.Time = Down, .Device = 1, .What = FleetEvent::Kind::Down},
+      {.Time = Up, .Device = 0, .What = FleetEvent::Kind::Up},
+      {.Time = Up, .Device = 1, .What = FleetEvent::Kind::Up}};
+  auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+  ASSERT_EQ(O.Stream.Requests.size(), Trace.size());
+  EXPECT_TRUE(O.LostRequests.empty());
+  EXPECT_EQ(O.RequestedWGs, O.ExecutedWGs);
+
+  size_t ParkedArrivals = 0;
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    if (Trace[I].ArrivalTime < Down || Trace[I].ArrivalTime >= Up)
+      continue;
+    ++ParkedArrivals;
+    EXPECT_LT(O.Placement[I], fleet().size())
+        << "request " << I << " never placed";
+    EXPECT_GE(O.Stream.Requests[I].StartTime, Up)
+        << "request " << I << " started on a dark fleet";
+    for (const harness::ClusterMigrationRecord &M : O.Migrations)
+      EXPECT_NE(M.RequestIdx, I)
+          << "first placement of request " << I << " recorded as a move";
+  }
+  EXPECT_GT(ParkedArrivals, 0u) << "no arrival fell in the outage";
+
+  // Device 0 fails over to device 1, then device 1's work, that
+  // failover included, parks until the rejoin.
+  ASSERT_EQ(O.Faults.size(), 2u);
+  EXPECT_EQ(O.Faults[1].Device, 1u);
+  EXPECT_EQ(O.Faults[1].Lost, 0u);
+  size_t Rebound = 0;
+  for (const harness::ClusterMigrationRecord &M : O.Migrations) {
+    EXPECT_TRUE(M.Failover);
+    if (M.Time == Up) {
+      EXPECT_EQ(M.From, 1u);
+      ++Rebound;
+    }
+  }
+  EXPECT_GT(Rebound, 0u) << "nothing was in service at the outage";
+  EXPECT_EQ(Rebound, O.Faults[1].Displaced);
 }
 
 TEST_F(ClusterTest, ClosedLoopScriptDrainsThroughFaults) {

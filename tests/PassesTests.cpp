@@ -13,8 +13,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "kir/IRBuilder.h"
 #include "kir/Printer.h"
 #include "kir/RtLayout.h"
+#include "kir/Verifier.h"
 #include "passes/AccelOSTransform.h"
 #include "passes/ConstantFold.h"
 #include "passes/DCE.h"
@@ -24,6 +26,12 @@
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
+
+#include <bit>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <sstream>
 
 using namespace accel;
 using accel::testutil::KernelHarness;
@@ -217,6 +225,182 @@ TEST(ConstantFoldTest, PreservesDivisionByZeroTrap) {
   Range.LocalSize[0] = 1;
   auto Stats = H.Interp.run(*K, {PD}, Range);
   EXPECT_FALSE(static_cast<bool>(Stats));
+}
+
+/// Folds one-instruction kernels `out[0] = op(constants)` and checks
+/// that each stores the same bits folded and unfolded. An i1 result is
+/// widened to i32 before the store.
+class FoldDifferential {
+public:
+  using BuildFn = std::function<kir::Value *(kir::IRBuilder &)>;
+
+  /// Checks the kernel whose value \p Build emits. It must trap, both
+  /// folded and unfolded, exactly when \p ExpectTrap is set; otherwise
+  /// the fold must replace the stored value by a constant.
+  void check(const std::string &What, const BuildFn &Build,
+             bool ExpectTrap = false) {
+    SCOPED_TRACE(What);
+    bool Folded = false;
+    std::optional<uint64_t> Plain = run(Build, /*Fold=*/false, Folded);
+    std::optional<uint64_t> Fold = run(Build, /*Fold=*/true, Folded);
+    EXPECT_EQ(!Plain, ExpectTrap);
+    EXPECT_EQ(Folded, !ExpectTrap);
+    EXPECT_EQ(Plain ? hex(*Plain) : "trap", Fold ? hex(*Fold) : "trap");
+    ++Checked;
+  }
+
+  /// Constant-operand bit patterns of kind \p K: 0, +-1, the i32 and
+  /// i64 extremes, the shift counts 31/32/63/64, and the f32 signed
+  /// zeros, 0.5, NaN, infinities and out-of-range magnitudes.
+  static std::vector<uint64_t> edges(kir::Type::Kind K) {
+    using Lim32 = std::numeric_limits<int32_t>;
+    using Lim64 = std::numeric_limits<int64_t>;
+    using LimF = std::numeric_limits<float>;
+    std::vector<int64_t> Ints = {0,  1,  -1, Lim32::min(), Lim32::max(),
+                                 31, 32, 63, 64};
+    switch (K) {
+    case kir::Type::Kind::I1:
+      return {0, 1};
+    case kir::Type::Kind::I64:
+      Ints.push_back(Lim64::min());
+      Ints.push_back(Lim64::max());
+      [[fallthrough]];
+    case kir::Type::Kind::I32:
+      return {Ints.begin(), Ints.end()};
+    case kir::Type::Kind::F32: {
+      std::vector<uint64_t> Bits;
+      for (float F : {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, LimF::quiet_NaN(),
+                      LimF::infinity(), -LimF::infinity(), 1e30f, -1e30f,
+                      3e19f})
+        Bits.push_back(kir::Constant::encodeFloat(F));
+      return Bits;
+    }
+    default:
+      return {};
+    }
+  }
+
+  static std::string hex(uint64_t Bits) {
+    std::ostringstream OS;
+    OS << "0x" << std::hex << Bits;
+    return OS.str();
+  }
+
+  size_t Checked = 0;
+
+private:
+  /// Runs the kernel, after constant folding when \p Fold is set.
+  /// \returns the stored bits, or nothing when the kernel trapped.
+  std::optional<uint64_t> run(const BuildFn &Build, bool Fold,
+                              bool &Folded) {
+    kir::Module M("fold");
+    kir::Function *F =
+        M.createFunction("k", kir::Type::voidTy(), /*IsKernel=*/true);
+    kir::IRBuilder B(F);
+    B.setInsertPoint(F->createBlock("entry"));
+    kir::Value *V = Build(B);
+    if (V->type().isBool())
+      V = B.cast(kir::CastKind::ZExtBool, V, kir::Type::i32());
+    kir::Value *Out = F->addArgument(
+        kir::Type::ptr(V->type().kind(), kir::AddrSpaceKind::Global), "out");
+    B.store(Out, V);
+    B.retVoid();
+    cantFail(kir::verifyModule(M));
+    if (Fold) {
+      cantFail(passes::ConstantFoldPass().run(M));
+      const auto &Insts = F->entryBlock()->instructions();
+      Folded = isa<kir::Constant>(
+          cast<kir::StoreInst>(*Insts[Insts.size() - 2]).value());
+    }
+    H.Mem.writeU64(Buf, 0);
+    Expected<kir::ExecStats> Stats = H.Interp.run(*F, {Buf}, {});
+    H.Interp.forget(M);
+    if (!Stats)
+      return std::nullopt;
+    return V->type().kind() == kir::Type::Kind::I64 ? H.Mem.readU64(Buf)
+                                                    : H.Mem.readU32(Buf);
+  }
+
+  KernelHarness H;
+  uint64_t Buf = cantFail(H.Mem.allocate(8));
+};
+
+TEST(ConstantFoldTest, FoldsWithTheInterpreterSemantics) {
+  // The paper's transparency claim covers the JIT's cleanups too: a
+  // folded instruction must compute what the interpreter computes, out
+  // of range and at NaN included, where a C++ cast would be undefined.
+  using Kind = kir::Type::Kind;
+  FoldDifferential D;
+  auto Const = [](kir::IRBuilder &B, Kind K, uint64_t Bits) -> kir::Value * {
+    if (K == Kind::F32)
+      return B.f32Const(std::bit_cast<float>(static_cast<uint32_t>(Bits)));
+    return B.function()->getIntConstant(kir::Type::scalar(K),
+                                        static_cast<int64_t>(Bits));
+  };
+
+  for (unsigned Op = 0; Op <= static_cast<unsigned>(kir::BinOpKind::FDiv);
+       ++Op) {
+    auto K = static_cast<kir::BinOpKind>(Op);
+    bool IsDivRem = K == kir::BinOpKind::SDiv || K == kir::BinOpKind::SRem;
+    for (Kind T : kir::isFloatBinOp(K) ? std::vector<Kind>{Kind::F32}
+                                       : std::vector<Kind>{Kind::I32,
+                                                           Kind::I64})
+      for (uint64_t L : D.edges(T))
+        for (uint64_t R : D.edges(T))
+          D.check(std::string(kir::binOpName(K)) + " " + D.hex(L) + ", " +
+                      D.hex(R),
+                  [&](kir::IRBuilder &B) {
+                    return B.binary(K, Const(B, T, L), Const(B, T, R));
+                  },
+                  /*ExpectTrap=*/IsDivRem && R == 0);
+  }
+
+  for (unsigned P = 0; P <= static_cast<unsigned>(kir::CmpPred::FOGE); ++P) {
+    auto Pred = static_cast<kir::CmpPred>(P);
+    for (Kind T : kir::isFloatCmpPred(Pred)
+                      ? std::vector<Kind>{Kind::F32}
+                      : std::vector<Kind>{Kind::I1, Kind::I32, Kind::I64})
+      for (uint64_t L : D.edges(T))
+        for (uint64_t R : D.edges(T))
+          D.check(std::string(kir::cmpPredName(Pred)) + " " + D.hex(L) +
+                      ", " + D.hex(R),
+                  [&](kir::IRBuilder &B) {
+                    return B.cmp(Pred, Const(B, T, L), Const(B, T, R));
+                  });
+  }
+
+  for (Kind T : {Kind::I1, Kind::I32, Kind::I64, Kind::F32})
+    for (uint64_t Cond : {0, 1})
+      for (uint64_t L : D.edges(T))
+        for (uint64_t R : D.edges(T))
+          D.check("select " + D.hex(Cond) + ", " + D.hex(L) + ", " +
+                      D.hex(R),
+                  [&](kir::IRBuilder &B) {
+                    return B.select(Const(B, Kind::I1, Cond),
+                                    Const(B, T, L), Const(B, T, R));
+                  });
+
+  struct CastCase {
+    kir::CastKind CK;
+    Kind From, To;
+  };
+  for (CastCase C : std::vector<CastCase>{
+           {kir::CastKind::SExt, Kind::I32, Kind::I64},
+           {kir::CastKind::Trunc, Kind::I64, Kind::I32},
+           {kir::CastKind::SIToFP, Kind::I32, Kind::F32},
+           {kir::CastKind::SIToFP, Kind::I64, Kind::F32},
+           {kir::CastKind::FPToSI, Kind::F32, Kind::I32},
+           {kir::CastKind::FPToSI, Kind::F32, Kind::I64},
+           {kir::CastKind::ZExtBool, Kind::I1, Kind::I32},
+           {kir::CastKind::ZExtBool, Kind::I1, Kind::I64}})
+    for (uint64_t V : D.edges(C.From))
+      D.check(std::string(kir::castKindName(C.CK)) + " " + D.hex(V) + " to " +
+                  kir::Type::scalar(C.To).str(),
+              [&](kir::IRBuilder &B) {
+                return B.cast(C.CK, Const(B, C.From, V),
+                              kir::Type::scalar(C.To));
+              });
+  EXPECT_GT(D.Checked, 5000u);
 }
 
 //===----------------------------------------------------------------------===//
