@@ -450,7 +450,7 @@ void StrideScheduler::submit(const RoundRequest &R) {
     // Re-entry rule: an idle tenant joins at the global pass (or its
     // own, if ahead), so sleeping never banks scheduling credit.
     T.Pass = std::max(T.Pass, GlobalPass);
-    Ready.insert({T.Pass, R.Tenant});
+    Ready.push({T.Pass, R.Tenant});
   }
   T.Queue.push_back({R, 0});
   ++Pending;
@@ -459,11 +459,18 @@ void StrideScheduler::submit(const RoundRequest &R) {
 void StrideScheduler::clear() {
   for (auto &[Tid, T] : Tenants)
     T.Queue.clear();
-  Ready.clear();
+  Ready = {};
   Pending = 0;
 }
 
 const std::vector<RoundGrant> &StrideScheduler::admit() {
+#ifndef NDEBUG
+  size_t Queued = 0;
+  for (const auto &[Tid, T] : Tenants)
+    Queued += !T.Queue.empty();
+  assert(Ready.size() == Queued &&
+         "pick index out of sync with the tenants' queues");
+#endif
   Grants.clear();
   if (Pending == 0)
     return Grants;
@@ -477,9 +484,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
   bool Blocked = false;
   bool AnyCapacityGrant = false;
   while (!Ready.empty() && !Blocked) {
-    auto It = Ready.begin();
-    const double Pass = It->first;
-    const int Tid = It->second;
+    const auto [Pass, Tid] = Ready.top();
     TenantState &T = Tenants[Tid];
     Entry &E = T.Queue.front();
     const KernelDemand &D = E.R.Demand;
@@ -490,7 +495,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
       T.Queue.pop_front();
       --Pending;
       if (T.Queue.empty())
-        Ready.erase(It);
+        Ready.pop();
       continue;
     }
     uint64_t WGs = std::min(D.RequestedWGs, fittingWGs(Free, D));
@@ -518,7 +523,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
       if (E.DeferCount >= MaxDeferrals)
         Blocked = true;
       Skipped.push_back(Tid);
-      Ready.erase(It);
+      Ready.pop();
       continue;
     }
     Grants.push_back({E.R.Id, WGs});
@@ -530,10 +535,10 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
     // Advance the clock: the tenant pays one stride per granted
     // request, and the global pass tracks the service frontier.
     GlobalPass = std::max(GlobalPass, Pass);
-    Ready.erase(It);
+    Ready.pop();
     T.Pass = Pass + T.Stride;
     if (!T.Queue.empty())
-      Ready.insert({T.Pass, Tid});
+      Ready.push({T.Pass, Tid});
   }
   // Re-arm the bypassed tenants (their pass values are unchanged, so
   // they only sink in the pick order while others advance); each
@@ -545,7 +550,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
       ++T.Queue.front().DeferCount;
       ++Stats.Deferrals;
     }
-    Ready.insert({T.Pass, Tid});
+    Ready.push({T.Pass, Tid});
   }
   return Grants;
 }

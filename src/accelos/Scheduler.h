@@ -48,9 +48,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <queue>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -364,8 +366,8 @@ private:
 /// weight vector, as a cheap approximate alternative to the exact
 /// fair-share solve. Each tenant holds tickets equal to its current
 /// request weight and a stride inversely proportional to them; every
-/// admission pass repeatedly picks the minimum-pass tenant from an
-/// ordered index (O(log n) per pick), grants its oldest request as many
+/// admission pass repeatedly picks the minimum-pass tenant from a
+/// binary min-heap (O(log n) per pick), grants its oldest request as many
 /// work groups as fit the residual capacity (capped at an equal split
 /// of the pass's starting residual when several tenants are waiting, so
 /// space is shared while the weights act through pick frequency), and
@@ -417,10 +419,13 @@ private:
     std::deque<Entry> Queue;
   };
 
-  std::map<int, TenantState> Tenants;
+  std::unordered_map<int, TenantState> Tenants;
   /// (Pass, tenant) of every tenant with queued work — the min-pass
-  /// pick index.
-  std::set<std::pair<double, int>> Ready;
+  /// pick index. A tenant is in it at most once, so keys are unique and
+  /// the heap pops in (Pass, tenant) order: ties go to the lower tenant.
+  std::priority_queue<std::pair<double, int>,
+                      std::vector<std::pair<double, int>>, std::greater<>>
+      Ready;
   /// High-water mark of granted passes; re-entry level for idle
   /// tenants.
   double GlobalPass = 0;

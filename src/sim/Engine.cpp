@@ -141,6 +141,10 @@ private:
     bool dispatchDone() const { return NextWG >= Desc.numPhysicalWGs(); }
   };
 
+  /// A CU's next leg end. Entries of different CUs with equal times pop
+  /// in the binary heap's layout order, which depends on every push
+  /// before them, so the push sequence is part of the schedule: that
+  /// includes the duplicate pushes of a CU listed twice in Dirty.
   struct HeapEntry {
     double Time;
     size_t CU;
@@ -195,20 +199,15 @@ private:
   }
 
   /// May the launch at queue position \p Pos begin dispatching under
-  /// the device's admission policy? The two window facts — is every
-  /// earlier active launch finished / past dispatch — are maintained
-  /// incrementally by dispatchAll's scan, so each check is O(1) where
-  /// the original rescanned [DonePrefix, Pos) per launch.
-  bool canStart(size_t Pos, bool EarlierFinished,
-                bool EarlierDispatched) const {
-    if (Pos == 0 || EarlierFinished)
+  /// the device's admission policy? dispatchAll only asks once every
+  /// earlier launch is past dispatch (WG-granular FIFO), and carries
+  /// \p EarlierFinished — is every earlier launch finished — along its
+  /// scan.
+  bool canStart(size_t Pos, bool EarlierFinished) const {
+    if (EarlierFinished)
       return true;
     if (sharesMergeGroupWithEarlier(Pos))
       return true;
-    // All earlier launches must at least have drained their pending
-    // queues (WG-granular FIFO; the finished prefix trivially has).
-    if (!EarlierDispatched)
-      return false;
     if (Spec.Admission == KernelAdmissionKind::GreedyTail)
       return true;
     // ExclusiveUnlessFits: the whole remaining footprint must fit in
@@ -320,7 +319,8 @@ private:
   /// Moves the done prefix past finished launches. Their completions
   /// are already in Completed and no resident refers to them, so a
   /// session recycles their slots, and drops the prefix from QueueOrder
-  /// once it is half the vector (amortized O(1) per launch).
+  /// once it is half the vector (amortized O(1) per launch). Leaves
+  /// DonePrefix <= DispatchFrom <= ArrivedCount.
   void passFinished() {
     while (DonePrefix != ArrivedCount &&
            States[QueueOrder[DonePrefix]].Finished) {
@@ -328,11 +328,13 @@ private:
         FreeSlots.push_back(QueueOrder[DonePrefix]);
       ++DonePrefix;
     }
+    DispatchFrom = std::max(DispatchFrom, DonePrefix);
     if (KeepRecords || 2 * DonePrefix < QueueOrder.size())
       return;
     QueueOrder.erase(QueueOrder.begin(),
                      QueueOrder.begin() + static_cast<ptrdiff_t>(DonePrefix));
     ArrivedCount -= DonePrefix;
+    DispatchFrom -= DonePrefix;
     DonePrefix = 0;
   }
 
@@ -349,15 +351,24 @@ private:
   }
 
   /// Dispatches as much pending work as policies and space allow,
-  /// considering only launches that have arrived.
+  /// considering only launches that have arrived. The scan stops at the
+  /// first launch that cannot dispatch all its work groups, so every
+  /// launch before that point is past dispatch for good (NextWG only
+  /// grows); the next scan resumes there, at DispatchFrom.
   void dispatchAll(double Now) {
     passFinished();
+#ifndef NDEBUG
+    for (size_t Pos = DonePrefix; Pos != DispatchFrom; ++Pos)
+      assert(States[QueueOrder[Pos]].dispatchDone() &&
+             "dispatch cursor skipped a launch with pending work groups");
+#endif
     std::set<int> GroupsDone;
-    // Window facts over the scanned prefix [DonePrefix, Pos), carried
-    // forward as the scan advances (see canStart).
-    bool EarlierFinished = true;
-    bool EarlierDispatched = true;
-    for (size_t Pos = DonePrefix; Pos != ArrivedCount; ++Pos) {
+    // Is every launch before Pos finished? passFinished stopped at an
+    // unfinished launch, so the skipped prefix is all finished exactly
+    // when it is empty.
+    bool EarlierFinished = DispatchFrom == DonePrefix;
+    size_t Pos = DispatchFrom;
+    for (; Pos != ArrivedCount; ++Pos) {
       size_t Li = QueueOrder[Pos];
       LaunchState &L = States[Li];
       if (L.dispatchDone()) {
@@ -366,7 +377,7 @@ private:
       }
       // Admission check applies to merged batches through their first
       // pending member: later batches queue behind earlier ones.
-      if (!L.Started && !canStart(Pos, EarlierFinished, EarlierDispatched))
+      if (!L.Started && !canStart(Pos, EarlierFinished))
         break;
       if (L.Desc.MergeGroup >= 0) {
         if (GroupsDone.insert(L.Desc.MergeGroup).second)
@@ -383,6 +394,7 @@ private:
         break; // This launch's head WG is stuck; strict FIFO behind it.
       EarlierFinished &= L.Finished;
     }
+    DispatchFrom = Pos;
   }
 
   void retireWG(CUState &CU, size_t ResidentIdx, double Now) {
@@ -452,6 +464,9 @@ private:
   std::vector<size_t> QueueOrder;  ///< Launch slots in arrival order.
   size_t ArrivedCount = 0;         ///< Arrived prefix of QueueOrder.
   size_t DonePrefix = 0;           ///< Finished prefix of QueueOrder.
+  /// Where dispatchAll's next scan starts: every arrived launch before
+  /// it is past dispatch.
+  size_t DispatchFrom = 0;
   size_t InFlight = 0;
   uint64_t NextSeq = 0;
   std::vector<size_t> Dirty;

@@ -1594,6 +1594,30 @@ TEST(StrideSchedulerTest, DeterministicReplay) {
   }
 }
 
+TEST(StrideSchedulerTest, EqualPassTiesPickInTenantOrder) {
+  // DeterministicReplay compares two copies of the same code, so it
+  // cannot see a change in pick order. Pin the documented (Pass,
+  // tenant) order: three equal-weight tenants submitting in the order
+  // 2, 0, 1 all join at pass 0, and the ties resolve by tenant id.
+  StrideScheduler S(oneSlotCaps());
+  for (int Tenant : {2, 0, 1}) {
+    RoundRequest R;
+    R.Id = static_cast<uint64_t>(10 + Tenant);
+    R.Demand = demand(64, 0, 0, 1);
+    R.Tenant = Tenant;
+    S.submit(R);
+  }
+  std::vector<uint64_t> Order;
+  for (int Pass = 0; Pass != 3; ++Pass) {
+    const std::vector<RoundGrant> &G = S.admit();
+    ASSERT_EQ(G.size(), 1u) << "pass " << Pass;
+    Order.push_back(G.front().Id);
+    S.complete(G.front().Id);
+  }
+  EXPECT_EQ(Order, (std::vector<uint64_t>{10, 11, 12}));
+  EXPECT_EQ(S.pending(), 0u);
+}
+
 TEST(StrideSchedulerTest, OversizedWorkGroupIsSoloRescued) {
   // Work conservation: an idle device never refuses its minimum-pass
   // request, even one whose single work group exceeds the device.

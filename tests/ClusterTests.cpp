@@ -470,6 +470,132 @@ TEST_F(ClusterTest, SingleDeviceAccelosMatchesGolden) {
   EXPECT_EQ(Got, Want.str());
 }
 
+TEST_F(ClusterTest, DeepQueuesMatchGolden) {
+  // The goldens above replay at most 24 requests from at most 4
+  // tenants, and the engine's dispatch window (arrived, unfinished
+  // launches) never exceeds 25 in them. This fixture pins the regimes
+  // they never reach: a serve_scale-shaped trace (64 equal-weight
+  // tenants arriving in waves of 130, small kernels) that drives that
+  // window past 100 launches and ties many stride pass values, under
+  // continuous and stride admission; and a faulted fleet with
+  // migration, a Down/Up cycle per device and a window where both are
+  // down, so arrivals park. Hexfloat, emitted before the engine's
+  // dispatch cursor and the stride scheduler's flat pick index
+  // replaced a full window scan and ordered trees.
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto EmitStream = [&](const StreamOutcome &O) {
+    for (size_t I = 0; I != O.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Requests[I];
+      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+          R.StartTime, R.EndTime);
+    }
+    Add("rounds %zu deferrals %llu fullsolves %llu fastpasses %llu "
+        "completions %llu\n",
+        O.Rounds, static_cast<unsigned long long>(O.Deferrals),
+        static_cast<unsigned long long>(O.FullSolves),
+        static_cast<unsigned long long>(O.FastPasses),
+        static_cast<unsigned long long>(O.EngineCompletions));
+    Add("makespan %a\nunfairness %a\n", O.Makespan, O.Unfairness);
+  };
+
+  // serve_scale's shape at 400 requests: the kernels with at most 32
+  // work groups, Poisson arrivals collapsed onto waves of 130.
+  harness::ExperimentDriver &D = fleet().driver(0);
+  std::vector<size_t> Pool;
+  double Dur = 0;
+  for (size_t I = 0; I != D.numKernels(); ++I)
+    if (D.kernel(I).WGCosts.size() <= 32) {
+      Pool.push_back(I);
+      Dur += D.isolatedDuration(SchedulerKind::Baseline, I);
+    }
+  Dur /= static_cast<double>(Pool.size());
+  workloads::TraceOptions TOpts;
+  TOpts.NumRequests = 400;
+  TOpts.NumTenants = 64;
+  TOpts.MeanInterarrival = 0.25 * Dur;
+  TOpts.Seed = 20261018;
+  std::vector<workloads::TimedRequest> Trace =
+      workloads::poissonTrace(Pool.size(), TOpts);
+  constexpr size_t Wave = 130;
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    Trace[I].ArrivalTime = Trace[I - I % Wave].ArrivalTime;
+    Trace[I].KernelIdx = Pool[Trace[I].KernelIdx];
+  }
+  StreamOptions SOpts;
+  SOpts.RoundQuantum = 0.5 * Dur;
+  SOpts.Admission = StreamOptions::AdmissionMode::Continuous;
+  Add("run continuous-waves\n");
+  EmitStream(
+      harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
+  SOpts.Admission = StreamOptions::AdmissionMode::Stride;
+  Add("run stride-waves\n");
+  EmitStream(
+      harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
+
+  // A loaded fleet: device 0 goes down, then device 1 while 0 is still
+  // out, then both return one after the other.
+  TOpts.NumRequests = 64;
+  TOpts.NumTenants = 4;
+  TOpts.MeanInterarrival = 0.25 * meanDur();
+  TOpts.Seed = 4242;
+  std::vector<workloads::TimedRequest> FleetTrace =
+      workloads::poissonTrace(D.numKernels(), TOpts);
+  ClusterOptions COpts = options();
+  COpts.MaxRetries = 100;
+  COpts.Migration.Enabled = true;
+  COpts.FleetPlan = {
+      {.Time = 3.0 * meanDur(), .Device = 0,
+       .What = FleetEvent::Kind::Down},
+      {.Time = 5.0 * meanDur(), .Device = 1,
+       .What = FleetEvent::Kind::Down},
+      {.Time = 7.0 * meanDur(), .Device = 0, .What = FleetEvent::Kind::Up},
+      {.Time = 9.0 * meanDur(), .Device = 1, .What = FleetEvent::Kind::Up}};
+  auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
+  ClusterOutcome O = harness::runClusterReplay(
+      fleet(), *P, ClusterWorkload::openLoop(FleetTrace), COpts);
+  // The plan bit: both faults displaced work, and nothing was lost.
+  ASSERT_EQ(O.Faults.size(), 2u);
+  EXPECT_GT(O.Faults[0].Displaced, 0u);
+  EXPECT_GT(O.Faults[1].Displaced, 0u);
+  EXPECT_TRUE(O.LostRequests.empty());
+  Add("run faulted-fleet\n");
+  Add("placements %zu", O.Placement.size());
+  for (size_t Dev : O.Placement)
+    Add(" %zu", Dev);
+  Got += "\n";
+  EmitStream(O.Stream);
+  for (size_t Dev = 0; Dev != O.Devices.size(); ++Dev) {
+    const harness::ClusterDeviceOutcome &DO = O.Devices[Dev];
+    Add("device %zu %zu %zu %llu %a\n", Dev, DO.Requests, DO.Rounds,
+        static_cast<unsigned long long>(DO.Deferrals), DO.BusyTime);
+  }
+  for (const harness::ClusterFaultRecord &F : O.Faults)
+    Add("fault %zu %a %zu %zu %a\n", F.Device, F.DownTime, F.Displaced,
+        F.Lost, F.RecoveryTime);
+  for (const harness::ClusterMigrationRecord &M : O.Migrations)
+    Add("migration %zu %zu %zu %a %llu %d\n", M.RequestIdx, M.From, M.To,
+        M.Time, static_cast<unsigned long long>(M.RemainingWGs),
+        M.Failover ? 1 : 0);
+  Add("retries");
+  for (uint32_t R : O.Retries)
+    Add(" %u", R);
+  Add("\nlost %zu wgs %llu %llu\n", O.LostRequests.size(),
+      static_cast<unsigned long long>(O.RequestedWGs),
+      static_cast<unsigned long long>(O.ExecutedWGs));
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/deep_queues.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
+}
+
 TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
   // The degeneration contract behind the whole layer: an equal-weight
   // single-device fleet, placed through a real policy, is the
