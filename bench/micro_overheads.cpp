@@ -28,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -81,6 +82,37 @@ static void BM_ResourceSolver(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ResourceSolver);
+
+// The solve a serve_scale-deep queue makes: ~126 demands on the K20m
+// drawn from three shapes, where the one-WG floors oversubscribe the
+// device and the clamp iterates (BM_ResourceSolver's 8 demands never
+// clamp).
+static void BM_ResourceSolverDeepQueue(benchmark::State &State) {
+  accelos::ResourceCaps Caps =
+      accelos::ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m());
+  const accelos::KernelDemand Shapes[3] = {{128, 0, 16, 0},
+                                           {256, 2048, 24, 0},
+                                           {512, 4096, 32, 0}};
+  std::vector<accelos::KernelDemand> Ds;
+  for (int I = 0; I < 126; ++I) {
+    accelos::KernelDemand D = Shapes[I % 3];
+    D.RequestedWGs = 1 + (I * 7) % 32;
+    Ds.push_back(D);
+  }
+  std::vector<uint64_t> Ref = accelos::solveFairShares(Caps, Ds, {false});
+  if (std::find(Ref.begin(), Ref.end(), 0) == Ref.end()) {
+    State.SkipWithError("the deep queue no longer clamps");
+    return;
+  }
+  accelos::SolverScratch Scratch;
+  std::vector<uint64_t> Shares;
+  for (auto _ : State) {
+    accelos::solveFairShares(Caps, Ds, {}, Scratch, Shares);
+    benchmark::DoNotOptimize(Shares.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ResourceSolverDeepQueue);
 
 static void BM_EnginePairSimulation(benchmark::State &State) {
   static harness::ExperimentDriver Driver(sim::DeviceSpec::nvidiaK20m());

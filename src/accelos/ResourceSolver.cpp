@@ -413,8 +413,14 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
            Use[3] <= Cap[3];
   };
 
-  S.Floored.assign(K, 0);
+  // Base divisions. A floored kernel is a clamp candidate holding
+  // exactly one work group; it is filed under its shape class here, so
+  // the clamp below never rescans the queue (see
+  // SolverScratch::ShapeClass).
   S.BaseCache.clear();
+  S.Shapes.clear();
+  S.Link.resize(K);
+  size_t NumCands = 0;
   for (size_t I = 0; I != K; ++I) {
     const KernelDemand &D = Ks[I];
     if (D.RequestedWGs == 0)
@@ -439,44 +445,65 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
         S.BaseCache.push_back(
             {D.WGThreads, D.LocalMemPerWG, D.RegsPerThread, Frac, N, Fl});
     }
-    S.Floored[I] = Fl;
     Shares[I] = std::min(N, D.RequestedWGs);
     AddShare(I, Shares[I]);
+    if (!Fl)
+      continue;
+    assert(Shares[I] == 1 && "floored clamp candidate above one WG");
+    const uint64_t Freed[4] = {D.WGThreads, D.LocalMemPerWG,
+                               D.WGThreads * D.RegsPerThread, 1};
+    SolverScratch::ShapeClass *C = nullptr;
+    for (SolverScratch::ShapeClass &Sh : S.Shapes)
+      if (std::equal(Freed, Freed + 4, Sh.Freed)) {
+        C = &Sh;
+        break;
+      }
+    if (!C) {
+      C = &S.Shapes.emplace_back();
+      std::copy(Freed, Freed + 4, C->Freed);
+    }
+    if (C->Count < 3)
+      C->Idx[C->Count] = static_cast<uint32_t>(I);
+    S.Link[I] = C->Last;
+    C->Last = static_cast<uint32_t>(I);
+    ++C->Count;
+    ++NumCands;
   }
 
-  // Clamp pass, against the maintained aggregate. Per-candidate "does
-  // reverting this floor alone restore feasibility" is four subtract-
-  // and-compare operations instead of the reference's O(K) fits().
+  // Clamp pass, against the maintained aggregate and over the shape
+  // classes. A class's "does reverting one candidate alone restore
+  // feasibility" is four subtract-and-compare operations instead of the
+  // reference's O(K) fits() per candidate, and Freed[Dim] is its
+  // demandIn(Dim).
   while (!FitsAgg()) {
     const unsigned Dim = mostOversubscribed(Use, Cap);
-    auto RestoresSet = [&](std::initializer_list<size_t> Set) {
+    auto ComboRestores = [&](const SolverScratch::ShapeClass *const *Set,
+                             size_t N) {
       uint64_t Freed[4] = {0, 0, 0, 0};
-      for (size_t I : Set) {
-        ResourceUse U = footprintOf(Ks[I], Shares[I]);
-        Freed[0] += U.Threads;
-        Freed[1] += U.LocalMem;
-        Freed[2] += U.Regs;
-        Freed[3] += U.WGSlots;
-      }
+      for (size_t I = 0; I != N; ++I)
+        for (unsigned D = 0; D != 4; ++D)
+          Freed[D] += Set[I]->Freed[D];
       for (unsigned D = 0; D != 4; ++D)
         if (Use[D] - Freed[D] > Cap[D])
           return false;
       return true;
     };
-    size_t Victim = K;
+    SolverScratch::ShapeClass *Victim = nullptr;
     bool VictimRestores = false;
-    for (size_t I = 0; I != K; ++I) {
-      if (!S.Floored[I] || Shares[I] == 0)
+    for (SolverScratch::ShapeClass &C : S.Shapes) {
+      if (C.Count == 0)
         continue;
-      bool Restores = RestoresSet({I});
-      if (Victim == K || (Restores && !VictimRestores) ||
+      const SolverScratch::ShapeClass *Set[1] = {&C};
+      bool Restores = ComboRestores(Set, 1);
+      if (!Victim || (Restores && !VictimRestores) ||
           (Restores == VictimRestores &&
-           demandIn(Ks[I], Dim) >= demandIn(Ks[Victim], Dim))) {
-        Victim = I;
+           (C.Freed[Dim] > Victim->Freed[Dim] ||
+            (C.Freed[Dim] == Victim->Freed[Dim] && C.Last > Victim->Last)))) {
+        Victim = &C;
         VictimRestores = Restores;
       }
     }
-    if (Victim == K) {
+    if (!Victim) {
       double F = 1.0;
       for (unsigned D = 0; D != 4; ++D)
         if (Use[D] > Cap[D])
@@ -499,59 +526,14 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     }
     if (!VictimRestores) {
       // The reference's bounded bin-covering search, collapsed onto
-      // shape classes (see SolverScratch::ShapeClass). The reference
-      // replaces its running best only on strictly larger demand, so
-      // its winner is the lexicographically first max-demand restoring
-      // set in scan order; every member of a shape combination shares
-      // one demand and one restores-verdict, so picking the max-demand
-      // restoring combination and re-materializing its lex-first
-      // realization (the required number of smallest candidate indices
-      // per shape, sorted — elementwise minimal) reproduces that
-      // winner exactly.
-      S.Shapes.clear();
-      size_t NumCands = 0;
-      for (size_t I = 0; I != K; ++I) {
-        if (!S.Floored[I] || Shares[I] == 0)
-          continue;
-        assert(Shares[I] == 1 && "floored clamp candidate above one WG");
-        ++NumCands;
-        const KernelDemand &D = Ks[I];
-        SolverScratch::ShapeClass *C = nullptr;
-        for (auto &Sh : S.Shapes) {
-          const KernelDemand &First = Ks[Sh.Idx[0]];
-          if (First.WGThreads == D.WGThreads &&
-              First.LocalMemPerWG == D.LocalMemPerWG &&
-              First.RegsPerThread == D.RegsPerThread) {
-            C = &Sh;
-            break;
-          }
-        }
-        if (!C) {
-          S.Shapes.push_back({});
-          C = &S.Shapes.back();
-          C->Freed[0] = D.WGThreads;
-          C->Freed[1] = D.LocalMemPerWG;
-          C->Freed[2] = D.WGThreads * D.RegsPerThread;
-          C->Freed[3] = 1;
-        }
-        if (C->Count < 3)
-          C->Idx[C->Count] = static_cast<uint32_t>(I);
-        ++C->Count;
-      }
-      auto ShapeDemand = [&](const SolverScratch::ShapeClass &Sh) {
-        return demandIn(Ks[Sh.Idx[0]], Dim);
-      };
-      auto ComboRestores = [&](const SolverScratch::ShapeClass *const *Set,
-                               size_t N) {
-        uint64_t Freed[4] = {0, 0, 0, 0};
-        for (size_t I = 0; I != N; ++I)
-          for (unsigned D = 0; D != 4; ++D)
-            Freed[D] += Set[I]->Freed[D];
-        for (unsigned D = 0; D != 4; ++D)
-          if (Use[D] - Freed[D] > Cap[D])
-            return false;
-        return true;
-      };
+      // shape classes. The reference replaces its running best only on
+      // strictly larger demand, so its winner is the lexicographically
+      // first max-demand restoring set in scan order; every member of a
+      // shape combination shares one demand and one restores-verdict,
+      // so picking the max-demand restoring combination and
+      // re-materializing its lex-first realization (the required number
+      // of smallest candidate indices per shape, sorted — elementwise
+      // minimal) reproduces that winner exactly.
       auto Materialize = [&](const SolverScratch::ShapeClass *const *Set,
                              size_t N, uint32_t *Out) {
         for (size_t A = 0; A != N; ++A) {
@@ -575,15 +557,17 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
       uint64_t BestDemand = 0;
       const size_t NumShapes = S.Shapes.size();
       if (NumCands <= PairCap) {
-        for (size_t X = 0; X != NumShapes; ++X)
+        for (size_t X = 0; X != NumShapes; ++X) {
+          if (S.Shapes[X].Count == 0)
+            continue;
           for (size_t Y = X; Y != NumShapes; ++Y) {
             const SolverScratch::ShapeClass *Set[2] = {&S.Shapes[X],
                                                        &S.Shapes[Y]};
-            if (X == Y && Set[0]->Count < 2)
+            if (Set[1]->Count < (X == Y ? 2u : 1u))
               continue;
             if (!ComboRestores(Set, 2))
               continue;
-            uint64_t D = ShapeDemand(*Set[0]) + ShapeDemand(*Set[1]);
+            uint64_t D = Set[0]->Freed[Dim] + Set[1]->Freed[Dim];
             if (BestN && D < BestDemand)
               continue;
             uint32_t Idx[3];
@@ -595,14 +579,20 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
               BestDemand = D;
             }
           }
+        }
       }
       if (!BestN && NumCands <= TripleCap) {
-        for (size_t X = 0; X != NumShapes; ++X)
-          for (size_t Y = X; Y != NumShapes; ++Y)
+        for (size_t X = 0; X != NumShapes; ++X) {
+          if (S.Shapes[X].Count == 0)
+            continue;
+          for (size_t Y = X; Y != NumShapes; ++Y) {
+            if (S.Shapes[Y].Count == 0)
+              continue;
             for (size_t Z = Y; Z != NumShapes; ++Z) {
               const SolverScratch::ShapeClass *Set[3] = {
                   &S.Shapes[X], &S.Shapes[Y], &S.Shapes[Z]};
-              // Multiplicity check per distinct shape in the combo.
+              // Multiplicity check per distinct shape in the combo
+              // (an empty class fails it).
               bool Realizable = true;
               for (size_t A = 0; A != 3 && Realizable; ++A) {
                 uint32_t Mult = 0;
@@ -615,8 +605,8 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
                 continue;
               if (!ComboRestores(Set, 3))
                 continue;
-              uint64_t D = ShapeDemand(*Set[0]) + ShapeDemand(*Set[1]) +
-                           ShapeDemand(*Set[2]);
+              uint64_t D = Set[0]->Freed[Dim] + Set[1]->Freed[Dim] +
+                           Set[2]->Freed[Dim];
               if (BestN && D < BestDemand)
                 continue;
               uint32_t Idx[3];
@@ -630,14 +620,23 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
                 BestDemand = D;
               }
             }
+          }
+        }
       }
       if (BestN) {
         for (size_t I = 0; I != BestN; ++I)
           DropShare(BestIdx[I]);
-        continue;
+        // The set restores feasibility, so the clamp is done; the
+        // classes are not updated for it.
+        assert(FitsAgg() && "restoring revert set left the device over");
+        break;
       }
     }
-    DropShare(Victim);
+    // Victims leave from the top of their class.
+    DropShare(Victim->Last);
+    Victim->Last = S.Link[Victim->Last];
+    --Victim->Count;
+    --NumCands;
   }
 
   if (!Opts.GreedySaturation)

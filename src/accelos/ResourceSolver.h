@@ -108,7 +108,6 @@ std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
 /// one long-lived instance per scheduler amortizes every per-solve
 /// heap allocation to the high-water mark of the queue.
 struct SolverScratch {
-  std::vector<uint8_t> Floored;
   std::vector<uint8_t> Saturated;
   std::vector<uint32_t> Active; ///< Unsaturated sweep list, index order.
   /// Per-call memo of the Sec. 3 base divisions. Queues at scale repeat
@@ -127,21 +126,34 @@ struct SolverScratch {
     bool Floored = false;
   };
   std::vector<BaseDiv> BaseCache;
-  /// Clamp-pass shape classes. Every clamp candidate is a floored
-  /// one-work-group share, so its freed footprint and its demand in the
-  /// tie-break dimension are functions of its kernel shape alone; the
-  /// bounded bin-covering search then runs over shape *combinations*
-  /// (S^2 / S^3 for S distinct shapes) instead of candidate subsets
-  /// (C^2 / C^3), with the winning combination re-materialized as its
-  /// lexicographically first concrete candidate set — exactly the set
-  /// the reference scan lands on.
+  /// Clamp-pass shape classes, built once per solve: the base-division
+  /// pass files every floored kernel (a clamp candidate) under the
+  /// class of its one-work-group footprint, and no clamp iteration
+  /// rescans the queue. Every candidate is a floored one-work-group
+  /// share, so both parts of the reference's victim key — whether
+  /// reverting it alone restores feasibility, and its demand in the
+  /// most-oversubscribed dimension — are functions of its class. The
+  /// reference takes the *last* index with the largest key, so its
+  /// victim is the largest remaining index of the class with the
+  /// largest (restores, demand, largest remaining index): a pick over
+  /// classes, O(S) for S classes instead of O(K). Victims leave from the
+  /// top of their class (Last, then Link), so the three smallest
+  /// indices stay valid for as long as the class holds them. The
+  /// bounded bin-covering search runs over shape *combinations* (S^2 /
+  /// S^3) instead of candidate subsets (C^2 / C^3), with the winning
+  /// combination re-materialized as its lexicographically first
+  /// concrete candidate set — exactly the set the reference scan lands
+  /// on.
   struct ShapeClass {
     uint64_t Freed[4] = {0, 0, 0, 0}; ///< One floored WG's footprint.
-    uint32_t Count = 0;               ///< Candidates of this shape.
-    /// Three smallest candidate indices; the first names the shape.
-    uint32_t Idx[3] = {0, 0, 0};
+    uint32_t Count = 0;               ///< Candidates still floored.
+    uint32_t Idx[3] = {0, 0, 0};      ///< Three smallest candidates.
+    uint32_t Last = 0; ///< Largest remaining candidate (Count > 0).
   };
   std::vector<ShapeClass> Shapes;
+  /// Per kernel: the next-smaller candidate of its shape class, so a
+  /// victim leaves its class in O(1).
+  std::vector<uint32_t> Link;
 };
 
 /// Allocation-free solve: the one every scheduler runs. Produces the

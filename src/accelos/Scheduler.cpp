@@ -165,28 +165,52 @@ ResourceCaps ResidualScheduler::residual() const {
 
 void ResidualScheduler::addFlight(uint64_t Id, const KernelDemand &D,
                                   uint64_t WGs) {
-  assert(!Flights.count(Id) && "request admitted while already in flight");
-  Flights[Id] = {D, WGs};
+  auto It = std::lower_bound(FlightIds.begin(), FlightIds.end(), Id);
+  assert((It == FlightIds.end() || *It != Id) &&
+         "request admitted while already in flight");
+  size_t Row = static_cast<size_t>(It - FlightIds.begin());
+  FlightIds.insert(It, Id);
+  KernelDemand &F = *Flights.insert(Flights.begin() + Row, D);
+  F.RequestedWGs = WGs;
+  assert((Row == 0 || FlightIds[Row - 1] < Id) &&
+         (Row + 1 == FlightIds.size() || Id < FlightIds[Row + 1]) &&
+         "in-flight ledger out of id order");
   addUse(FlightUse, footprintOf(D, WGs));
 }
 
 void ResidualScheduler::complete(uint64_t Id) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() &&
+  auto It = std::lower_bound(FlightIds.begin(), FlightIds.end(), Id);
+  assert(It != FlightIds.end() && *It == Id &&
          "completing an execution that is not in flight");
-  if (It == Flights.end())
+  if (It == FlightIds.end() || *It != Id)
     return;
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs));
-  Flights.erase(It);
+  auto Row = Flights.begin() + (It - FlightIds.begin());
+  subUse(FlightUse, footprintOf(*Row, Row->RequestedWGs));
+  FlightIds.erase(It);
+  Flights.erase(Row);
 }
 
 void ResidualScheduler::shrink(uint64_t Id, uint64_t WGs) {
-  auto It = Flights.find(Id);
-  assert(It != Flights.end() && "shrinking an execution not in flight");
-  assert(WGs > 0 && WGs <= It->second.WGs &&
+  auto It = std::lower_bound(FlightIds.begin(), FlightIds.end(), Id);
+  assert(It != FlightIds.end() && *It == Id &&
+         "shrinking an execution not in flight");
+  KernelDemand &F = Flights[static_cast<size_t>(It - FlightIds.begin())];
+  assert(WGs > 0 && WGs <= F.RequestedWGs &&
          "shrink must narrow a grant, not grow it");
-  subUse(FlightUse, footprintOf(It->second.Demand, It->second.WGs - WGs));
-  It->second.WGs = WGs;
+  subUse(FlightUse, footprintOf(F, F.RequestedWGs - WGs));
+  F.RequestedWGs = WGs;
+}
+
+void ResidualScheduler::checkFlightUse() const {
+#ifndef NDEBUG
+  ResourceUse Sum;
+  for (const KernelDemand &F : Flights)
+    addUse(Sum, footprintOf(F, F.RequestedWGs));
+  assert(Sum.Threads == FlightUse.Threads &&
+         Sum.LocalMem == FlightUse.LocalMem && Sum.Regs == FlightUse.Regs &&
+         Sum.WGSlots == FlightUse.WGSlots &&
+         "in-flight footprint aggregate out of sync with the ledger");
+#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -201,12 +225,7 @@ void ContinuousScheduler::submit(const RoundRequest &R) {
 }
 
 void ContinuousScheduler::collectDemands() {
-  Demands.clear();
-  for (const auto &[Id, F] : Flights) {
-    KernelDemand D = F.Demand;
-    D.RequestedWGs = F.WGs;
-    Demands.push_back(D);
-  }
+  Demands.assign(Flights.begin(), Flights.end());
   for (const Entry &E : Queue) {
     KernelDemand D = E.R.Demand;
     // Degenerate zero-thread demands must not reach the solver's (or
@@ -305,6 +324,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
 }
 
 const std::vector<RoundGrant> &ContinuousScheduler::admit() {
+  checkFlightUse();
   Grants.clear();
   if (Queue.empty())
     return Grants;
@@ -471,6 +491,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
   assert(Ready.size() == Queued &&
          "pick index out of sync with the tenants' queues");
 #endif
+  checkFlightUse();
   Grants.clear();
   if (Pending == 0)
     return Grants;

@@ -206,6 +206,16 @@ struct SchedulerOptions {
 /// their aggregate, and the device capacity left over. complete() and
 /// shrink() return capacity to the residual() the next admit() hands
 /// out; the derived schedulers differ only in how admit() picks grants.
+///
+/// The ledger is two flat arrays sorted by request id: FlightIds, and
+/// Flights with one solve input row per execution (its demand, with
+/// RequestedWGs set to the work groups it holds). A full solve copies
+/// Flights in one go, so the id order is the order in-flight rows enter
+/// the solve — and that order is part of the schedule: the clamp's
+/// victim ties go to the last index and saturation grows shares in
+/// index order. Every flight holds at least one work-group slot, so a
+/// device carries at most about WGSlots flights (208 on the K20m) and
+/// an insert or erase moves a few KiB at most.
 class ResidualScheduler : public AdmissionScheduler {
 public:
   /// A pending request overtaken this many times blocks younger grants.
@@ -231,12 +241,6 @@ protected:
     RoundRequest R;
     uint32_t DeferCount = 0;
   };
-  /// One admitted, not-yet-completed execution and the footprint it
-  /// holds.
-  struct Flight {
-    KernelDemand Demand;
-    uint64_t WGs = 0;
-  };
 
   /// Device capacity minus every in-flight footprint (O(1): maintained
   /// as the FlightUse aggregate, not re-summed).
@@ -246,8 +250,15 @@ protected:
   /// in flight.
   void addFlight(uint64_t Id, const KernelDemand &D, uint64_t WGs);
 
+  /// Debug builds: asserts that FlightUse equals the ledger rows'
+  /// footprints re-summed. Does nothing under NDEBUG.
+  void checkFlightUse() const;
+
   ResourceCaps Caps;
-  std::map<uint64_t, Flight> Flights; ///< Keyed by request Id.
+  std::vector<uint64_t> FlightIds; ///< Ascending request ids.
+  /// Flights[I] is request FlightIds[I]'s solve row: its demand with
+  /// RequestedWGs set to the work groups it holds.
+  std::vector<KernelDemand> Flights;
   /// Aggregate footprint of every in-flight grant; kept in sync by
   /// addFlight()/shrink()/complete().
   ResourceUse FlightUse;
@@ -334,9 +345,10 @@ private:
   /// fast path when one applies, else a full solve.
   void solveTargets(size_t QueueBase);
 
-  /// Fills Demands with the solve's input: every in-flight grant at the
-  /// work groups it holds, then the queue (degenerate zero-thread
-  /// demands as zero-work requests).
+  /// Fills Demands with the solve's input: the ledger's rows (every
+  /// in-flight grant at the work groups it holds, in id order) in one
+  /// copy, then the queue (degenerate zero-thread demands as zero-work
+  /// requests).
   void collectDemands();
 
   SolverOptions Opts;

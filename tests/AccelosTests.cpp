@@ -394,6 +394,34 @@ TEST(SolverTest, ClampTripleRevertWhenNoPairSuffices) {
   EXPECT_EQ(Shares[2], 0u);
 }
 
+TEST(SolverTest, ClampVictimTieAcrossShapesGoesToTheLastIndex) {
+  // Ten one-WG floors of 64 threads on a 384-thread device: four work
+  // groups over, so no single, pair or triple reversion restores
+  // feasibility and the iterative fallback sheds one victim. Two shapes
+  // (with and without local memory) tie on thread demand; the victim is
+  // the last tying index (9, of the second shape), not the last index
+  // of whichever shape comes first. Nine floors are then three over,
+  // and the lexicographically first covering triple {0, 1, 2} goes.
+  ResourceCaps Caps;
+  Caps.Threads = 6 * 64;
+  Caps.LocalMem = 1u << 30;
+  Caps.Regs = 1u << 30;
+  Caps.WGSlots = 64;
+  std::vector<KernelDemand> Ks;
+  for (int I = 0; I != 10; ++I)
+    Ks.push_back(demand(64, I % 2 ? 1024 : 0, 0, 4));
+  const std::vector<uint64_t> Want = {0, 0, 0, 1, 1, 1, 1, 1, 1, 0};
+  SolverScratch Scratch;
+  std::vector<uint64_t> Shares;
+  for (bool Greedy : {false, true}) {
+    SolverOptions Opts;
+    Opts.GreedySaturation = Greedy;
+    EXPECT_EQ(solveFairShares(Caps, Ks, Opts), Want) << "greedy " << Greedy;
+    solveFairShares(Caps, Ks, Opts, Scratch, Shares);
+    EXPECT_EQ(Shares, Want) << "greedy " << Greedy;
+  }
+}
+
 TEST(SolverTest, CapsFromDeviceMatchSpec) {
   sim::DeviceSpec Spec = sim::DeviceSpec::nvidiaK20m();
   ResourceCaps C = ResourceCaps::fromDevice(Spec);
@@ -1388,6 +1416,51 @@ TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
       solveFairShares(Caps, Ks, Opts, Scratch, Shares);
       EXPECT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
           << "trial " << Trial << " greedy " << Greedy;
+    }
+  }
+}
+
+TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolveAtScale) {
+  // The sweep above stays at K <= 16 on tinyCaps, where the clamp rarely
+  // iterates. This one solves serve_scale-deep queues on both devices'
+  // real caps: up to 160 demands drawn from pools of one to eight
+  // shapes, so one-WG floors oversubscribe the device by up to dozens
+  // of work groups and the clamp iterates, with pair wins and triple
+  // searches (queues of at most TripleCap candidates) among the
+  // iterations, plus ten trials of 257-300 demands whose first clamp
+  // iterations search past PairCap. Per run of both greedy settings the
+  // reference clamp makes ~3.8k iterations: ~116 pair wins, ~104 triple
+  // searches with ~22 triple wins, and ~24 searches past PairCap.
+  SplitMix64 Rng(0x5CA1E5);
+  const ResourceCaps Devices[2] = {
+      ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m()),
+      ResourceCaps::fromDevice(sim::DeviceSpec::amdR9295X2())};
+  SolverScratch Scratch;
+  std::vector<uint64_t> Shares;
+  for (int Trial = 0; Trial != 310; ++Trial) {
+    const ResourceCaps &Caps = Devices[Trial % 2];
+    size_t K = Trial < 300 ? 1 + Rng.nextBelow(160) : 257 + Rng.nextBelow(44);
+    std::vector<KernelDemand> Pool(1 + Rng.nextBelow(8));
+    for (KernelDemand &P : Pool) {
+      P.WGThreads = 64 * (1 + Rng.nextBelow(8)); // 64..512
+      P.LocalMemPerWG = Rng.nextBelow(4) * (Caps.LocalMem / 256);
+      P.RegsPerThread = Rng.nextBelow(3) * 16;
+    }
+    bool Weighted = Rng.nextBelow(3) == 0;
+    std::vector<KernelDemand> Ks;
+    for (size_t I = 0; I != K; ++I) {
+      KernelDemand D = Pool[Rng.nextBelow(Pool.size())];
+      D.RequestedWGs = Rng.nextBelow(10) == 0 ? 0 : 1 + Rng.nextBelow(32);
+      if (Weighted)
+        D.Weight = Rng.nextDoubleInRange(0.5, 4.0);
+      Ks.push_back(D);
+    }
+    for (bool Greedy : {false, true}) {
+      SolverOptions Opts;
+      Opts.GreedySaturation = Greedy;
+      solveFairShares(Caps, Ks, Opts, Scratch, Shares);
+      ASSERT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
+          << "trial " << Trial << " K " << K << " greedy " << Greedy;
     }
   }
 }

@@ -596,6 +596,78 @@ TEST_F(ClusterTest, DeepQueuesMatchGolden) {
   EXPECT_EQ(Got, Want.str());
 }
 
+TEST_F(ClusterTest, ScaleReplayMatchesGolden) {
+  // serve_scale's recipe at full tenant count: 1,500 requests from 250
+  // equal-weight tenants in waves of 130 on one K20m, kernels of at most
+  // 32 work groups, seed 1. At this depth every full solve carries ~100
+  // in-flight rows next to the queue, and the order those rows enter
+  // the solve (by request id) decides clamp victims and saturation
+  // order; the smaller goldens above never expose it. One line per
+  // admission discipline: the scheduler counters, the makespan, and an
+  // FNV-1a hash over every request's hexfloat tenant, arrival, start
+  // and end. Emitted before the in-flight ledger became a flat array.
+  std::string Got;
+  char Buf[256];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto Emit = [&](const char *Run, const StreamOutcome &O) {
+    uint64_t Hash = 0xcbf29ce484222325ull;
+    for (const StreamRequestResult &R : O.Requests) {
+      int Len = std::snprintf(Buf, sizeof(Buf), "%d %a %a %a\n", R.Tenant,
+                              R.ArrivalTime, R.StartTime, R.EndTime);
+      for (int I = 0; I != Len; ++I) {
+        Hash ^= static_cast<unsigned char>(Buf[I]);
+        Hash *= 0x100000001b3ull;
+      }
+    }
+    Add("run %s fullsolves %llu fastpasses %llu deferrals %llu makespan %a "
+        "requests %016llx\n",
+        Run, static_cast<unsigned long long>(O.FullSolves),
+        static_cast<unsigned long long>(O.FastPasses),
+        static_cast<unsigned long long>(O.Deferrals), O.Makespan,
+        static_cast<unsigned long long>(Hash));
+  };
+
+  harness::ExperimentDriver &D = fleet().driver(0);
+  std::vector<size_t> Pool;
+  double Dur = 0;
+  for (size_t I = 0; I != D.numKernels(); ++I)
+    if (D.kernel(I).WGCosts.size() <= 32) {
+      Pool.push_back(I);
+      Dur += D.isolatedDuration(SchedulerKind::Baseline, I);
+    }
+  Dur /= static_cast<double>(Pool.size());
+  workloads::TraceOptions TOpts;
+  TOpts.NumRequests = 1500;
+  TOpts.NumTenants = 250;
+  TOpts.MeanInterarrival = 0.25 * Dur;
+  TOpts.Seed = 1;
+  std::vector<workloads::TimedRequest> Trace =
+      workloads::poissonTrace(Pool.size(), TOpts);
+  constexpr size_t Wave = 130;
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    Trace[I].ArrivalTime = Trace[I - I % Wave].ArrivalTime;
+    Trace[I].KernelIdx = Pool[Trace[I].KernelIdx];
+  }
+  StreamOptions SOpts;
+  SOpts.RoundQuantum = 0.5 * Dur;
+  SOpts.Admission = StreamOptions::AdmissionMode::Continuous;
+  Emit("continuous",
+       harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
+  SOpts.Admission = StreamOptions::AdmissionMode::Stride;
+  Emit("stride",
+       harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/scale_replay.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
+}
+
 TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
   // The degeneration contract behind the whole layer: an equal-weight
   // single-device fleet, placed through a real policy, is the
