@@ -86,8 +86,11 @@ BENCHMARK(BM_ResourceSolver);
 // The solve a serve_scale-deep queue makes: ~126 demands on the K20m
 // drawn from three shapes, where the one-WG floors oversubscribe the
 // device and the clamp iterates (BM_ResourceSolver's 8 demands never
-// clamp).
-static void BM_ResourceSolverDeepQueue(benchmark::State &State) {
+// clamp). \p Weighted alternates the weights 1 and 2 along the queue,
+// so every shape recurs under both weights in each solve and the
+// solver's shape table, which caches one base division per shape,
+// recomputes it at every demand.
+static void solveDeepQueue(benchmark::State &State, bool Weighted) {
   accelos::ResourceCaps Caps =
       accelos::ResourceCaps::fromDevice(sim::DeviceSpec::nvidiaK20m());
   const accelos::KernelDemand Shapes[3] = {{128, 0, 16, 0},
@@ -97,6 +100,8 @@ static void BM_ResourceSolverDeepQueue(benchmark::State &State) {
   for (int I = 0; I < 126; ++I) {
     accelos::KernelDemand D = Shapes[I % 3];
     D.RequestedWGs = 1 + (I * 7) % 32;
+    if (Weighted)
+      D.Weight = 1 + I % 2;
     Ds.push_back(D);
   }
   std::vector<uint64_t> Ref = accelos::solveFairShares(Caps, Ds, {false});
@@ -112,7 +117,16 @@ static void BM_ResourceSolverDeepQueue(benchmark::State &State) {
     benchmark::ClobberMemory();
   }
 }
+
+static void BM_ResourceSolverDeepQueue(benchmark::State &State) {
+  solveDeepQueue(State, false);
+}
 BENCHMARK(BM_ResourceSolverDeepQueue);
+
+static void BM_ResourceSolverDeepQueueWeighted(benchmark::State &State) {
+  solveDeepQueue(State, true);
+}
+BENCHMARK(BM_ResourceSolverDeepQueueWeighted);
 
 static void BM_EnginePairSimulation(benchmark::State &State) {
   static harness::ExperimentDriver Driver(sim::DeviceSpec::nvidiaK20m());

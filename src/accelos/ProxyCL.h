@@ -64,12 +64,12 @@ public:
   }
 
   /// clReleaseMemObject: tells the memory manager space was freed. The
-  /// buffer must be destroyed by the caller (moved in).
-  void releaseBuffer(ocl::Buffer Buf) {
+  /// buffer is moved in, and its destructor returns the storage to the
+  /// device when the call ends.
+  void releaseBuffer(ocl::Buffer) {
     send(sizeof(uint64_t));
     RT->otherRequest();
-    RT->memory().released(AppId, Buf.size());
-    // Buf's destructor returns the storage to the device.
+    RT->memory().released();
   }
 
   /// clSetKernelArg: passthrough.

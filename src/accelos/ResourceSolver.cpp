@@ -413,11 +413,12 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
            Use[3] <= Cap[3];
   };
 
-  // Base divisions. A floored kernel is a clamp candidate holding
-  // exactly one work group; it is filed under its shape class here, so
-  // the clamp below never rescans the queue (see
-  // SolverScratch::ShapeClass).
-  S.BaseCache.clear();
+  // Base divisions, one shape-table lookup per work-carrying kernel:
+  // the entry supplies the division (computed when the shape is first
+  // filed or its Weight changes; baseDivision is pure in the footprint
+  // and the fraction), and a floored kernel — a clamp candidate holding
+  // exactly one work group — joins the entry's candidate chain, so the
+  // clamp below never rescans the queue (see SolverScratch::Shape).
   S.Shapes.clear();
   S.Link.resize(K);
   size_t NumCands = 0;
@@ -425,43 +426,28 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     const KernelDemand &D = Ks[I];
     if (D.RequestedWGs == 0)
       continue;
-    double Frac = D.Weight / TotalWeight;
-
-    uint64_t N = 0;
-    bool Fl = false;
-    bool Hit = false;
-    for (const SolverScratch::BaseDiv &C : S.BaseCache)
-      if (C.WGThreads == D.WGThreads &&
-          C.LocalMemPerWG == D.LocalMemPerWG &&
-          C.RegsPerThread == D.RegsPerThread && C.Frac == Frac) {
-        N = C.N;
-        Fl = C.Floored;
-        Hit = true;
-        break;
-      }
-    if (!Hit) {
-      N = baseDivision(Caps, D, Frac, Fl);
-      if (S.BaseCache.size() < 16)
-        S.BaseCache.push_back(
-            {D.WGThreads, D.LocalMemPerWG, D.RegsPerThread, Frac, N, Fl});
-    }
-    Shares[I] = std::min(N, D.RequestedWGs);
-    AddShare(I, Shares[I]);
-    if (!Fl)
-      continue;
-    assert(Shares[I] == 1 && "floored clamp candidate above one WG");
     const uint64_t Freed[4] = {D.WGThreads, D.LocalMemPerWG,
                                D.WGThreads * D.RegsPerThread, 1};
-    SolverScratch::ShapeClass *C = nullptr;
-    for (SolverScratch::ShapeClass &Sh : S.Shapes)
-      if (std::equal(Freed, Freed + 4, Sh.Freed)) {
+    SolverScratch::Shape *C = nullptr;
+    for (SolverScratch::Shape &Sh : S.Shapes)
+      if (std::equal(Freed, Freed + 3, Sh.Freed)) {
         C = &Sh;
         break;
       }
-    if (!C) {
+    const bool Fresh = !C;
+    if (Fresh) {
       C = &S.Shapes.emplace_back();
       std::copy(Freed, Freed + 4, C->Freed);
     }
+    if (Fresh || C->Weight != D.Weight) {
+      C->Weight = D.Weight;
+      C->N = baseDivision(Caps, D, D.Weight / TotalWeight, C->Floored);
+    }
+    Shares[I] = std::min(C->N, D.RequestedWGs);
+    AddShare(I, Shares[I]);
+    if (!C->Floored)
+      continue;
+    assert(Shares[I] == 1 && "floored clamp candidate above one WG");
     if (C->Count < 3)
       C->Idx[C->Count] = static_cast<uint32_t>(I);
     S.Link[I] = C->Last;
@@ -471,13 +457,13 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
   }
 
   // Clamp pass, against the maintained aggregate and over the shape
-  // classes. A class's "does reverting one candidate alone restore
+  // table. A shape's "does reverting one candidate alone restore
   // feasibility" is four subtract-and-compare operations instead of the
   // reference's O(K) fits() per candidate, and Freed[Dim] is its
   // demandIn(Dim).
   while (!FitsAgg()) {
     const unsigned Dim = mostOversubscribed(Use, Cap);
-    auto ComboRestores = [&](const SolverScratch::ShapeClass *const *Set,
+    auto ComboRestores = [&](const SolverScratch::Shape *const *Set,
                              size_t N) {
       uint64_t Freed[4] = {0, 0, 0, 0};
       for (size_t I = 0; I != N; ++I)
@@ -488,12 +474,12 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
           return false;
       return true;
     };
-    SolverScratch::ShapeClass *Victim = nullptr;
+    SolverScratch::Shape *Victim = nullptr;
     bool VictimRestores = false;
-    for (SolverScratch::ShapeClass &C : S.Shapes) {
+    for (SolverScratch::Shape &C : S.Shapes) {
       if (C.Count == 0)
         continue;
-      const SolverScratch::ShapeClass *Set[1] = {&C};
+      const SolverScratch::Shape *Set[1] = {&C};
       bool Restores = ComboRestores(Set, 1);
       if (!Victim || (Restores && !VictimRestores) ||
           (Restores == VictimRestores &&
@@ -526,7 +512,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     }
     if (!VictimRestores) {
       // The reference's bounded bin-covering search, collapsed onto
-      // shape classes. The reference replaces its running best only on
+      // shapes. The reference replaces its running best only on
       // strictly larger demand, so its winner is the lexicographically
       // first max-demand restoring set in scan order; every member of a
       // shape combination shares one demand and one restores-verdict,
@@ -534,7 +520,7 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
       // re-materializing its lex-first realization (the required number
       // of smallest candidate indices per shape, sorted — elementwise
       // minimal) reproduces that winner exactly.
-      auto Materialize = [&](const SolverScratch::ShapeClass *const *Set,
+      auto Materialize = [&](const SolverScratch::Shape *const *Set,
                              size_t N, uint32_t *Out) {
         for (size_t A = 0; A != N; ++A) {
           size_t Taken = 0;
@@ -561,8 +547,8 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
           if (S.Shapes[X].Count == 0)
             continue;
           for (size_t Y = X; Y != NumShapes; ++Y) {
-            const SolverScratch::ShapeClass *Set[2] = {&S.Shapes[X],
-                                                       &S.Shapes[Y]};
+            const SolverScratch::Shape *Set[2] = {&S.Shapes[X],
+                                                  &S.Shapes[Y]};
             if (Set[1]->Count < (X == Y ? 2u : 1u))
               continue;
             if (!ComboRestores(Set, 2))
@@ -589,10 +575,10 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
             if (S.Shapes[Y].Count == 0)
               continue;
             for (size_t Z = Y; Z != NumShapes; ++Z) {
-              const SolverScratch::ShapeClass *Set[3] = {
+              const SolverScratch::Shape *Set[3] = {
                   &S.Shapes[X], &S.Shapes[Y], &S.Shapes[Z]};
               // Multiplicity check per distinct shape in the combo
-              // (an empty class fails it).
+              // (a shape without candidates fails it).
               bool Realizable = true;
               for (size_t A = 0; A != 3 && Realizable; ++A) {
                 uint32_t Mult = 0;
@@ -627,12 +613,12 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
         for (size_t I = 0; I != BestN; ++I)
           DropShare(BestIdx[I]);
         // The set restores feasibility, so the clamp is done; the
-        // classes are not updated for it.
+        // candidate chains are not updated for it.
         assert(FitsAgg() && "restoring revert set left the device over");
         break;
       }
     }
-    // Victims leave from the top of their class.
+    // Victims leave from the top of their shape's chain.
     DropShare(Victim->Last);
     Victim->Last = S.Link[Victim->Last];
     --Victim->Count;

@@ -95,7 +95,7 @@ struct SolverOptions {
 ///
 /// This allocating overload is the reference solve: it re-sums the whole
 /// allocation at every feasibility check and runs the bin-covering
-/// search over candidate subsets, not shape classes. The schedulers run
+/// search over candidate subsets, not shapes. The schedulers run
 /// the allocation-free overload below; this one serves the tests,
 /// bench/abl_resource_solver, and ContinuousScheduler with
 /// SchedulerOptions::Incremental off (the full-solve scheme of
@@ -110,49 +110,52 @@ std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
 struct SolverScratch {
   std::vector<uint8_t> Saturated;
   std::vector<uint32_t> Active; ///< Unsaturated sweep list, index order.
-  /// Per-call memo of the Sec. 3 base divisions. Queues at scale repeat
-  /// a few kernel shapes hundreds of times, and the divisions are a
-  /// pure function of (shape, weight fraction) for fixed caps — so
-  /// identical inputs reproduce identical doubles and the cached result
-  /// *is* the computed result. N is the post-floor, pre-request-cap
-  /// share. Bounded small; pathological all-distinct queues fall back
-  /// to computing.
-  struct BaseDiv {
-    uint64_t WGThreads = 0;
-    uint64_t LocalMemPerWG = 0;
-    uint64_t RegsPerThread = 0;
-    double Frac = 0;
-    uint64_t N = 0;
-    bool Floored = false;
-  };
-  std::vector<BaseDiv> BaseCache;
-  /// Clamp-pass shape classes, built once per solve: the base-division
-  /// pass files every floored kernel (a clamp candidate) under the
-  /// class of its one-work-group footprint, and no clamp iteration
-  /// rescans the queue. Every candidate is a floored one-work-group
-  /// share, so both parts of the reference's victim key — whether
-  /// reverting it alone restores feasibility, and its demand in the
-  /// most-oversubscribed dimension — are functions of its class. The
-  /// reference takes the *last* index with the largest key, so its
-  /// victim is the largest remaining index of the class with the
-  /// largest (restores, demand, largest remaining index): a pick over
-  /// classes, O(S) for S classes instead of O(K). Victims leave from the
-  /// top of their class (Last, then Link), so the three smallest
-  /// indices stay valid for as long as the class holds them. The
+  /// The solve's shape table, one entry per distinct kernel shape,
+  /// rebuilt per solve: every work-carrying kernel is filed once under
+  /// its one-work-group footprint (threads, local memory, registers),
+  /// and the entry serves both the base division and the clamp.
+  ///
+  /// Base division. The Sec. 3 division is a pure function of the
+  /// footprint and the weight fraction, and within one solve the
+  /// fraction is Weight / (the solve's total weight), so the entry
+  /// keeps the division of the last Weight it served and recomputes it
+  /// only when a kernel of its shape brings a different Weight. Under
+  /// equal weights that is one division per shape; a queue whose
+  /// tenants of different weights share a shape pays one division each
+  /// time the weight changes along the queue (at worst one per kernel,
+  /// as bench/micro_overheads' BM_ResourceSolverDeepQueueWeighted
+  /// measures). N is the post-floor, pre-request-cap share.
+  ///
+  /// Clamp. Only floored kernels (clamp candidates, each holding
+  /// exactly one work group) join the entry's candidate chain, so no
+  /// clamp iteration rescans the queue; an entry whose kernels all
+  /// clear the floor stays empty and the clamp skips it. Both parts of
+  /// the reference's victim key — whether reverting a candidate alone
+  /// restores feasibility, and its demand in the most-oversubscribed
+  /// dimension — are functions of its footprint. The reference takes
+  /// the *last* index with the largest key, so its victim is the
+  /// largest remaining index of the entry with the largest (restores,
+  /// demand, largest remaining index): a pick over S shapes instead of
+  /// K kernels, which table order cannot sway. Victims leave from the
+  /// top of their chain (Last, then Link), so the three smallest
+  /// indices stay valid for as long as the entry holds them. The
   /// bounded bin-covering search runs over shape *combinations* (S^2 /
   /// S^3) instead of candidate subsets (C^2 / C^3), with the winning
   /// combination re-materialized as its lexicographically first
   /// concrete candidate set — exactly the set the reference scan lands
   /// on.
-  struct ShapeClass {
-    uint64_t Freed[4] = {0, 0, 0, 0}; ///< One floored WG's footprint.
-    uint32_t Count = 0;               ///< Candidates still floored.
-    uint32_t Idx[3] = {0, 0, 0};      ///< Three smallest candidates.
+  struct Shape {
+    uint64_t Freed[4] = {0, 0, 0, 0}; ///< One WG's footprint (the key).
+    double Weight = 0; ///< Weight the cached division was made for.
+    uint64_t N = 0;    ///< That division's share.
+    bool Floored = false; ///< Whether the one-WG floor fired for it.
+    uint32_t Count = 0;          ///< Candidates still floored.
+    uint32_t Idx[3] = {0, 0, 0}; ///< Three smallest candidates.
     uint32_t Last = 0; ///< Largest remaining candidate (Count > 0).
   };
-  std::vector<ShapeClass> Shapes;
-  /// Per kernel: the next-smaller candidate of its shape class, so a
-  /// victim leaves its class in O(1).
+  std::vector<Shape> Shapes;
+  /// Per kernel: the next-smaller candidate of its shape, so a victim
+  /// leaves its chain in O(1).
   std::vector<uint32_t> Link;
 };
 

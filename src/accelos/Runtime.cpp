@@ -38,16 +38,7 @@ Expected<ocl::Buffer> MemoryManager::allocate(int AppId, uint64_t Size) {
     return makeError("application " + std::to_string(AppId) +
                      " paused: " + Buf.message());
   }
-  Usage[AppId] += Size;
   return Buf;
-}
-
-void MemoryManager::released(int AppId, uint64_t Size) {
-  auto It = Usage.find(AppId);
-  if (It != Usage.end())
-    It->second -= Size < It->second ? Size : It->second;
-  // Optimistically resume everyone; their next allocation re-checks.
-  Paused.clear();
 }
 
 //===----------------------------------------------------------------------===//

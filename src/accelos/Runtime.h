@@ -83,8 +83,8 @@ struct MonitorStats {
   uint64_t Passthrough = 0;      ///< (c) any other request.
 };
 
-/// Tracks per-application device-memory usage and pauses applications
-/// whose allocations cannot be served (paper Sec. 5, Memory Management).
+/// Pauses applications whose device-memory allocations cannot be served
+/// (paper Sec. 5, Memory Management).
 class MemoryManager {
 public:
   explicit MemoryManager(ocl::Device &Dev) : Dev(&Dev) {}
@@ -93,19 +93,15 @@ public:
   /// is paused and an error describing the pause is returned.
   Expected<ocl::Buffer> allocate(int AppId, uint64_t Size);
 
-  /// Records that \p AppId released \p Size bytes (the Buffer frees the
-  /// storage itself); resumes paused applications that now fit.
-  void released(int AppId, uint64_t Size);
+  /// Records that an application released a buffer (the Buffer frees
+  /// the storage itself); resumes every paused application, whose next
+  /// allocation re-checks the device.
+  void released() { Paused.clear(); }
 
   bool isPaused(int AppId) const { return Paused.count(AppId) != 0; }
-  uint64_t usageOf(int AppId) const {
-    auto It = Usage.find(AppId);
-    return It == Usage.end() ? 0 : It->second;
-  }
 
 private:
   ocl::Device *Dev;
-  std::map<int, uint64_t> Usage;
   std::set<int> Paused;
 };
 

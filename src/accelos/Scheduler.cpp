@@ -73,7 +73,7 @@ accelos::makeAdmissionScheduler(AdmissionMode Mode, const ResourceCaps &Caps,
   return std::make_unique<ContinuousScheduler>(Caps, Opts, SchedOpts);
 }
 
-RoundGrant RoundScheduler::soloGrant(const Entry &E) const {
+RoundGrant RoundScheduler::soloGrant(const QueuedRequest &E) const {
   // soloShare floors a request whose single work group exceeds even the
   // empty device to one: the execution layer serializes it, and its work
   // must not silently disappear.
@@ -89,7 +89,7 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
   ++Stats.FullSolves; // Round-synchronous planning always solves.
 
   Demands.clear();
-  for (const Entry &E : Queue)
+  for (const QueuedRequest &E : Queue)
     Demands.push_back(E.R.Demand);
   solveFairShares(Caps, Demands, Opts, Scratch, Shares);
 
@@ -104,9 +104,9 @@ std::vector<RoundGrant> RoundScheduler::nextRound() {
     return Grants;
   }
 
-  std::deque<Entry> Deferred;
+  std::deque<QueuedRequest> Deferred;
   for (size_t I = 0; I != Shares.size(); ++I) {
-    Entry &E = Queue[I];
+    QueuedRequest &E = Queue[I];
     // Zero-request submissions complete trivially with zero work groups
     // instead of deferring forever; clamp-shed requests wait for the
     // next, smaller round.
@@ -226,7 +226,7 @@ void ContinuousScheduler::submit(const RoundRequest &R) {
 
 void ContinuousScheduler::collectDemands() {
   Demands.assign(Flights.begin(), Flights.end());
-  for (const Entry &E : Queue) {
+  for (const QueuedRequest &E : Queue) {
     KernelDemand D = E.R.Demand;
     // Degenerate zero-thread demands must not reach the solver's (or
     // fittingWGs') divisions; they are granted zero work groups below.
@@ -282,7 +282,7 @@ void ContinuousScheduler::solveTargets(size_t QueueBase) {
       // MinWGThreads threads, so a residual below both bounds rules
       // out every fit without the per-entry divisions.
       if (Free.WGSlots != 0 && Free.Threads >= MinWGThreads)
-        for (const Entry &E : Queue) {
+        for (const QueuedRequest &E : Queue) {
           const KernelDemand &D = E.R.Demand;
           if (D.RequestedWGs == 0 || D.WGThreads == 0)
             continue;
@@ -352,7 +352,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
   bool MixedWeights = false;
   double RefWeight = 0;
   bool HaveRef = false;
-  for (const Entry &E : Queue) {
+  for (const QueuedRequest &E : Queue) {
     if (E.R.Demand.RequestedWGs == 0)
       continue;
     if (!HaveRef) {
@@ -390,7 +390,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
   bool Blocked = false;
   bool AnyCapacityGrant = false;
   for (size_t OI = 0; OI != Order.size(); ++OI) {
-    Entry &E = Queue[Order[OI]];
+    QueuedRequest &E = Queue[Order[OI]];
     uint64_t Target = Shares[QueueBase + Order[OI]];
     // Zero-work (or degenerate zero-thread) requests complete
     // trivially: zero work groups, no flight, no capacity. (Their
@@ -445,7 +445,7 @@ const std::vector<RoundGrant> &ContinuousScheduler::admit() {
   // the starving-first override reachable — after MaxDeferrals such
   // passes the request sorts ahead of any weight.
   if (MixedWeights && AnyCapacityGrant)
-    for (Entry &E : Kept)
+    for (QueuedRequest &E : Kept)
       if (E.R.Demand.RequestedWGs > 0) {
         ++E.DeferCount;
         ++Stats.Deferrals;
@@ -507,7 +507,7 @@ const std::vector<RoundGrant> &StrideScheduler::admit() {
   while (!Ready.empty() && !Blocked) {
     const auto [Pass, Tid] = Ready.top();
     TenantState &T = Tenants[Tid];
-    Entry &E = T.Queue.front();
+    QueuedRequest &E = T.Queue.front();
     const KernelDemand &D = E.R.Demand;
     // Zero-work (or degenerate zero-thread) requests complete
     // trivially and consume no pass credit.

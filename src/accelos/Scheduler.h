@@ -70,6 +70,15 @@ struct RoundRequest {
   int Tenant = 0;
 };
 
+/// A pending request in a scheduler's queue, with the times it has been
+/// passed over: clamp-shed requeues for RoundScheduler, overtakes by
+/// younger grants for ContinuousScheduler and StrideScheduler. Each
+/// scheduler's MaxDeferrals bounds the count.
+struct QueuedRequest {
+  RoundRequest R;
+  uint32_t DeferCount = 0;
+};
+
 /// A share grant for one member of a scheduling round.
 struct RoundGrant {
   uint64_t Id = 0;
@@ -167,17 +176,12 @@ public:
   void clear() { Queue.clear(); }
 
 private:
-  struct Entry {
-    RoundRequest R;
-    uint32_t DeferCount = 0;
-  };
-
   /// Grants \p E a round of its own (K = 1).
-  RoundGrant soloGrant(const Entry &E) const;
+  RoundGrant soloGrant(const QueuedRequest &E) const;
 
   ResourceCaps Caps;
   SolverOptions Opts;
-  std::deque<Entry> Queue;
+  std::deque<QueuedRequest> Queue;
   SchedulerStats Stats;
   /// Solve input, output and working storage, reused across rounds.
   std::vector<KernelDemand> Demands;
@@ -236,11 +240,6 @@ public:
 
 protected:
   explicit ResidualScheduler(const ResourceCaps &Caps) : Caps(Caps) {}
-
-  struct Entry {
-    RoundRequest R;
-    uint32_t DeferCount = 0;
-  };
 
   /// Device capacity minus every in-flight footprint (O(1): maintained
   /// as the FlightUse aggregate, not re-summed).
@@ -353,7 +352,7 @@ private:
 
   SolverOptions Opts;
   SchedulerOptions SchedOpts;
-  std::deque<Entry> Queue;
+  std::deque<QueuedRequest> Queue;
   /// Aggregate footprint of every queued request at its full
   /// (zero-thread-normalized) size; kept in sync by submit()/admit().
   ResourceUse QueueUse;
@@ -362,7 +361,7 @@ private:
   std::vector<KernelDemand> Demands;
   std::vector<uint64_t> Shares;
   std::vector<size_t> Order;
-  std::deque<Entry> Kept;
+  std::deque<QueuedRequest> Kept;
   /// Working storage for the allocation-free solver overload, used on
   /// full solves when SchedOpts.Incremental is set.
   SolverScratch Scratch;
@@ -428,7 +427,7 @@ private:
     double Tickets = 1.0;
     double Stride = Stride1;
     double Pass = 0;
-    std::deque<Entry> Queue;
+    std::deque<QueuedRequest> Queue;
   };
 
   std::unordered_map<int, TenantState> Tenants;

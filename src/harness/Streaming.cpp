@@ -45,14 +45,6 @@ std::vector<double> StreamOutcome::queueDelays() const {
 }
 
 std::map<int, std::vector<double>>
-StreamOutcome::queueDelaysByTenant() const {
-  std::map<int, std::vector<double>> Out;
-  for (const StreamRequestResult &R : Requests)
-    Out[R.Tenant].push_back(R.queueDelay());
-  return Out;
-}
-
-std::map<int, std::vector<double>>
 StreamOutcome::queueingExcessByTenant() const {
   std::map<int, std::vector<double>> Out;
   for (const StreamRequestResult &R : Requests)

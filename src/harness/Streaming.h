@@ -136,9 +136,6 @@ struct StreamOutcome {
   /// Per-request queueing delays, in trace order.
   std::vector<double> queueDelays() const;
 
-  /// First-dispatch queueing delays grouped by tenant.
-  std::map<int, std::vector<double>> queueDelaysByTenant() const;
-
   /// Aggregate queueing times (StreamRequestResult::queueingExcess)
   /// grouped by tenant — the values SLO attainment and goodput are
   /// judged on (metrics::sloAttainment).

@@ -31,7 +31,6 @@ Cfg::Cfg(const Function &Fn) : F(&Fn) {
   Reachable.assign(N, false);
   IPDom.assign(N, VirtualExit);
   LoopDepthOf.assign(N, 0);
-  InnermostOf.assign(N, -1);
 
   buildEdges();
   buildRpo();
@@ -269,12 +268,8 @@ void Cfg::buildLoops() {
         break;
       }
     }
-    for (unsigned B : L.Blocks) {
-      if (L.Depth > LoopDepthOf[B]) {
-        LoopDepthOf[B] = L.Depth;
-        InnermostOf[B] = static_cast<int>(I);
-      }
-    }
+    for (unsigned B : L.Blocks)
+      LoopDepthOf[B] = std::max(LoopDepthOf[B], L.Depth);
   }
 }
 

@@ -84,9 +84,6 @@ public:
   /// \returns the number of loops containing \p Id (0 = not in a loop).
   unsigned loopDepth(unsigned Id) const { return LoopDepthOf[Id]; }
 
-  /// \returns the index of the innermost loop containing \p Id, or -1.
-  int innermostLoop(unsigned Id) const { return InnermostOf[Id]; }
-
   /// Blocks whose execution depends on the conditional branch ending
   /// block \p BranchBlock: everything reachable from its successors
   /// before control reconverges at the branch's immediate
@@ -111,7 +108,6 @@ private:
   std::vector<unsigned> IPDom;
   std::vector<CfgLoop> Loops;
   std::vector<unsigned> LoopDepthOf;
-  std::vector<int> InnermostOf;
 };
 
 } // namespace analysis

@@ -70,16 +70,6 @@ public:
       std::swap(Items[I - 1], Items[nextBelow(I)]);
   }
 
-  /// Samples \p Count indices uniformly (with replacement) from
-  /// [0, Population).
-  std::vector<size_t> sampleWithReplacement(size_t Population, size_t Count) {
-    std::vector<size_t> Result;
-    Result.reserve(Count);
-    for (size_t I = 0; I < Count; ++I)
-      Result.push_back(static_cast<size_t>(nextBelow(Population)));
-    return Result;
-  }
-
 private:
   uint64_t State;
 };

@@ -1382,8 +1382,8 @@ TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolve) {
   // reference solve; sweep randomized demand sets through both greedy
   // settings and hold it to that. Half the trials draw demands from a
   // four-shape pool (many repeats, heavy floors), the regime the
-  // clamp's shape-class search and the base-division memo are built
-  // for.
+  // solver's per-solve shape table (cached base divisions, the clamp's
+  // shape search) is built for.
   SplitMix64 Rng(0x5C2A7C4);
   ResourceCaps Caps = tinyCaps();
   KernelDemand Pool[4] = {demand(512, 16384, 64, 50),
@@ -1461,6 +1461,43 @@ TEST(SolverInvariantTest, ScratchOverloadMatchesAllocatingSolveAtScale) {
       solveFairShares(Caps, Ks, Opts, Scratch, Shares);
       ASSERT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
           << "trial " << Trial << " K " << K << " greedy " << Greedy;
+    }
+  }
+
+  // Recurring weights. The trials above keep every weight at 1 or draw
+  // a fresh continuous weight per demand, so no shape ever recurs under
+  // a weight it already had after a different one. Here each demand's
+  // weight is 1 or 3: the shape table caches one division per shape and
+  // recomputes it at every weight change along the queue (~3.5k times
+  // over the 100 trials). In 63 trials some shape's weight-1 demands
+  // floor while its weight-3 demands do not, so the shape's entry
+  // alternates between a floored and an unfloored division; in 20 both
+  // weights floor and one footprint holds candidates of both weights;
+  // 25 trials clamp.
+  SplitMix64 WRng(0x3EC0DE5);
+  for (int Trial = 0; Trial != 100; ++Trial) {
+    const ResourceCaps &Caps = Devices[Trial % 2];
+    size_t K = 1 + WRng.nextBelow(160);
+    std::vector<KernelDemand> Pool(1 + WRng.nextBelow(8));
+    for (KernelDemand &P : Pool) {
+      P.WGThreads = 64 * (1 + WRng.nextBelow(8));
+      P.LocalMemPerWG = WRng.nextBelow(4) * (Caps.LocalMem / 256);
+      P.RegsPerThread = WRng.nextBelow(3) * 16;
+    }
+    std::vector<KernelDemand> Ks;
+    for (size_t I = 0; I != K; ++I) {
+      KernelDemand D = Pool[WRng.nextBelow(Pool.size())];
+      D.RequestedWGs = WRng.nextBelow(10) == 0 ? 0 : 1 + WRng.nextBelow(32);
+      D.Weight = WRng.nextBelow(2) ? 3.0 : 1.0;
+      Ks.push_back(D);
+    }
+    for (bool Greedy : {false, true}) {
+      SolverOptions Opts;
+      Opts.GreedySaturation = Greedy;
+      solveFairShares(Caps, Ks, Opts, Scratch, Shares);
+      ASSERT_EQ(Shares, solveFairShares(Caps, Ks, Opts))
+          << "weighted trial " << Trial << " K " << K << " greedy "
+          << Greedy;
     }
   }
 }
