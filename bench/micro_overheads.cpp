@@ -139,6 +139,72 @@ static void BM_EnginePairSimulation(benchmark::State &State) {
 }
 BENCHMARK(BM_EnginePairSimulation);
 
+// The engine events of the fleet replay: one EngineSession per device
+// spec kept full by a closed loop of WorkQueue slice launches (each
+// completion relaunches at once), stepped one event instant per
+// iteration. The launch shape is perfbench's fleet_faults, counted
+// per device over one 8,000-request replica (seed 1): the K20m ran
+// 13.5k slices of 67 physical work groups over 176 virtual groups, the
+// AMD device 9.4k slices of 292 over 386; batch 1 (the cap is 8);
+// 0.84M and 2.6M thread-cycles per virtual group; ~170 threads per
+// work group; ~4 and ~3 slices in flight; 10.8 and 10.7 residents per
+// compute unit at an event. A work group retires at its last leg end,
+// so an instant that retires none only re-arms: the rearm_only counter
+// estimates that share as 1 - retired groups / instants (a retiring
+// instant retires 1.04 groups in fleet_faults, where it is 61% on the
+// K20m and 25% on the AMD device).
+static void BM_EngineLegEvents(benchmark::State &State) {
+  const bool K20m = State.range(0) == 0;
+  const uint64_t PhysicalWGs = K20m ? 67 : 292;
+  const uint64_t VirtualGroups = K20m ? 176 : 386;
+  const int Clients = K20m ? 4 : 3;
+  // Costs spread over [0.5, 1.5] of the mean, so leg ends rarely tie.
+  std::vector<double> Costs(VirtualGroups);
+  uint64_t X = 0x9e3779b97f4a7c15ull;
+  for (double &C : Costs) {
+    X = X * 6364136223846793005ull + 1442695040888963407ull;
+    C = (K20m ? 0.84e6 : 2.6e6) *
+        (0.5 + static_cast<double>(X >> 11) * 0x1p-53);
+  }
+  sim::EngineSession Session(K20m ? sim::DeviceSpec::nvidiaK20m()
+                                  : sim::DeviceSpec::amdR9295X2());
+  std::vector<sim::KernelLaunchDesc> LaunchBuf;
+  std::vector<sim::KernelExecResult> Done;
+  auto Launch = [&](int Client) {
+    sim::KernelLaunchDesc L;
+    L.AppId = Client;
+    L.ArrivalTime = Session.now();
+    L.WGThreads = K20m ? 160 : 176;
+    L.RegsPerThread = 16;
+    L.IssueEfficiency = 0.8;
+    L.Mode = sim::KernelLaunchDesc::ModeKind::WorkQueue;
+    L.ViewCosts = Costs.data();
+    L.ViewBegin = 0;
+    L.ViewEnd = VirtualGroups;
+    L.PhysicalWGs = PhysicalWGs;
+    L.Batch = 1;
+    LaunchBuf.push_back(L);
+  };
+  for (int C = 0; C != Clients; ++C)
+    Launch(C);
+  Session.admitFrom(LaunchBuf);
+  uint64_t Instants = 0, Retired = 0;
+  for (auto _ : State) {
+    Session.advanceNextEvent(Done);
+    benchmark::DoNotOptimize(Done.data());
+    for (const sim::KernelExecResult &K : Done) {
+      Retired += K.DispatchedWGs;
+      Launch(K.AppId);
+    }
+    Session.admitFrom(LaunchBuf);
+    ++Instants;
+  }
+  State.SetLabel(K20m ? "K20m" : "AMD R9 295X2");
+  State.counters["rearm_only"] =
+      1.0 - static_cast<double>(Retired) / static_cast<double>(Instants);
+}
+BENCHMARK(BM_EngineLegEvents)->Arg(0)->Arg(1);
+
 // Steady-state cost of one serving admission event under each of the
 // three hot paths bench/serve_scale replays end to end: preload a
 // saturated revolving population, then measure one

@@ -666,22 +666,30 @@ void accelos::solveFairShares(const ResourceCaps &Caps,
     return;
   }
 
-  S.Saturated.assign(K, 0);
-  for (;;) {
-    size_t Next = K;
-    double NextNorm = 0;
-    for (size_t I = 0; I != K; ++I) {
-      if (S.Saturated[I] || Shares[I] >= Ks[I].RequestedWGs)
-        continue;
-      double Norm = static_cast<double>(Shares[I]) / Ks[I].Weight;
-      if (Next == K || Norm < NextNorm) {
-        Next = I;
-        NextNorm = Norm;
-      }
+  // Weighted max-min filling from a min-heap of the growable kernels
+  // keyed by (weight-normalized share, index): the reference scan's
+  // pick, ties to the lower index. A kernel leaves when its probe fails
+  // (saturated for good, as above) or its request is met; after a grow
+  // it re-enters under its new share.
+  S.Norm.resize(K);
+  auto After = [&](uint32_t A, uint32_t B) {
+    return S.Norm[A] > S.Norm[B] || (S.Norm[A] == S.Norm[B] && A > B);
+  };
+  S.Active.clear();
+  for (size_t I = 0; I != K; ++I)
+    if (Shares[I] < Ks[I].RequestedWGs) {
+      S.Norm[I] = static_cast<double>(Shares[I]) / Ks[I].Weight;
+      S.Active.push_back(static_cast<uint32_t>(I));
     }
-    if (Next == K)
-      break;
-    if (!ProbeGrow(Next))
-      S.Saturated[Next] = 1;
+  std::make_heap(S.Active.begin(), S.Active.end(), After);
+  while (!S.Active.empty()) {
+    std::pop_heap(S.Active.begin(), S.Active.end(), After);
+    uint32_t I = S.Active.back();
+    if (!ProbeGrow(I) || Shares[I] >= Ks[I].RequestedWGs) {
+      S.Active.pop_back();
+      continue;
+    }
+    S.Norm[I] = static_cast<double>(Shares[I]) / Ks[I].Weight;
+    std::push_heap(S.Active.begin(), S.Active.end(), After);
   }
 }

@@ -108,8 +108,10 @@ std::vector<uint64_t> solveFairShares(const ResourceCaps &Caps,
 /// one long-lived instance per scheduler amortizes every per-solve
 /// heap allocation to the high-water mark of the queue.
 struct SolverScratch {
-  std::vector<uint8_t> Saturated;
-  std::vector<uint32_t> Active; ///< Unsaturated sweep list, index order.
+  /// Unsaturated kernels: the equal-weight sweep list in index order,
+  /// or the weighted saturation's min-heap over (Norm, index).
+  std::vector<uint32_t> Active;
+  std::vector<double> Norm; ///< Weighted saturation: Shares / Weight.
   /// The solve's shape table, one entry per distinct kernel shape,
   /// rebuilt per solve: every work-carrying kernel is filed once under
   /// its one-work-group footprint (threads, local memory, registers),

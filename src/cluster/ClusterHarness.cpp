@@ -51,6 +51,11 @@ struct DeviceState {
   /// In the serving set: placements, admission, and migration targets
   /// all require Alive. Mirrors the policy view's DeviceLoad::Alive.
   bool Alive = true;
+  /// The session's nextEventTime() and whether it has work in flight,
+  /// re-read after every admission pass, advance and cancelAll: the
+  /// only calls that change either.
+  double NextEvent = -1;
+  bool Busy = false;
   double BusyTime = 0;
   size_t PlacedRequests = 0;
 };
@@ -60,10 +65,12 @@ struct DeviceState {
 /// run it on a one-device view. Each iteration (1) applies scripted
 /// fleet-capacity events due at the current merged time, (2) places and
 /// submits every arrival due from the arrival source, (3) runs the
-/// pending admission passes device by device, (4) advances every
-/// session to the earliest next event anywhere in the fleet, reacting
-/// to completions (and, at those quantum-slice boundaries, deciding
-/// migrations).
+/// pending admission passes device by device, (4) moves the merged
+/// clock to the earliest next event anywhere in the fleet, stepping
+/// only the sessions with an event due there and reacting to their
+/// completions (and, at those quantum-slice boundaries, deciding
+/// migrations). A session with nothing due lags behind the merged
+/// clock until the replay next touches it.
 class ClusterReplay {
 public:
   ClusterReplay(const std::vector<ReplayDevice> &Fleet,
@@ -180,41 +187,57 @@ public:
   void admitAll(double T) {
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
-      if (!DS.Alive)
+      if (!DS.Alive || !DS.NeedAdmit)
         continue;
+      catchUp(DS, T);
       while (DS.NeedAdmit)
         DS.NeedAdmit = detail::admissionPass(
             *DS.Sched, *DS.Session, RS, T,
             [&](size_t Idx) { retire(Idx, T); });
+      refresh(DS);
     }
   }
 
   /// The earliest pending event anywhere in the fleet, or negative
   /// when every session is idle. (A dead device's session is idle by
   /// construction: cancelAll emptied it.)
-  double nextFleetEvent() {
+  double nextFleetEvent() const {
     double Next = -1;
-    for (DeviceState &DS : Devices) {
-      double E = DS.Session->nextEventTime();
-      if (E >= 0 && (Next < 0 || E < Next))
-        Next = E;
-    }
+    for (const DeviceState &DS : Devices)
+      if (DS.NextEvent >= 0 && (Next < 0 || DS.NextEvent < Next))
+        Next = DS.NextEvent;
     return Next;
   }
 
-  /// Advances every session from merged time \p T to \p Target,
-  /// reacting to completions; accounts per-device busy time. Dead
-  /// sessions advance too (empty, instantaneous) so their clocks stay
-  /// on the merged time for a later rejoin.
+  /// Debug builds: every device's cached session state is current.
+  /// nextEventTime() only purges stale heap tops, which the last touch
+  /// of each session already did, so the check moves no schedule.
+  void checkCached() {
+#ifndef NDEBUG
+    for (DeviceState &DS : Devices) {
+      assert(DS.NextEvent == DS.Session->nextEventTime() &&
+             "cached next event time out of date");
+      assert(DS.Busy == (DS.Session->inFlight() > 0) &&
+             "cached in-flight flag out of date");
+    }
+#endif
+  }
+
+  /// Moves the merged clock from \p T to \p Target: accounts every
+  /// device's busy time and steps the sessions with an event due by
+  /// then, reacting to their completions. The others only lag.
   void advanceAll(double T, double Target) {
     double NewNow = std::max(Target, T);
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
-      if (DS.Session->inFlight() > 0)
+      if (DS.Busy)
         DS.BusyTime += NewNow - T;
+      if (DS.NextEvent < 0 || DS.NextEvent > NewNow)
+        continue;
       // The reactions below touch schedulers and the policy, never a
       // session, so one completion buffer serves every device.
       DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+      refresh(DS);
       for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
         LiveRequest &LR = RS.Live[Idx];
@@ -277,6 +300,24 @@ public:
 private:
   void submit(size_t Idx, size_t D) {
     detail::submitRequest(*Devices[D].Sched, RS, Idx);
+  }
+
+  static void refresh(DeviceState &DS) {
+    DS.NextEvent = DS.Session->nextEventTime();
+    DS.Busy = DS.Session->inFlight() > 0;
+  }
+
+  /// Brings \p DS's session, which the loop may have left lagging, to
+  /// merged time \p T before the replay touches it. The loop steps
+  /// every session with an event due, so this only moves the clock. It
+  /// delivers no completion either: the fleet never admits a zero-work
+  /// launch, whose completion a session holds until its clock passes.
+  void catchUp(DeviceState &DS, double T) {
+    if (DS.Session->now() >= T)
+      return;
+    DS.Session->advanceTo(T, RS.CompletionBuf);
+    assert(RS.CompletionBuf.empty() &&
+           "a lagging session delivered a completion");
   }
 
   /// Grows every per-request bookkeeping vector for newly materialized
@@ -374,11 +415,13 @@ private:
     // The partial slice work is discarded with the device (fail-stop);
     // each cancelled launch releases its scheduler flight and returns
     // its virtual window to the request's remaining range.
+    catchUp(DS, T);
     for (sim::KernelLaunchDesc &L : DS.Session->cancelAll()) {
       size_t Idx = static_cast<size_t>(L.AppId);
       DS.Sched->complete(Idx);
       RS.rollbackSlice(Idx, L.ViewBegin);
     }
+    refresh(DS);
     DS.Sched->clear(); // Queued-but-unadmitted requests.
     DS.NeedAdmit = false;
     // Displace in request-index order: determinism over map order.
@@ -652,6 +695,7 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
       break; // The last arrivals were all lost at this instant.
 
     CR.admitAll(T);
+    CR.checkCached();
 
     double NextEvent = CR.nextFleetEvent();
     double NextInput = Src.empty() ? -1 : Src.nextTime();

@@ -76,8 +76,6 @@ private:
     size_t Launch = 0;
     double Remaining = 0; ///< Thread-cycles left in the current leg.
     double Weight = 0;    ///< Threads x issue efficiency: share weight.
-    uint64_t Threads = 0;
-    bool Retired = false;
   };
 
   /// A compute unit under processor sharing.
@@ -89,6 +87,10 @@ private:
     uint64_t UsedRegs = 0;
     double SumWeights = 0;
     uint64_t Epoch = 0;
+    /// A dispatch flush's memo of nextCompletion(), valid while
+    /// FlushEpoch == Epoch (see flushDirty).
+    double FlushTime = -1.0;
+    uint64_t FlushEpoch = ~uint64_t{0};
 
     double rateScale(unsigned Lanes) const {
       if (SumWeights <= Lanes)
@@ -145,6 +147,7 @@ private:
   /// in the binary heap's layout order, which depends on every push
   /// before them, so the push sequence is part of the schedule: that
   /// includes the duplicate pushes of a CU listed twice in Dirty.
+  /// flushDirty memoises a listed CU's entry but keeps every push.
   struct HeapEntry {
     double Time;
     size_t CU;
@@ -266,7 +269,6 @@ private:
 
     ResidentWG R;
     R.Launch = Li;
-    R.Threads = D.WGThreads;
     R.Weight = static_cast<double>(D.WGThreads) * D.IssueEfficiency;
     double Dispatch =
         Spec.WGDispatchCycles * static_cast<double>(D.WGThreads);
@@ -397,15 +399,15 @@ private:
     DispatchFrom = Pos;
   }
 
-  void retireWG(CUState &CU, size_t ResidentIdx, double Now) {
-    ResidentWG &R = CU.Residents[ResidentIdx];
+  /// Releases resident \p R's share of \p CU; the caller drops it from
+  /// CU.Residents.
+  void retireWG(CUState &CU, const ResidentWG &R, double Now) {
     LaunchState &L = States[R.Launch];
     const KernelLaunchDesc &D = L.Desc;
     CU.UsedThreads -= D.WGThreads;
     CU.UsedLocal -= D.LocalMemPerWG;
     CU.UsedRegs -= D.WGThreads * D.RegsPerThread;
     CU.SumWeights -= R.Weight;
-    R.Retired = true;
     --L.LiveWGs;
     ++L.DoneWGs;
     if (L.DoneWGs == D.numPhysicalWGs()) {
@@ -448,6 +450,26 @@ private:
     double T = CUs[CUIdx].nextCompletion(Spec.LanesPerCU);
     if (T >= 0)
       Heap.push({T, CUIdx, CUs[CUIdx].Epoch});
+  }
+
+  /// Pushes the next leg end of every CU listed in Dirty but \p Skip,
+  /// once per listing and in Dirty order (HeapEntry). A dispatch lists a
+  /// CU once per work group it placed there, and the CU does not change
+  /// between its listings, so its entry is computed once. Every listed
+  /// CU took a work group in this dispatch, which moved its Epoch past
+  /// any earlier flush's memo.
+  void flushDirty(size_t Skip = ~size_t{0}) {
+    for (size_t CUIdx : Dirty) {
+      if (CUIdx == Skip)
+        continue;
+      CUState &CU = CUs[CUIdx];
+      if (CU.FlushEpoch != CU.Epoch) {
+        CU.FlushEpoch = CU.Epoch;
+        CU.FlushTime = CU.nextCompletion(Spec.LanesPerCU);
+      }
+      if (CU.FlushTime >= 0)
+        Heap.push({CU.FlushTime, CUIdx, CU.Epoch});
+    }
   }
 
   void purgeStaleHeap() {
@@ -541,8 +563,7 @@ void SessionState::admit(std::vector<KernelLaunchDesc> &Launches) {
     admitArrivals(Now);
     Dirty.clear();
     dispatchAll(Now);
-    for (size_t CUIdx : Dirty)
-      pushCU(CUIdx);
+    flushDirty();
   }
 }
 
@@ -574,8 +595,7 @@ void SessionState::advanceCore(double T) {
       admitArrivals(Now);
       Dirty.clear();
       dispatchAll(Now);
-      for (size_t CUIdx : Dirty)
-        pushCU(CUIdx);
+      flushDirty();
       continue;
     }
     if (!CompletionDue)
@@ -608,46 +628,61 @@ void SessionState::advanceCore(double T) {
       reportFatalError("simulation exceeded event budget");
     }
     Now = E.Time;
-    CU.advanceTo(Now, Spec.LanesPerCU);
 
-    // Complete (or re-arm) every resident that reached its leg end. The
+    // One pass over the residents, in order: advance each to Now at
+    // the rate the CU's pre-event share gives it, then re-arm or retire
+    // it if it reached its leg end, and compact the survivors. The
     // threshold is in the *time* domain: once the remaining time is
     // below the representable resolution at the current simulation
     // time, the leg is done (a work-domain epsilon can livelock when
     // Now is large and the residual work converts to a time step
     // smaller than one ULP of Now).
-    bool Changed = false;
-    double Scale = CU.rateScale(Spec.LanesPerCU);
-    for (size_t RI = 0; RI != CU.Residents.size(); ++RI) {
+    const double Dt = Now - CU.LastUpdate;
+    const double Scale = CU.rateScale(Spec.LanesPerCU);
+    CU.LastUpdate = Now;
+    bool ReArmed = false;
+    double MinDt = -1.0; // Earliest survivor leg end, after Now.
+    size_t Kept = 0;
+    for (size_t RI = 0, N = CU.Residents.size(); RI != N; ++RI) {
       ResidentWG &R = CU.Residents[RI];
-      double TimeLeft = std::max(0.0, R.Remaining) / (R.Weight * Scale);
-      if (TimeLeft > Eps * (1.0 + Now))
-        continue;
-      LaunchState &L = States[R.Launch];
-      if (L.Desc.Mode == KernelLaunchDesc::ModeKind::WorkQueue &&
-          L.QueueCursor < L.Desc.numVirtualGroups()) {
+      const double Rate = R.Weight * Scale;
+      if (Dt > 0)
+        R.Remaining -= Rate * Dt;
+      double TimeLeft = std::max(0.0, R.Remaining) / Rate;
+      if (TimeLeft <= Eps * (1.0 + Now)) {
+        LaunchState &L = States[R.Launch];
+        if (L.Desc.Mode != KernelLaunchDesc::ModeKind::WorkQueue ||
+            L.QueueCursor >= L.Desc.numVirtualGroups()) {
+          retireWG(CU, R, Now);
+          continue;
+        }
         // Dequeue the next batch and keep running.
         R.Remaining = takeBatch(L);
-        Changed = true;
-        continue;
+        TimeLeft = std::max(0.0, R.Remaining) / Rate;
+        ReArmed = true;
       }
-      retireWG(CU, RI, Now);
-      Changed = true;
+      if (MinDt < 0 || TimeLeft < MinDt)
+        MinDt = TimeLeft;
+      if (Kept != RI)
+        CU.Residents[Kept] = R;
+      ++Kept;
     }
-    if (Changed) {
-      std::erase_if(CU.Residents,
-                    [](const ResidentWG &R) { return R.Retired; });
-      ++CU.Epoch;
-      Dirty.clear();
-      dispatchAll(Now);
-      pushCU(E.CU);
-      for (size_t CUIdx : Dirty)
-        if (CUIdx != E.CU)
-          pushCU(CUIdx);
-      // Re-push CUs whose epochs changed through dispatch onto this CU.
-    } else {
-      pushCU(E.CU);
+    if (Kept == CU.Residents.size()) {
+      // Nothing retired, so the shares did not change: the pass's
+      // minimum is what nextCompletion would compute. A re-arm frees
+      // no capacity, so a dispatch would place nothing.
+      assert(Kept > 0 && "a live heap entry names an empty CU");
+      if (ReArmed)
+        ++CU.Epoch;
+      Heap.push({Now + MinDt, E.CU, CU.Epoch});
+      continue;
     }
+    CU.Residents.resize(Kept);
+    ++CU.Epoch;
+    Dirty.clear();
+    dispatchAll(Now);
+    pushCU(E.CU);
+    flushDirty(E.CU);
   }
   Now = std::max(Now, T);
 }

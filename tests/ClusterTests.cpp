@@ -668,6 +668,129 @@ TEST_F(ClusterTest, ScaleReplayMatchesGolden) {
   EXPECT_EQ(Got, Want.str());
 }
 
+TEST_F(ClusterTest, FleetOutagesMatchGolden) {
+  // perfbench's fleet_faults shape in miniature: 2x K20m + 2x AMD,
+  // heterogeneity-aware placement, migration on, and each device down
+  // for a twentieth of the span and back, in the order 2, 0, 3, 1. With
+  // four sessions on one merged clock, three of them sit idle or lag
+  // behind the busy one for long stretches, a fault cancels a session
+  // that has not been touched for many instants, and a device rejoins
+  // after a long lag: what the two-device goldens above never reach.
+  // One open-loop Poisson run and one closed-loop run with adaptive
+  // SLO weights on the same fleet and plan. Hexfloat, emitted before
+  // the fleet loop stepped only the sessions with an event due.
+  static Fleet Four = [] {
+    Fleet F;
+    F.addDevice(sim::DeviceSpec::nvidiaK20m());
+    F.addDevice(sim::DeviceSpec::nvidiaK20m());
+    F.addDevice(sim::DeviceSpec::amdR9295X2());
+    F.addDevice(sim::DeviceSpec::amdR9295X2());
+    return F;
+  }();
+  std::string Got;
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  auto Emit = [&](const char *Run, const ClusterOutcome &O) {
+    Add("run %s\nplacements %zu", Run, O.Placement.size());
+    for (size_t Dev : O.Placement)
+      Add(" %zu", Dev);
+    Got += "\n";
+    for (size_t I = 0; I != O.Stream.Requests.size(); ++I) {
+      const StreamRequestResult &R = O.Stream.Requests[I];
+      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+          R.StartTime, R.EndTime);
+    }
+    for (size_t Dev = 0; Dev != O.Devices.size(); ++Dev) {
+      const harness::ClusterDeviceOutcome &DO = O.Devices[Dev];
+      Add("device %zu %zu %zu %llu %a\n", Dev, DO.Requests, DO.Rounds,
+          static_cast<unsigned long long>(DO.Deferrals), DO.BusyTime);
+    }
+    for (const harness::ClusterFaultRecord &F : O.Faults)
+      Add("fault %zu %a %zu %zu %a\n", F.Device, F.DownTime, F.Displaced,
+          F.Lost, F.RecoveryTime);
+    for (const harness::ClusterMigrationRecord &M : O.Migrations)
+      Add("migration %zu %zu %zu %a %llu %d\n", M.RequestIdx, M.From,
+          M.To, M.Time, static_cast<unsigned long long>(M.RemainingWGs),
+          M.Failover ? 1 : 0);
+    Add("retries");
+    for (uint32_t R : O.Retries)
+      Add(" %u", R);
+    Add("\nlost");
+    for (size_t Idx : O.LostRequests)
+      Add(" %zu", Idx);
+    Add("\nwgs %llu %llu\nmakespan %a\nunfairness %a\n",
+        static_cast<unsigned long long>(O.RequestedWGs),
+        static_cast<unsigned long long>(O.ExecutedWGs), O.Stream.Makespan,
+        O.Stream.Unfairness);
+    for (const auto &[Tenant, W] : O.Stream.FinalWeights)
+      Add("weight %d %a\n", Tenant, W);
+    Add("weightupdates %llu\n",
+        static_cast<unsigned long long>(O.Stream.WeightUpdates));
+  };
+
+  double Rate = 0;
+  for (size_t Dev = 0; Dev != Four.size(); ++Dev)
+    Rate += 1.0 / Four.meanSoloDuration(Dev);
+  const double Dur = Four.meanSoloDurationAcrossFleet();
+  workloads::TraceOptions TOpts;
+  TOpts.NumRequests = 200;
+  TOpts.NumTenants = 16;
+  TOpts.MeanInterarrival = 1.0 / (0.7 * Rate);
+  TOpts.Seed = 20261018;
+  std::vector<workloads::TimedRequest> Trace =
+      workloads::poissonTrace(Four.driver(0).numKernels(), TOpts);
+  const double Span =
+      static_cast<double>(TOpts.NumRequests) * TOpts.MeanInterarrival;
+  ClusterOptions COpts;
+  COpts.Stream.RoundQuantum = 0.25 * Dur;
+  COpts.MaxRetries = 64;
+  COpts.Migration.Enabled = true;
+  const size_t Order[] = {2, 0, 3, 1};
+  for (int C = 0; C != 4; ++C) {
+    double Down = (0.1 + 0.2 * C) * Span;
+    COpts.FleetPlan.push_back(
+        {.Time = Down, .Device = Order[C], .What = FleetEvent::Kind::Down});
+    COpts.FleetPlan.push_back({.Time = Down + 0.05 * Span,
+                               .Device = Order[C],
+                               .What = FleetEvent::Kind::Up});
+  }
+  auto P = makePlacementPolicy(PlacementKind::HeterogeneityAware);
+  ClusterOutcome Open = harness::runClusterReplay(
+      Four, *P, ClusterWorkload::openLoop(Trace), COpts);
+  // The plan bit: every outage displaced work.
+  ASSERT_EQ(Open.Faults.size(), 4u);
+  for (const harness::ClusterFaultRecord &F : Open.Faults)
+    EXPECT_GT(F.Displaced, 0u) << "device " << F.Device;
+  Emit("open-loop", Open);
+
+  std::vector<workloads::ClosedLoopTenant> Tenants(4);
+  Tenants[0] = {0, 16, 1, 4.0 * Dur, 71, {0, 1, 2, 3}};
+  Tenants[1] = {1, 12, 3, 10.0 * Dur, 72, {}};
+  Tenants[2] = {2, 12, 1, 6.0 * Dur, 73, {}};
+  Tenants[3] = {3, 12, 1, 6.0 * Dur, 74, {}};
+  workloads::ClosedLoopScript Script = workloads::closedLoopTrace(
+      Four.driver(0).numKernels(), Tenants);
+  COpts.Stream.SloTargets = {{0, 0.1 * Dur}};
+  COpts.Stream.AdaptiveSloWeights = true;
+  COpts.Stream.SloControlInterval = Dur;
+  COpts.Stream.SloTuning.MinSamples = 1;
+  ClusterOutcome Closed = harness::runClusterReplay(
+      Four, *P, ClusterWorkload::closedLoop(Script), COpts);
+  ASSERT_EQ(Closed.Faults.size(), 4u);
+  EXPECT_GT(Closed.Stream.WeightUpdates, 0u);
+  Emit("closed-loop-adaptive", Closed);
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/fleet_outages.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
+}
+
 TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {
   // The degeneration contract behind the whole layer: an equal-weight
   // single-device fleet, placed through a real policy, is the
