@@ -143,16 +143,16 @@ private:
     bool dispatchDone() const { return NextWG >= Desc.numPhysicalWGs(); }
   };
 
-  /// A CU's next leg end. Entries of different CUs with equal times pop
-  /// in the binary heap's layout order, which depends on every push
-  /// before them, so the push sequence is part of the schedule: that
-  /// includes the duplicate pushes of a CU listed twice in Dirty.
-  /// flushDirty memoises a listed CU's entry but keeps every push.
+  /// A CU's next leg end. Equal-time entries pop in CU index order, so
+  /// the schedule does not depend on the order of pushes or on the
+  /// heap's layout.
   struct HeapEntry {
     double Time;
     size_t CU;
     uint64_t Epoch;
-    bool operator>(const HeapEntry &O) const { return Time > O.Time; }
+    bool operator>(const HeapEntry &O) const {
+      return Time > O.Time || (Time == O.Time && CU > O.CU);
+    }
   };
 
   KernelExecResult resultFor(const LaunchState &L) const {

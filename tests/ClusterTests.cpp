@@ -479,9 +479,11 @@ TEST_F(ClusterTest, DeepQueuesMatchGolden) {
   // window past 100 launches and ties many stride pass values, under
   // continuous and stride admission; and a faulted fleet with
   // migration, a Down/Up cycle per device and a window where both are
-  // down, so arrivals park. Hexfloat, emitted before the engine's
-  // dispatch cursor and the stride scheduler's flat pick index
-  // replaced a full window scan and ordered trees.
+  // down, so arrivals park. Hexfloat, first emitted before the
+  // engine's dispatch cursor and the stride scheduler's flat pick
+  // index replaced a full window scan and ordered trees; re-emitted
+  // under the engine's (time, CU index) order of equal-time leg ends,
+  // which moved both wave runs and left the faulted fleet as it was.
   std::string Got;
   char Buf[512];
   auto Add = [&](const char *Fmt, auto... Args) {
@@ -605,7 +607,9 @@ TEST_F(ClusterTest, ScaleReplayMatchesGolden) {
   // order; the smaller goldens above never expose it. One line per
   // admission discipline: the scheduler counters, the makespan, and an
   // FNV-1a hash over every request's hexfloat tenant, arrival, start
-  // and end. Emitted before the in-flight ledger became a flat array.
+  // and end. First emitted before the in-flight ledger became a flat
+  // array; re-emitted under the engine's (time, CU index) order of
+  // equal-time leg ends, which moved both runs.
   std::string Got;
   char Buf[256];
   auto Add = [&](const char *Fmt, auto... Args) {

@@ -6,6 +6,7 @@
 
 #include "sim/DeviceSpec.h"
 #include "sim/Engine.h"
+#include "support/Random.h"
 
 #include "gtest/gtest.h"
 
@@ -552,6 +553,59 @@ TEST(EngineSessionTest, QueueOrdersByArrivalThenAdmission) {
     EXPECT_EQ(Done[I].AppId, Want[I]) << "position " << I;
   for (size_t I = 1; I != Done.size(); ++I)
     EXPECT_NEAR(Done[I].StartTime, Done[I - 1].EndTime, 1e-6);
+}
+
+TEST(EngineSessionTest, EqualTimeLegEndsRetireInCUOrder) {
+  // Equal-time leg ends on different compute units are taken in CU
+  // index order, whatever order their work groups were placed in. A
+  // drained 3-WG launch leaves the round-robin cursor at CU 3, so two
+  // equal 1-WG launches admitted together land on CUs 3 and 0 and end
+  // at the same instant: the one on CU 0 completes first.
+  DeviceSpec D = tinyDevice();
+  EngineSession S(D);
+  S.admit({staticKernel("warm", 0, 32, 3, 3200.0)});
+  ASSERT_EQ(S.drain().size(), 1u);
+  S.admit({staticKernel("on-cu3", 1, 32, 1, 3200.0),
+           staticKernel("on-cu0", 2, 32, 1, 3200.0)});
+  std::vector<KernelExecResult> Done = S.drain();
+  ASSERT_EQ(Done.size(), 2u);
+  EXPECT_EQ(Done[0].EndTime, Done[1].EndTime);
+  EXPECT_EQ(Done[0].AppId, 2);
+  EXPECT_EQ(Done[1].AppId, 1);
+}
+
+TEST(EngineSessionTest, AdmissionBatchingDoesNotChangeTheSchedule) {
+  // The schedule is a function of the launches and their admission
+  // instants, not of how admit calls group them: one admit of a set and
+  // one admit per launch at the same instant must agree bit for bit.
+  // Costs come from two values and the sets overfill the device, so leg
+  // ends on different compute units tie and freed slots are refilled.
+  DeviceSpec D = tinyDevice();
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    SplitMix64 Rng(Seed);
+    std::vector<KernelLaunchDesc> Set;
+    for (int App = 0, N = static_cast<int>(Rng.nextInRange(2, 7)); App != N;
+         ++App) {
+      uint64_t Threads = 32u << Rng.nextBelow(3);
+      size_t WGs = 1 + Rng.nextBelow(6);
+      double Cost = 3200.0 * static_cast<double>(1 + Rng.nextBelow(2));
+      Set.push_back(staticKernel("k", App, Threads, WGs, Cost));
+    }
+    EngineSession Whole(D), OneByOne(D);
+    Whole.admit(Set);
+    for (const KernelLaunchDesc &L : Set)
+      OneByOne.admit({L});
+    std::vector<KernelExecResult> Want = Whole.drain();
+    std::vector<KernelExecResult> Got = OneByOne.drain();
+    ASSERT_EQ(Got.size(), Want.size()) << "seed " << Seed;
+    for (size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_EQ(Got[I].AppId, Want[I].AppId) << "seed " << Seed;
+      EXPECT_EQ(Got[I].StartTime, Want[I].StartTime) << "seed " << Seed;
+      EXPECT_EQ(Got[I].EndTime, Want[I].EndTime) << "seed " << Seed;
+      EXPECT_EQ(Got[I].DispatchedWGs, Want[I].DispatchedWGs)
+          << "seed " << Seed;
+    }
+  }
 }
 
 TEST(EngineArrivalTest, AllZeroArrivalsReproduceBatchSemantics) {
