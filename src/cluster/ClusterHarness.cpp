@@ -53,7 +53,9 @@ struct DeviceState {
   bool Alive = true;
   /// The session's nextEventTime() and whether it has work in flight,
   /// re-read after every admission pass, advance and cancelAll: the
-  /// only calls that change either.
+  /// only calls that change either. The fleet loop reads them every
+  /// iteration; the cache saves a call into the engine's translation
+  /// unit per device there.
   double NextEvent = -1;
   bool Busy = false;
   double BusyTime = 0;
@@ -210,11 +212,9 @@ public:
   }
 
   /// Debug builds: every device's cached session state is current.
-  /// nextEventTime() only purges stale heap tops, which the last touch
-  /// of each session already did, so the check moves no schedule.
-  void checkCached() {
+  void checkCached() const {
 #ifndef NDEBUG
-    for (DeviceState &DS : Devices) {
+    for (const DeviceState &DS : Devices) {
       assert(DS.NextEvent == DS.Session->nextEventTime() &&
              "cached next event time out of date");
       assert(DS.Busy == (DS.Session->inFlight() > 0) &&

@@ -9,11 +9,12 @@
 #include "support/ErrorHandling.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
-#include <queue>
 #include <set>
 #include <tuple>
 
@@ -35,6 +36,7 @@ double KernelLaunchDesc::totalWork() const {
 namespace {
 
 constexpr double Eps = 1e-7;
+constexpr double Inf = std::numeric_limits<double>::infinity();
 
 } // namespace
 
@@ -54,13 +56,12 @@ namespace detail {
 class SessionState {
 public:
   explicit SessionState(const DeviceSpec &Spec, bool KeepRecords = false)
-      : Spec(Spec), KeepRecords(KeepRecords) {
-    CUs.resize(Spec.NumCUs);
-  }
+      : Spec(Spec), KeepRecords(KeepRecords), CUs(Spec.NumCUs),
+        LegEnds(Spec.NumCUs) {}
 
   void admit(std::vector<KernelLaunchDesc> &Launches);
   double now() const { return Now; }
-  double nextEventTime();
+  double nextEventTime() const;
   std::vector<KernelExecResult> advanceTo(double T);
   void advanceTo(double T, std::vector<KernelExecResult> &Out);
   void advanceCore(double T);
@@ -86,11 +87,7 @@ private:
     uint64_t UsedLocal = 0;
     uint64_t UsedRegs = 0;
     double SumWeights = 0;
-    uint64_t Epoch = 0;
-    /// A dispatch flush's memo of nextCompletion(), valid while
-    /// FlushEpoch == Epoch (see flushDirty).
-    double FlushTime = -1.0;
-    uint64_t FlushEpoch = ~uint64_t{0};
+    bool Listed = false; ///< In Dirty: flushDirty recomputes its leg end.
 
     double rateScale(unsigned Lanes) const {
       if (SumWeights <= Lanes)
@@ -109,20 +106,60 @@ private:
       LastUpdate = T;
     }
 
-    /// \returns the absolute time of the next leg completion, or a
-    /// negative value when idle.
+    /// \returns the absolute time of the next leg completion, or +inf
+    /// when idle.
     double nextCompletion(unsigned Lanes) const {
-      if (Residents.empty())
-        return -1.0;
       double Scale = rateScale(Lanes);
-      double MinDt = -1.0;
-      for (const ResidentWG &R : Residents) {
-        double Dt = std::max(0.0, R.Remaining) / (R.Weight * Scale);
-        if (MinDt < 0 || Dt < MinDt)
-          MinDt = Dt;
-      }
+      double MinDt = Inf;
+      for (const ResidentWG &R : Residents)
+        MinDt = std::min(MinDt,
+                         std::max(0.0, R.Remaining) / (R.Weight * Scale));
       return LastUpdate + MinDt;
     }
+  };
+
+  /// Every CU's next leg end, one leaf per CU (+inf when idle), in a
+  /// winner tree: each internal node holds the smaller of its children
+  /// by (time, CU index), so the root is the session's next leg end and
+  /// equal-time leg ends are taken in CU index order. Ties go to the
+  /// left child, which holds the lower indices. Allocated once; set()
+  /// walks one leaf-to-root path.
+  class LegEndTree {
+  public:
+    explicit LegEndTree(size_t NumCUs)
+        : Width(std::bit_ceil(std::max<size_t>(NumCUs, 1))),
+          Nodes(2 * Width) {
+      reset();
+    }
+
+    /// Makes every CU idle.
+    void reset() {
+      for (size_t I = 0; I != Width; ++I)
+        Nodes[Width + I] = {Inf, I};
+      for (size_t N = Width - 1; N != 0; --N)
+        Nodes[N] = Nodes[2 * N];
+    }
+
+    void set(size_t CU, double T) {
+      size_t N = Width + CU;
+      Nodes[N].Time = T;
+      for (N >>= 1; N != 0; N >>= 1) {
+        const Node &L = Nodes[2 * N], &R = Nodes[2 * N + 1];
+        Nodes[N] = R.Time < L.Time ? R : L;
+      }
+    }
+
+    double time() const { return Nodes[1].Time; }
+    size_t cu() const { return Nodes[1].CU; }
+    double at(size_t CU) const { return Nodes[Width + CU].Time; }
+
+  private:
+    struct Node {
+      double Time;
+      size_t CU;
+    };
+    size_t Width; ///< Leaves: a power of two, the padding ones idle.
+    std::vector<Node> Nodes; ///< Root at 1, CU c's leaf at Width + c.
   };
 
   /// Book-keeping for one launch. The session owns the descriptor so
@@ -141,18 +178,6 @@ private:
     double End = 0;
 
     bool dispatchDone() const { return NextWG >= Desc.numPhysicalWGs(); }
-  };
-
-  /// A CU's next leg end. Equal-time entries pop in CU index order, so
-  /// the schedule does not depend on the order of pushes or on the
-  /// heap's layout.
-  struct HeapEntry {
-    double Time;
-    size_t CU;
-    uint64_t Epoch;
-    bool operator>(const HeapEntry &O) const {
-      return Time > O.Time || (Time == O.Time && CU > O.CU);
-    }
   };
 
   KernelExecResult resultFor(const LaunchState &L) const {
@@ -282,8 +307,7 @@ private:
     CU.UsedLocal += D.LocalMemPerWG;
     CU.UsedRegs += D.WGThreads * D.RegsPerThread;
     CU.SumWeights += R.Weight;
-    ++CU.Epoch;
-    Dirty.insert(Dirty.end(), static_cast<size_t>(CUIdx));
+    markDirty(static_cast<size_t>(CUIdx));
 
     if (!L.Started) {
       L.Started = true;
@@ -446,36 +470,37 @@ private:
     }
   }
 
-  void pushCU(size_t CUIdx) {
-    double T = CUs[CUIdx].nextCompletion(Spec.LanesPerCU);
-    if (T >= 0)
-      Heap.push({T, CUIdx, CUs[CUIdx].Epoch});
-  }
-
-  /// Pushes the next leg end of every CU listed in Dirty but \p Skip,
-  /// once per listing and in Dirty order (HeapEntry). A dispatch lists a
-  /// CU once per work group it placed there, and the CU does not change
-  /// between its listings, so its entry is computed once. Every listed
-  /// CU took a work group in this dispatch, which moved its Epoch past
-  /// any earlier flush's memo.
-  void flushDirty(size_t Skip = ~size_t{0}) {
-    for (size_t CUIdx : Dirty) {
-      if (CUIdx == Skip)
-        continue;
-      CUState &CU = CUs[CUIdx];
-      if (CU.FlushEpoch != CU.Epoch) {
-        CU.FlushEpoch = CU.Epoch;
-        CU.FlushTime = CU.nextCompletion(Spec.LanesPerCU);
-      }
-      if (CU.FlushTime >= 0)
-        Heap.push({CU.FlushTime, CUIdx, CU.Epoch});
+  /// Lists \p CUIdx in Dirty, once: its residency changed.
+  void markDirty(size_t CUIdx) {
+    if (!CUs[CUIdx].Listed) {
+      CUs[CUIdx].Listed = true;
+      Dirty.push_back(CUIdx);
     }
   }
 
-  void purgeStaleHeap() {
-    while (!Heap.empty() &&
-           Heap.top().Epoch != CUs[Heap.top().CU].Epoch)
-      Heap.pop();
+  /// Recomputes the leg end of every listed CU, once each.
+  void flushDirty() {
+    for (size_t CUIdx : Dirty) {
+      CUs[CUIdx].Listed = false;
+      LegEnds.set(CUIdx, CUs[CUIdx].nextCompletion(Spec.LanesPerCU));
+    }
+    Dirty.clear();
+  }
+
+  /// Debug builds, at every event: each leaf is its CU's next leg end,
+  /// and the root is the (time, index) minimum over the leaves.
+  void checkLegEnds() const {
+#ifndef NDEBUG
+    size_t Min = 0;
+    for (size_t C = 0; C != CUs.size(); ++C) {
+      assert(LegEnds.at(C) == CUs[C].nextCompletion(Spec.LanesPerCU) &&
+             "a CU's leg-end leaf is out of date");
+      if (LegEnds.at(C) < LegEnds.at(Min))
+        Min = C;
+    }
+    assert(LegEnds.cu() == Min && LegEnds.time() == LegEnds.at(Min) &&
+           "the leg-end tree's root is not the earliest leaf");
+#endif
   }
 
   DeviceSpec Spec;
@@ -491,12 +516,10 @@ private:
   size_t DispatchFrom = 0;
   size_t InFlight = 0;
   uint64_t NextSeq = 0;
-  std::vector<size_t> Dirty;
+  std::vector<size_t> Dirty; ///< CUs whose leg end needs recomputing.
   std::map<int, size_t> GroupCursor;
   unsigned RoundRobin = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      Heap;
+  LegEndTree LegEnds;
   double Now = 0;
   /// Livelock guard: a legitimate simulation performs a bounded amount
   /// of work per *instant*, so only events that fail to advance the
@@ -561,60 +584,54 @@ void SessionState::admit(std::vector<KernelLaunchDesc> &Launches) {
   Launches.clear();
   if (AnyDue) {
     admitArrivals(Now);
-    Dirty.clear();
     dispatchAll(Now);
     flushDirty();
   }
 }
 
-double SessionState::nextEventTime() {
-  purgeStaleHeap();
+double SessionState::nextEventTime() const {
   double T = -1.0;
   if (ArrivedCount != QueueOrder.size())
     T = States[QueueOrder[ArrivedCount]].Desc.ArrivalTime;
-  if (!Heap.empty() && (T < 0 || Heap.top().Time < T))
-    T = Heap.top().Time;
+  double LegEnd = LegEnds.time();
+  if (LegEnd != Inf && (T < 0 || LegEnd < T))
+    T = LegEnd;
   return T;
 }
 
 void SessionState::advanceCore(double T) {
   for (;;) {
-    purgeStaleHeap();
+    checkLegEnds();
     bool HaveArrival = ArrivedCount != QueueOrder.size();
     double NextArrival =
         HaveArrival ? States[QueueOrder[ArrivedCount]].Desc.ArrivalTime
                     : 0;
     bool ArrivalDue = HaveArrival && NextArrival <= T;
-    bool CompletionDue = !Heap.empty() && Heap.top().Time <= T;
+    const double LegEnd = LegEnds.time();
+    bool CompletionDue = LegEnd <= T && LegEnd != Inf;
     // Arrival events interleave with work-group completions; ties go to
     // the arrival so newly submitted work can co-dispatch into the
     // space freed at the same instant.
-    if (ArrivalDue &&
-        (!CompletionDue || NextArrival <= Heap.top().Time)) {
+    if (ArrivalDue && (!CompletionDue || NextArrival <= LegEnd)) {
       Now = std::max(Now, NextArrival);
       admitArrivals(Now);
-      Dirty.clear();
       dispatchAll(Now);
       flushDirty();
       continue;
     }
     if (!CompletionDue)
       break;
-    HeapEntry E = Heap.top();
-    Heap.pop();
-    CUState &CU = CUs[E.CU];
-    if (E.Epoch != CU.Epoch)
-      continue; // Stale: residency changed since this entry was pushed.
-    if (E.Time >
+    const size_t CUIdx = LegEnds.cu();
+    CUState &CU = CUs[CUIdx];
+    if (LegEnd >
         LastEventTime + Eps * (1.0 + std::max(LastEventTime, 0.0))) {
-      LastEventTime = E.Time;
+      LastEventTime = LegEnd;
       SameTimeEvents = 0;
     }
     if (++SameTimeEvents > 200'000'000) {
       std::fprintf(stderr,
-                   "engine livelock? now=%g cu=%zu residents=%zu "
-                   "heap=%zu\n",
-                   E.Time, E.CU, CU.Residents.size(), Heap.size());
+                   "engine livelock? now=%g cu=%zu residents=%zu\n",
+                   LegEnd, CUIdx, CU.Residents.size());
       for (size_t Pos = DonePrefix; Pos != QueueOrder.size(); ++Pos) {
         const LaunchState &L = States[QueueOrder[Pos]];
         std::fprintf(stderr,
@@ -627,7 +644,7 @@ void SessionState::advanceCore(double T) {
       }
       reportFatalError("simulation exceeded event budget");
     }
-    Now = E.Time;
+    Now = LegEnd;
 
     // One pass over the residents, in order: advance each to Now at
     // the rate the CU's pre-event share gives it, then re-arm or retire
@@ -640,8 +657,7 @@ void SessionState::advanceCore(double T) {
     const double Dt = Now - CU.LastUpdate;
     const double Scale = CU.rateScale(Spec.LanesPerCU);
     CU.LastUpdate = Now;
-    bool ReArmed = false;
-    double MinDt = -1.0; // Earliest survivor leg end, after Now.
+    double MinDt = Inf; // Earliest survivor leg end, after Now.
     size_t Kept = 0;
     for (size_t RI = 0, N = CU.Residents.size(); RI != N; ++RI) {
       ResidentWG &R = CU.Residents[RI];
@@ -659,10 +675,8 @@ void SessionState::advanceCore(double T) {
         // Dequeue the next batch and keep running.
         R.Remaining = takeBatch(L);
         TimeLeft = std::max(0.0, R.Remaining) / Rate;
-        ReArmed = true;
       }
-      if (MinDt < 0 || TimeLeft < MinDt)
-        MinDt = TimeLeft;
+      MinDt = std::min(MinDt, TimeLeft);
       if (Kept != RI)
         CU.Residents[Kept] = R;
       ++Kept;
@@ -671,18 +685,14 @@ void SessionState::advanceCore(double T) {
       // Nothing retired, so the shares did not change: the pass's
       // minimum is what nextCompletion would compute. A re-arm frees
       // no capacity, so a dispatch would place nothing.
-      assert(Kept > 0 && "a live heap entry names an empty CU");
-      if (ReArmed)
-        ++CU.Epoch;
-      Heap.push({Now + MinDt, E.CU, CU.Epoch});
+      assert(Kept > 0 && "a finite leg end names an empty CU");
+      LegEnds.set(CUIdx, Now + MinDt);
       continue;
     }
     CU.Residents.resize(Kept);
-    ++CU.Epoch;
-    Dirty.clear();
+    markDirty(CUIdx);
     dispatchAll(Now);
-    pushCU(E.CU);
-    flushDirty(E.CU);
+    flushDirty();
   }
   Now = std::max(Now, T);
 }
@@ -747,12 +757,10 @@ std::vector<KernelLaunchDesc> SessionState::cancelAll() {
     CU.UsedThreads = CU.UsedLocal = CU.UsedRegs = 0;
     CU.SumWeights = 0;
     CU.LastUpdate = Now;
-    ++CU.Epoch; // Invalidates this CU's queued heap entries.
   }
   ArrivedCount = QueueOrder.size();
   passFinished();
-  Heap = {};
-  Dirty.clear();
+  LegEnds.reset();
   assert(inFlight() == 0 && "cancelAll left launches in flight");
   return Out;
 }
@@ -786,7 +794,9 @@ void EngineSession::admitFrom(std::vector<KernelLaunchDesc> &Launches) {
 
 double EngineSession::now() const { return State->now(); }
 
-double EngineSession::nextEventTime() { return State->nextEventTime(); }
+double EngineSession::nextEventTime() const {
+  return State->nextEventTime();
+}
 
 std::vector<KernelExecResult> EngineSession::advanceTo(double T) {
   return State->advanceTo(T);

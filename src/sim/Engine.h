@@ -148,9 +148,9 @@ class SessionState;
 ///
 /// Where Engine::run tears the whole simulation down after one batch, a
 /// session keeps the device state (resident work groups, the FIFO
-/// device queue, the event heap) alive between calls, so a host-side
-/// scheduler can inject launches at arbitrary simulation times and
-/// react to each completion as it happens — the substrate for
+/// device queue, each compute unit's next leg end) alive between calls,
+/// so a host-side scheduler can inject launches at arbitrary simulation
+/// times and react to each completion as it happens — the substrate for
 /// arrival-aware continuous admission (no global round boundaries).
 ///
 /// The protocol is pull-based:
@@ -198,11 +198,12 @@ public:
   /// Absolute time of the next pending event (a work-group completion
   /// or a not-yet-arrived launch), or a negative value when the session
   /// is idle and the queue is empty.
-  double nextEventTime();
+  double nextEventTime() const;
 
   /// Advances the simulation through every event at times <= \p T and
   /// sets now() to at least \p T. \returns the launches that completed
-  /// in the window, in completion order.
+  /// in the window, in completion order; completions at one instant on
+  /// different compute units come in CU index order.
   std::vector<KernelExecResult> advanceTo(double T);
 
   /// Buffer-reusing advanceTo: replaces the contents of \p Out with the
