@@ -188,6 +188,54 @@ TEST(PlacementPolicyTest, NamesAreStable) {
 // Cluster replay over a real mixed fleet
 //===----------------------------------------------------------------------===//
 
+/// Appends run \p Run of a fleet replay to \p Got in the hexfloat
+/// `run`/`request` golden format: placements, every request's times,
+/// per-device counters, faults, migrations, retries, losses, the
+/// work-group ledger, makespan, unfairness and the final weights.
+void appendFleetRun(std::string &Got, const char *Run,
+                    const ClusterOutcome &O) {
+  char Buf[512];
+  auto Add = [&](const char *Fmt, auto... Args) {
+    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
+    Got += Buf;
+  };
+  Add("run %s\nplacements %zu", Run, O.Placement.size());
+  for (size_t Dev : O.Placement)
+    Add(" %zu", Dev);
+  Got += "\n";
+  for (size_t I = 0; I != O.Stream.Requests.size(); ++I) {
+    const StreamRequestResult &R = O.Stream.Requests[I];
+    Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
+        R.StartTime, R.EndTime);
+  }
+  for (size_t Dev = 0; Dev != O.Devices.size(); ++Dev) {
+    const harness::ClusterDeviceOutcome &DO = O.Devices[Dev];
+    Add("device %zu %zu %zu %llu %a\n", Dev, DO.Requests, DO.Rounds,
+        static_cast<unsigned long long>(DO.Deferrals), DO.BusyTime);
+  }
+  for (const harness::ClusterFaultRecord &F : O.Faults)
+    Add("fault %zu %a %zu %zu %a\n", F.Device, F.DownTime, F.Displaced,
+        F.Lost, F.RecoveryTime);
+  for (const harness::ClusterMigrationRecord &M : O.Migrations)
+    Add("migration %zu %zu %zu %a %llu %d\n", M.RequestIdx, M.From, M.To,
+        M.Time, static_cast<unsigned long long>(M.RemainingWGs),
+        M.Failover ? 1 : 0);
+  Add("retries");
+  for (uint32_t R : O.Retries)
+    Add(" %u", R);
+  Add("\nlost");
+  for (size_t Idx : O.LostRequests)
+    Add(" %zu", Idx);
+  Add("\nwgs %llu %llu\nmakespan %a\nunfairness %a\n",
+      static_cast<unsigned long long>(O.RequestedWGs),
+      static_cast<unsigned long long>(O.ExecutedWGs), O.Stream.Makespan,
+      O.Stream.Unfairness);
+  for (const auto &[Tenant, W] : O.Stream.FinalWeights)
+    Add("weight %d %a\n", Tenant, W);
+  Add("weightupdates %llu\n",
+      static_cast<unsigned long long>(O.Stream.WeightUpdates));
+}
+
 class ClusterTest : public ::testing::Test {
 protected:
   /// One K20m + one AMD device, shared across tests (drivers compile
@@ -692,49 +740,6 @@ TEST_F(ClusterTest, FleetOutagesMatchGolden) {
     return F;
   }();
   std::string Got;
-  char Buf[512];
-  auto Add = [&](const char *Fmt, auto... Args) {
-    std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
-    Got += Buf;
-  };
-  auto Emit = [&](const char *Run, const ClusterOutcome &O) {
-    Add("run %s\nplacements %zu", Run, O.Placement.size());
-    for (size_t Dev : O.Placement)
-      Add(" %zu", Dev);
-    Got += "\n";
-    for (size_t I = 0; I != O.Stream.Requests.size(); ++I) {
-      const StreamRequestResult &R = O.Stream.Requests[I];
-      Add("request %zu %d %a %a %a\n", I, R.Tenant, R.ArrivalTime,
-          R.StartTime, R.EndTime);
-    }
-    for (size_t Dev = 0; Dev != O.Devices.size(); ++Dev) {
-      const harness::ClusterDeviceOutcome &DO = O.Devices[Dev];
-      Add("device %zu %zu %zu %llu %a\n", Dev, DO.Requests, DO.Rounds,
-          static_cast<unsigned long long>(DO.Deferrals), DO.BusyTime);
-    }
-    for (const harness::ClusterFaultRecord &F : O.Faults)
-      Add("fault %zu %a %zu %zu %a\n", F.Device, F.DownTime, F.Displaced,
-          F.Lost, F.RecoveryTime);
-    for (const harness::ClusterMigrationRecord &M : O.Migrations)
-      Add("migration %zu %zu %zu %a %llu %d\n", M.RequestIdx, M.From,
-          M.To, M.Time, static_cast<unsigned long long>(M.RemainingWGs),
-          M.Failover ? 1 : 0);
-    Add("retries");
-    for (uint32_t R : O.Retries)
-      Add(" %u", R);
-    Add("\nlost");
-    for (size_t Idx : O.LostRequests)
-      Add(" %zu", Idx);
-    Add("\nwgs %llu %llu\nmakespan %a\nunfairness %a\n",
-        static_cast<unsigned long long>(O.RequestedWGs),
-        static_cast<unsigned long long>(O.ExecutedWGs), O.Stream.Makespan,
-        O.Stream.Unfairness);
-    for (const auto &[Tenant, W] : O.Stream.FinalWeights)
-      Add("weight %d %a\n", Tenant, W);
-    Add("weightupdates %llu\n",
-        static_cast<unsigned long long>(O.Stream.WeightUpdates));
-  };
-
   double Rate = 0;
   for (size_t Dev = 0; Dev != Four.size(); ++Dev)
     Rate += 1.0 / Four.meanSoloDuration(Dev);
@@ -768,7 +773,7 @@ TEST_F(ClusterTest, FleetOutagesMatchGolden) {
   ASSERT_EQ(Open.Faults.size(), 4u);
   for (const harness::ClusterFaultRecord &F : Open.Faults)
     EXPECT_GT(F.Displaced, 0u) << "device " << F.Device;
-  Emit("open-loop", Open);
+  appendFleetRun(Got, "open-loop", Open);
 
   std::vector<workloads::ClosedLoopTenant> Tenants(4);
   Tenants[0] = {0, 16, 1, 4.0 * Dur, 71, {0, 1, 2, 3}};
@@ -785,10 +790,77 @@ TEST_F(ClusterTest, FleetOutagesMatchGolden) {
       Four, *P, ClusterWorkload::closedLoop(Script), COpts);
   ASSERT_EQ(Closed.Faults.size(), 4u);
   EXPECT_GT(Closed.Stream.WeightUpdates, 0u);
-  Emit("closed-loop-adaptive", Closed);
+  appendFleetRun(Got, "closed-loop-adaptive", Closed);
 
   std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
                    "/tests/golden/fleet_outages.golden");
+  ASSERT_TRUE(In.good()) << "golden fixture missing";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
+}
+
+TEST_F(ClusterTest, FleetLossesMatchGolden) {
+  // The loss and park paths, which the other goldens never take (every
+  // run in them loses nothing): the setups of the four resilience tests
+  // below, trace, plan and policy each. Displaced requests lost at a
+  // zero retry budget; arrivals lost unplaced on a fleet that never
+  // returns; arrivals parked unplaced through a full outage, then
+  // placed at the rejoin; and a device whose first plan event is Up.
+  // Same hexfloat format as fleet_outages, emitted before the fleet
+  // replay kept one record per request.
+  std::string Got;
+  {
+    // RetryBudgetExhaustionLosesDisplacedRequests.
+    std::vector<workloads::TimedRequest> Trace = poisson(24, 3);
+    ClusterOptions Opts = options();
+    Opts.MaxRetries = 0;
+    Opts.FleetPlan = {{.Time = 2.0 * meanDur(), .Device = 0,
+                       .What = FleetEvent::Kind::Down}};
+    auto P = makePlacementPolicy(PlacementKind::RoundRobin);
+    ClusterOutcome O = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+    EXPECT_FALSE(O.LostRequests.empty());
+    appendFleetRun(Got, "retry-budget-exhausted", O);
+  }
+  for (bool Returns : {false, true}) {
+    // FullOutageLosesLateArrivalsUnplaced, then
+    // FullOutageParksUntilTheFleetReturns.
+    std::vector<workloads::TimedRequest> Trace = poisson(24, 17);
+    ClusterOptions Opts = options();
+    Opts.MaxRetries = 100;
+    double Down = 2.0 * meanDur();
+    Opts.FleetPlan = {
+        {.Time = Down, .Device = 0, .What = FleetEvent::Kind::Down},
+        {.Time = Down, .Device = 1, .What = FleetEvent::Kind::Down}};
+    if (Returns) {
+      double Up = 6.0 * meanDur();
+      Opts.FleetPlan.push_back(
+          {.Time = Up, .Device = 0, .What = FleetEvent::Kind::Up});
+      Opts.FleetPlan.push_back(
+          {.Time = Up, .Device = 1, .What = FleetEvent::Kind::Up});
+    }
+    auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
+    ClusterOutcome O = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+    EXPECT_EQ(O.LostRequests.empty(), Returns);
+    appendFleetRun(Got, Returns ? "full-outage-parks" : "full-outage-loses",
+                   O);
+  }
+  {
+    // ElasticDeviceJoinsMidReplay.
+    std::vector<workloads::TimedRequest> Trace = poisson(24, 13);
+    ClusterOptions Opts = options();
+    Opts.FleetPlan = {{.Time = 3.0 * meanDur(), .Device = 1,
+                       .What = FleetEvent::Kind::Up}};
+    auto P = makePlacementPolicy(PlacementKind::LeastLoaded);
+    ClusterOutcome O = harness::runClusterReplay(
+        fleet(), *P, ClusterWorkload::openLoop(Trace), Opts);
+    appendFleetRun(Got, "elastic-join", O);
+  }
+
+  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
+                   "/tests/golden/fleet_losses.golden");
   ASSERT_TRUE(In.good()) << "golden fixture missing";
   std::ostringstream Want;
   Want << In.rdbuf();
