@@ -19,19 +19,21 @@
 using namespace accel;
 using namespace accel::harness;
 using detail::ArrivalSource;
-using detail::LiveRequest;
+using detail::ReplayRequest;
 using detail::ReplayState;
 
 namespace {
 
-/// Sentinel for "request not attached to any fault".
+/// Binding::Device of a request bound to no device.
+constexpr size_t NoDevice = static_cast<size_t>(-1);
+/// Binding::Fault of a request no fault's recovery waits on.
 constexpr size_t NoFault = static_cast<size_t>(-1);
 
-/// One device of a replay: its compiled view plus the two probes
-/// placement reads. runClusterReplay fills the list from its Fleet; the
-/// single-device replays fill it from their one driver without building
-/// a Fleet (Fleet::addDevice recompiles the suite and re-probes every
-/// solo duration).
+/// One device of a replay: its view plus the two probes placement
+/// reads. runClusterReplay fills the list from its Fleet, whose views
+/// share one compiled suite; the single-device replays fill it from
+/// their one driver without building a Fleet (Fleet::addDevice probes
+/// every solo duration).
 struct ReplayDevice {
   ExperimentDriver *Driver = nullptr;
   double ServiceRate = 1.0; ///< Fleet::serviceRate.
@@ -62,6 +64,19 @@ struct DeviceState {
   size_t PlacedRequests = 0;
 };
 
+/// One request's binding to the fleet. bind() gives it a device, unbind()
+/// takes it away (failover, migration), and settle() ends it.
+struct Binding {
+  /// The device serving it; NoDevice while unbound (before its first
+  /// placement, parked, between an unbind and a bind, and settled).
+  size_t Device = NoDevice;
+  double Accounted = 0;    ///< Remaining cost in the policy's view.
+  size_t CountedWGs = 0;   ///< Cursor already counted in ExecutedWGs.
+  uint32_t Migrations = 0; ///< Voluntary migrations so far.
+  size_t Fault = NoFault;  ///< The fault whose recovery waits on it.
+  bool Settled = false;    ///< Finished or lost.
+};
+
 /// The merged-clock replay over N per-device admission schedulers —
 /// the one continuous accelOS replay loop; runStream and runClosedLoop
 /// run it on a one-device view. Each iteration (1) applies scripted
@@ -73,13 +88,17 @@ struct DeviceState {
 /// completions (and, at those quantum-slice boundaries, deciding
 /// migrations). A session with nothing due lags behind the merged
 /// clock until the replay next touches it.
+///
+/// Every request gets each device through bind() — its first placement,
+/// a failover, a migration — and ends exactly once through settle():
+/// finished or lost.
 class ClusterReplay {
 public:
   ClusterReplay(const std::vector<ReplayDevice> &Fleet,
                 cluster::PlacementPolicy &Policy, ArrivalSource &Src,
                 const ClusterOptions &Opts, ClusterOutcome &Out)
-      : RS(Opts.Stream, Opts.Mode, Out.Stream), Src(Src), Fleet(Fleet),
-        Policy(Policy), Opts(Opts), Out(Out) {
+      : RS(Opts.Stream, Opts.Mode, *Fleet[0].Driver, Out.Stream), Src(Src),
+        Fleet(Fleet), Policy(Policy), Opts(Opts), Out(Out) {
     Plan = Opts.FleetPlan;
     std::stable_sort(Plan.begin(), Plan.end(),
                      [](const FleetEvent &A, const FleetEvent &B) {
@@ -107,6 +126,8 @@ public:
     Devices.resize(Fleet.size());
     std::vector<double> Rates(Fleet.size());
     for (size_t D = 0; D != Fleet.size(); ++D) {
+      assert(Fleet[D].Driver->suite() == Fleet[0].Driver->suite() &&
+             "the devices of one replay must share a compiled suite");
       const sim::DeviceSpec &Spec = Fleet[D].Driver->device();
       Devices[D].Alive = Alive[D];
       Devices[D].Session.emplace(Spec);
@@ -164,24 +185,28 @@ public:
   }
 
   /// The source's next arrival, due at merged time \p T: place it, or
-  /// park/lose it when the whole fleet is out of service.
+  /// park/lose it when the whole fleet is out of service. An unplaced
+  /// request is materialized with device 0's isolated baseline, which
+  /// its first bind() replaces.
   void arrive(double T) {
-    if (anyAlive()) {
+    bool Placeable = anyAlive();
+    size_t D = 0;
+    if (Placeable) {
       workloads::TimedRequest R = Src.peek();
-      size_t D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
-      size_t Idx = Src.take(RS, *Fleet[D].Driver);
-      registerRequest(Idx);
-      commit(Idx, D);
-      return;
+      D = decide(R.Tenant, R.KernelIdx, R.ArrivalTime);
     }
-    // Materialized against device 0's view only so the request has a
-    // shape; rehome() rebinds it before it ever executes.
-    size_t Idx = Src.take(RS, *Fleet[0].Driver);
-    registerRequest(Idx);
-    if (pendingUp())
+    size_t Idx = Src.take(RS, *Fleet[D].Driver);
+    Bindings.emplace_back();
+    Out.Placement.push_back(Fleet.size());
+    Out.Retries.push_back(0);
+    Out.RequestedWGs += RS.remainingGroups(Idx);
+    if (Placeable)
+      bind(Idx, D, T, /*Failover=*/false);
+    else if (pendingUp())
       Parked.push_back(Idx);
     else
-      lose(Idx, std::max(T, RS.Trace[Idx].ArrivalTime));
+      settle(Idx, std::max(T, Out.Stream.Requests[Idx].ArrivalTime),
+             /*Lost=*/true);
   }
 
   /// Runs the pending admission passes of every in-service device, in
@@ -193,9 +218,7 @@ public:
         continue;
       catchUp(DS, T);
       while (DS.NeedAdmit)
-        DS.NeedAdmit = detail::admissionPass(
-            *DS.Sched, *DS.Session, RS, T,
-            [&](size_t Idx) { retire(Idx, T); });
+        DS.NeedAdmit = detail::admissionPass(*DS.Sched, *DS.Session, RS, T);
       refresh(DS);
     }
   }
@@ -240,35 +263,26 @@ public:
       refresh(DS);
       for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
-        LiveRequest &LR = RS.Live[Idx];
-        if (!LR.Started) {
-          LR.Started = true;
-          LR.Start = K.StartTime;
-        }
-        LR.End = K.EndTime;
+        RS.recordSlice(Idx, K.StartTime, K.EndTime);
         DS.Sched->complete(Idx);
         DS.NeedAdmit = true;
         ++Out.Stream.EngineCompletions;
-        // Settle the drained work into the policy's load view and the
-        // conservation ledger.
-        double Remaining = RS.remainingCost(Idx);
+        // Drain the slice's work from the policy's load view and count
+        // its groups into the conservation ledger.
+        const ReplayRequest &R = RS.Requests[Idx];
+        Binding &B = Bindings[Idx];
         bool Finished = RS.remainingGroups(Idx) == 0;
-        Policy.completeOn(D, Accounted[Idx] - Remaining, Finished);
-        Accounted[Idx] = Remaining;
-        Out.ExecutedWGs += LR.Cursor - CountedWGs[Idx];
-        CountedWGs[Idx] = LR.Cursor;
-        if (!Finished) {
-          // Sliced: a quantum boundary. Either the policy steals the
-          // remainder for an underloaded device, or it requeues on the
-          // SAME device and re-enters its fair-share solve here.
-          if (!maybeMigrate(Idx, D, K.EndTime))
-            submit(Idx, D);
-        } else {
-          Out.Stream.Requests[Idx].StartTime = LR.Start;
-          Out.Stream.Requests[Idx].EndTime = LR.End;
-          FinishedFlag[Idx] = true;
-          finish(Idx, LR.End);
-        }
+        Policy.completeOn(D, B.Accounted - R.RemainingCost, Finished);
+        B.Accounted = R.RemainingCost;
+        Out.ExecutedWGs += R.Cursor - B.CountedWGs;
+        B.CountedWGs = R.Cursor;
+        if (Finished)
+          settle(Idx, K.EndTime, /*Lost=*/false);
+        // Sliced: a quantum boundary. Either the policy steals the
+        // remainder for an underloaded device, or it requeues on the
+        // SAME device and re-enters its fair-share solve here.
+        else if (!maybeMigrate(Idx, D, K.EndTime))
+          submit(Idx, D);
       }
     }
     if (Ctl && Ctl->maybeUpdate(NewNow))
@@ -277,6 +291,9 @@ public:
 
   /// Folds per-device scheduler stats and utilization into the outcome.
   void finalize() {
+    assert(std::all_of(Bindings.begin(), Bindings.end(),
+                       [](const Binding &B) { return B.Settled; }) &&
+           "a request never settled");
     RS.finalize();
     Out.Devices.resize(Devices.size());
     for (size_t D = 0; D != Devices.size(); ++D) {
@@ -320,22 +337,6 @@ private:
            "a lagging session delivered a completion");
   }
 
-  /// Grows every per-request bookkeeping vector for newly materialized
-  /// request \p Idx and counts its work into the conservation ledger.
-  void registerRequest(size_t Idx) {
-    assert(Idx == DeviceOf.size() && "requests register in trace order");
-    Out.Placement.push_back(Fleet.size());
-    Out.Retries.push_back(0);
-    DeviceOf.push_back(Fleet.size());
-    PrevDeviceOf.push_back(Fleet.size());
-    Accounted.push_back(0);
-    FinishedFlag.push_back(false);
-    CountedWGs.push_back(0);
-    MigrationsOf.push_back(0);
-    PendingFaultOf.push_back(NoFault);
-    Out.RequestedWGs += RS.remainingGroups(Idx);
-  }
-
   /// Decides the device for a request (sticky affinity first — while
   /// the tenant's home is in service — then the policy over its load
   /// view). \p KernelIdx sizes the per-device solo-duration estimates.
@@ -360,39 +361,43 @@ private:
     return D;
   }
 
-  /// First binding of materialized request \p Idx to device \p D.
-  void commit(size_t Idx, size_t D) {
-    Out.Placement[Idx] = D;
-    DeviceOf[Idx] = D;
-    double Cost = RS.remainingCost(Idx);
-    Accounted[Idx] = Cost;
-    Policy.admitTo(D, Cost);
-    ++Devices[D].PlacedRequests;
-    submit(Idx, D);
-    Devices[D].NeedAdmit = true;
-  }
-
-  /// Re-binds an unbound request (failover target, unparked, or
-  /// migrating) to device \p To: its remaining virtual range rehomes
-  /// onto \p To's compiled view and re-enters that device's admission.
-  void rebind(size_t Idx, size_t From, size_t To, double T,
-              bool Failover) {
+  /// Binds unbound request \p Idx to device \p To at \p T, and its
+  /// remaining virtual range re-enters that device's admission. A
+  /// request never placed before (an arrival, or one that arrived
+  /// during a full outage and waited parked) counts toward \p To's
+  /// placed requests; any other binding is a move off the device it
+  /// last ran on — a failover (\p Failover) or a voluntary migration —
+  /// and is recorded.
+  void bind(size_t Idx, size_t To, double T, bool Failover) {
+    Binding &B = Bindings[Idx];
+    assert(B.Device == NoDevice && !B.Settled &&
+           "binding a bound or settled request");
+    size_t From = Out.Placement[Idx];
+    if (From == Fleet.size())
+      ++Devices[To].PlacedRequests;
+    else
+      Out.Migrations.push_back({.RequestIdx = Idx,
+                                .From = From,
+                                .To = To,
+                                .Time = T,
+                                .RemainingWGs = RS.remainingGroups(Idx),
+                                .Failover = Failover});
     RS.rehome(Idx, *Fleet[To].Driver);
-    DeviceOf[Idx] = To;
     Out.Placement[Idx] = To;
-    double Cost = RS.remainingCost(Idx);
-    Accounted[Idx] = Cost;
-    Policy.admitTo(To, Cost);
-    ClusterMigrationRecord MR;
-    MR.RequestIdx = Idx;
-    MR.From = From;
-    MR.To = To;
-    MR.Time = T;
-    MR.RemainingWGs = RS.remainingGroups(Idx);
-    MR.Failover = Failover;
-    Out.Migrations.push_back(MR);
+    B.Device = To;
+    B.Accounted = RS.Requests[Idx].RemainingCost;
+    Policy.admitTo(To, B.Accounted);
     submit(Idx, To);
     Devices[To].NeedAdmit = true;
+  }
+
+  /// Takes bound request \p Idx off its device: its remaining cost
+  /// leaves the policy's view of that device.
+  void unbind(size_t Idx) {
+    Binding &B = Bindings[Idx];
+    Policy.withdrawFrom(B.Device, B.Accounted);
+    B.Accounted = 0;
+    B.Device = NoDevice;
   }
 
   /// Fail-stop loss of device \p D at merged time \p T: cancel its
@@ -425,32 +430,28 @@ private:
     DS.Sched->clear(); // Queued-but-unadmitted requests.
     DS.NeedAdmit = false;
     // Displace in request-index order: determinism over map order.
-    for (size_t Idx = 0; Idx != DeviceOf.size(); ++Idx) {
-      if (DeviceOf[Idx] != D || FinishedFlag[Idx])
+    for (size_t Idx = 0; Idx != Bindings.size(); ++Idx) {
+      if (Bindings[Idx].Device != D)
         continue;
-      Policy.withdrawFrom(D, Accounted[Idx]);
-      Accounted[Idx] = 0;
-      PrevDeviceOf[Idx] = D;
-      DeviceOf[Idx] = Fleet.size();
+      unbind(Idx);
       ++Out.Faults[FaultIdx].Displaced;
       attachFault(Idx, FaultIdx, T);
-      if (++Out.Retries[Idx] > Opts.MaxRetries) {
-        lose(Idx, T);
-      } else if (anyAlive()) {
-        size_t To = decide(RS.Trace[Idx].Tenant,
-                           RS.Trace[Idx].KernelIdx, T);
-        rebind(Idx, D, To, T, /*Failover=*/true);
-      } else if (pendingUp()) {
+      const ReplayRequest &R = RS.Requests[Idx];
+      if (++Out.Retries[Idx] > Opts.MaxRetries)
+        settle(Idx, T, /*Lost=*/true);
+      else if (anyAlive())
+        bind(Idx, decide(R.Tenant, R.KernelIdx, T), T, /*Failover=*/true);
+      else if (pendingUp())
         Parked.push_back(Idx);
-      } else {
-        lose(Idx, T);
-      }
+      else
+        settle(Idx, T, /*Lost=*/true);
     }
   }
 
   /// Device \p D (re)joins the fleet empty at merged time \p T; parked
   /// requests re-enter placement in park order (no retry charge — a
-  /// rejoin is recovery, not another failure).
+  /// rejoin is recovery, not another failure). One that arrived during
+  /// the outage gets its first placement here; the others fail over.
   void applyUp(size_t D, double T) {
     DeviceState &DS = Devices[D];
     if (DS.Alive)
@@ -458,21 +459,11 @@ private:
     DS.Alive = true;
     Policy.deviceUp(D);
     DS.NeedAdmit = true;
-    if (Parked.empty())
-      return;
     std::vector<size_t> Waiting;
     Waiting.swap(Parked);
     for (size_t Idx : Waiting) {
-      const workloads::TimedRequest &R = RS.Trace[Idx];
-      size_t To = decide(R.Tenant, R.KernelIdx, T);
-      if (Out.Placement[Idx] == Fleet.size()) {
-        // Arrived during a full outage and was never placed: this is
-        // its first placement, not a migration.
-        RS.rehome(Idx, *Fleet[To].Driver);
-        commit(Idx, To);
-      } else {
-        rebind(Idx, PrevDeviceOf[Idx], To, T, /*Failover=*/true);
-      }
+      const ReplayRequest &R = RS.Requests[Idx];
+      bind(Idx, decide(R.Tenant, R.KernelIdx, T), T, /*Failover=*/true);
     }
   }
 
@@ -483,7 +474,7 @@ private:
   /// (it was submitted to the target).
   bool maybeMigrate(size_t Idx, size_t D, double At) {
     const MigrationOptions &M = Opts.Migration;
-    if (!M.Enabled || MigrationsOf[Idx] >= M.MaxPerRequest)
+    if (!M.Enabled || Bindings[Idx].Migrations >= M.MaxPerRequest)
       return false;
     const std::vector<cluster::DeviceLoad> &Loads = Policy.loads();
     double OthersSum = 0;
@@ -499,12 +490,12 @@ private:
     if (normBacklog(Loads[D]) <=
         M.DivergenceFactor * (OthersSum / static_cast<double>(Others)))
       return false;
-    const workloads::TimedRequest &R = RS.Trace[Idx];
+    const ReplayRequest &R = RS.Requests[Idx];
     // Price only what is left: the solo estimates scale by the
     // unexecuted fraction of the virtual range.
     size_t RemainingGroups = RS.remainingGroups(Idx);
     double Frac = static_cast<double>(RemainingGroups) /
-                  static_cast<double>(RemainingGroups + RS.Live[Idx].Cursor);
+                  static_cast<double>(RemainingGroups + R.Cursor);
     fillSolo(R.KernelIdx);
     for (double &S : SoloBuf)
       S *= Frac;
@@ -518,14 +509,12 @@ private:
       return false;
     assert(*To < Devices.size() && Devices[*To].Alive &&
            "policy suggested an out-of-service device");
-    Policy.withdrawFrom(D, Accounted[Idx]);
-    Accounted[Idx] = 0;
-    PrevDeviceOf[Idx] = D;
-    ++MigrationsOf[Idx];
+    unbind(Idx);
+    ++Bindings[Idx].Migrations;
     // The tenant's home moves with its migrated request.
     if (Opts.StickyTenantAffinity)
       Affinity[R.Tenant] = *To;
-    rebind(Idx, D, *To, At, /*Failover=*/false);
+    bind(Idx, *To, At, /*Failover=*/false);
     return true;
   }
 
@@ -568,71 +557,57 @@ private:
   /// tracking (releasing any earlier fault still waiting on it).
   void attachFault(size_t Idx, size_t F, double At) {
     detachFault(Idx, At);
-    PendingFaultOf[Idx] = F;
+    Bindings[Idx].Fault = F;
     ++FaultLive[F];
   }
 
-  /// Request \p Idx settled (finished, lost, or re-displaced): when it
-  /// was the last one its fault displaced, that fault has recovered.
+  /// Request \p Idx settled or was re-displaced at \p At: when it was
+  /// the last one its fault displaced, that fault has recovered.
   void detachFault(size_t Idx, double At) {
-    size_t F = PendingFaultOf[Idx];
+    size_t F = Bindings[Idx].Fault;
     if (F == NoFault)
       return;
-    PendingFaultOf[Idx] = NoFault;
+    Bindings[Idx].Fault = NoFault;
     assert(FaultLive[F] > 0 && "fault live-count underflow");
     if (--FaultLive[F] == 0)
       Out.Faults[F].RecoveryTime = At - Out.Faults[F].DownTime;
   }
 
-  /// Declares request \p Idx lost at \p At: it completes empty at the
-  /// loss instant and is recorded — never silently dropped. The SLO
-  /// controller does not observe it (there is no service to grade),
-  /// but a closed-loop tenant's think clock still advances, so the
-  /// script drains.
-  void lose(size_t Idx, double At) {
-    FinishedFlag[Idx] = true;
-    Out.LostRequests.push_back(Idx);
-    if (PendingFaultOf[Idx] != NoFault)
-      ++Out.Faults[PendingFaultOf[Idx]].Lost;
-    RS.completeZeroWork(Idx, At);
-    detachFault(Idx, At);
-    ++Completed;
-    Src.completed(Idx, At);
-  }
-
-  /// Retires a zero-work request at the admission boundary. The SLO
-  /// controller does NOT observe it (it never occupied the device); the
-  /// tenant's think clock still starts here.
-  void retire(size_t Idx, double T) {
-    Policy.completeOn(DeviceOf[Idx], Accounted[Idx], true);
-    Accounted[Idx] = 0;
-    FinishedFlag[Idx] = true;
-    detachFault(Idx, T);
-    ++Completed;
-    Src.completed(Idx, T);
-  }
-
-  /// Common full-completion bookkeeping: the SLO controller observes
-  /// the aggregate queueing time, and a closed-loop tenant's think
-  /// clock starts from this completion.
-  void finish(size_t Idx, double At) {
-    ++Completed;
-    if (Opts.SoloEstimate == SoloEstimateKind::StaticPrior) {
-      // The measured service span (first slice start to last slice
-      // end) is the online observation the analysis prior blends into.
-      // It over-reads under contention, which is the safe direction: a
-      // busy device looks slower, never faster.
-      const StreamRequestResult &RR = Out.Stream.Requests[Idx];
-      SoloObservation &O =
-          Observed[{DeviceOf[Idx], RS.Trace[Idx].KernelIdx}];
-      O.Sum += RR.EndTime - RR.StartTime;
-      ++O.Count;
+  /// Ends request \p Idx at \p At, exactly once: its last slice
+  /// completed, or it is lost (\p Lost), which records it — never
+  /// silently dropped — as completing empty at the loss instant. Either
+  /// way its fault, if any, stops waiting on it and a closed-loop
+  /// tenant's think clock starts here, so the script drains. Only a
+  /// finished request is observed by the SLO controller (a lost one
+  /// had no service to grade) and by the StaticPrior blend.
+  void settle(size_t Idx, double At, bool Lost) {
+    Binding &B = Bindings[Idx];
+    assert(!B.Settled && "request settled twice");
+    B.Settled = true;
+    const ReplayRequest &R = RS.Requests[Idx];
+    const StreamRequestResult &Res = Out.Stream.Requests[Idx];
+    if (Lost) {
+      Out.LostRequests.push_back(Idx);
+      if (B.Fault != NoFault)
+        ++Out.Faults[B.Fault].Lost;
+      RS.recordLoss(Idx, At);
+    } else {
+      if (Opts.SoloEstimate == SoloEstimateKind::StaticPrior) {
+        // The measured service span (first slice start to last slice
+        // end) is the online observation the analysis prior blends
+        // into. It over-reads under contention, which is the safe
+        // direction: a busy device looks slower, never faster.
+        SoloObservation &O = Observed[{B.Device, R.KernelIdx}];
+        O.Sum += Res.EndTime - Res.StartTime;
+        ++O.Count;
+      }
+      if (Ctl)
+        Ctl->observe(R.Tenant, Res.queueingExcess());
+      B.Device = NoDevice;
     }
     detachFault(Idx, At);
-    if (Ctl)
-      Ctl->observe(RS.Trace[Idx].Tenant,
-                   Out.Stream.Requests[Idx].queueingExcess());
-    Src.completed(Idx, At);
+    ++Completed;
+    Src.completed(R, At);
   }
 
   const std::vector<ReplayDevice> &Fleet;
@@ -642,15 +617,7 @@ private:
   std::vector<DeviceState> Devices;
   std::optional<accelos::SloWeightController> Ctl;
   std::map<int, size_t> Affinity; ///< Tenant -> device (sticky mode).
-  // Per-request bookkeeping, parallel to RS.Trace. DeviceOf is the
-  // fleet size while a request is unbound (parked or lost-unplaced).
-  std::vector<size_t> DeviceOf;
-  std::vector<size_t> PrevDeviceOf; ///< Last binding before unbound.
-  std::vector<double> Accounted; ///< Remaining cost counted per request.
-  std::vector<char> FinishedFlag;
-  std::vector<size_t> CountedWGs;  ///< Cursor already in ExecutedWGs.
-  std::vector<uint32_t> MigrationsOf; ///< Voluntary-migration budget.
-  std::vector<size_t> PendingFaultOf; ///< Fault awaiting this request.
+  std::vector<Binding> Bindings;  ///< Indexed like RS.Requests.
   std::vector<size_t> Parked; ///< Unplaceable until a device comes up.
   std::vector<FleetEvent> Plan; ///< Time-sorted (stable) fault plan.
   size_t PlanCursor = 0;
@@ -710,7 +677,7 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
     Now = std::max(Target, T);
   }
 
-  assert(CR.RS.Trace.size() == Total && "workload not fully replayed");
+  assert(CR.RS.Requests.size() == Total && "workload not fully replayed");
   CR.finalize();
   return Out;
 }

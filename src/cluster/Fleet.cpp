@@ -17,7 +17,10 @@ using namespace accel::cluster;
 
 size_t Fleet::addDevice(const sim::DeviceSpec &Spec) {
   size_t Idx = Drivers.size();
-  Drivers.emplace_back(Spec);
+  if (Drivers.empty())
+    Drivers.emplace_back(Spec);
+  else
+    Drivers.emplace_back(Spec, Drivers.front().suite());
   harness::ExperimentDriver &D = Drivers.back();
   double Solo = harness::meanIsolatedBaselineDuration(D);
   double Work = 0;
@@ -220,18 +223,6 @@ cluster::makePlacementPolicy(PlacementKind Kind) {
     return std::make_unique<LeastLoadedPlacement>();
   case PlacementKind::HeterogeneityAware:
     return std::make_unique<HeterogeneityAwarePlacement>();
-  }
-  accel_unreachable("bad placement kind");
-}
-
-const char *cluster::placementName(PlacementKind Kind) {
-  switch (Kind) {
-  case PlacementKind::RoundRobin:
-    return "round-robin";
-  case PlacementKind::LeastLoaded:
-    return "least-loaded";
-  case PlacementKind::HeterogeneityAware:
-    return "heterogeneity-aware";
   }
   accel_unreachable("bad placement kind");
 }

@@ -9,11 +9,12 @@
 /// accelerator, a production serving system shards traffic across many,
 /// usually heterogeneous, devices. A cluster::Fleet is a registry of
 /// simulated devices — any mix of sim::DeviceSpec::nvidiaK20m(),
-/// amdR9295X2(), or custom specs — each carrying its own compiled
-/// workload view (harness::ExperimentDriver), and each served by its
-/// own sim::EngineSession + accelos::ContinuousScheduler when the
-/// cluster replay (harness::runClusterReplay) drives them on one merged
-/// event clock.
+/// amdR9295X2(), or custom specs — each carrying its own workload view
+/// (harness::ExperimentDriver: isolated durations and launches on that
+/// device) over one compiled suite the whole fleet shares, and each
+/// served by its own sim::EngineSession + accelos::AdmissionScheduler
+/// when the cluster replay (harness::runClusterReplay) drives them on
+/// one merged event clock.
 ///
 /// Placement is the new scheduling decision this layer introduces:
 /// which device a request runs on. It is pluggable
@@ -67,22 +68,24 @@
 namespace accel {
 namespace cluster {
 
-/// A registry of simulated devices, each with its own compiled workload
-/// view. Devices are append-only; drivers and specs are
-/// reference-stable once added (the replay keeps pointers into them).
+/// A registry of simulated devices, each with its own workload view
+/// over the fleet's one compiled suite. Devices are append-only;
+/// drivers and specs are reference-stable once added (the replay keeps
+/// pointers into them).
 class Fleet {
 public:
-  /// Adds one device to the fleet. Compiles the workload suite for it
-  /// and measures its mean isolated (solo) kernel duration — the
-  /// throughput probe heterogeneity-aware placement normalizes by.
-  /// \returns the device's fleet index.
+  /// Adds one device to the fleet: a view of it over the fleet's suite
+  /// (compiled when the first device is added), and its mean isolated
+  /// (solo) kernel duration — the throughput probe
+  /// heterogeneity-aware placement normalizes by. \returns the device's
+  /// fleet index.
   size_t addDevice(const sim::DeviceSpec &Spec);
 
   size_t size() const { return Drivers.size(); }
   bool empty() const { return Drivers.empty(); }
 
-  /// The compiled workload view of device \p I (non-const: isolated
-  /// durations are cached lazily).
+  /// The workload view of device \p I (non-const: isolated durations
+  /// are cached lazily).
   harness::ExperimentDriver &driver(size_t I) { return Drivers[I]; }
 
   const sim::DeviceSpec &device(size_t I) const {
@@ -227,9 +230,6 @@ enum class PlacementKind {
 
 /// \returns a fresh instance of the built-in policy \p Kind.
 std::unique_ptr<PlacementPolicy> makePlacementPolicy(PlacementKind Kind);
-
-/// \returns a short printable policy name.
-const char *placementName(PlacementKind Kind);
 
 } // namespace cluster
 } // namespace accel

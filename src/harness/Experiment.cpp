@@ -46,10 +46,9 @@ double harness::reproScale() {
   return V > 0 ? V : 1.0;
 }
 
-ExperimentDriver::ExperimentDriver(const sim::DeviceSpec &Spec)
-    : Spec(Spec) {
-  // Compile every suite kernel once through the front end and the GPU
-  // cleanup pipeline; the solver/batching inputs come from the IR.
+std::shared_ptr<const CompiledSuite> harness::compileSuite() {
+  // The solver/batching inputs come from the IR.
+  auto Suite = std::make_shared<CompiledSuite>();
   for (const workloads::KernelSpec &WS : workloads::parboilSuite()) {
     Expected<std::unique_ptr<kir::Module>> M =
         minicl::compileSource(WS.Id, WS.Source);
@@ -74,13 +73,21 @@ ExperimentDriver::ExperimentDriver(const sim::DeviceSpec &Spec)
     CK.RegsPerThread = passes::estimateRegisters(*K);
     CK.LocalMemBytes = K->localMemoryBytes();
     CK.WGCosts = workloads::generateWGCosts(WS);
-    Kernels.push_back(std::move(CK));
+    Suite->push_back(std::move(CK));
   }
+  return Suite;
 }
+
+ExperimentDriver::ExperimentDriver(const sim::DeviceSpec &Spec)
+    : ExperimentDriver(Spec, compileSuite()) {}
+
+ExperimentDriver::ExperimentDriver(const sim::DeviceSpec &Spec,
+                                   std::shared_ptr<const CompiledSuite> Suite)
+    : Spec(Spec), Suite(std::move(Suite)) {}
 
 sim::KernelLaunchDesc ExperimentDriver::baselineDesc(size_t Idx,
                                                      int AppId) const {
-  const CompiledKernel &CK = Kernels[Idx];
+  const CompiledKernel &CK = kernel(Idx);
   sim::KernelLaunchDesc L;
   L.AppId = AppId;
   L.WGThreads = CK.Spec->WGSize;
@@ -93,7 +100,7 @@ sim::KernelLaunchDesc ExperimentDriver::baselineDesc(size_t Idx,
 }
 
 ek::EKKernelDesc ExperimentDriver::ekDesc(size_t Idx, int AppId) const {
-  const CompiledKernel &CK = Kernels[Idx];
+  const CompiledKernel &CK = kernel(Idx);
   ek::EKKernelDesc D;
   D.Name = CK.Spec->Id;
   D.AppId = AppId;
@@ -106,7 +113,7 @@ ek::EKKernelDesc ExperimentDriver::ekDesc(size_t Idx, int AppId) const {
 }
 
 accelos::KernelDemand ExperimentDriver::demandFor(size_t Idx) const {
-  const CompiledKernel &CK = Kernels[Idx];
+  const CompiledKernel &CK = kernel(Idx);
   accelos::KernelDemand D;
   D.WGThreads = CK.Spec->WGSize;
   D.LocalMemPerWG = CK.LocalMemBytes + kir::rtlayout::schedDescBytes();
@@ -118,7 +125,7 @@ accelos::KernelDemand ExperimentDriver::demandFor(size_t Idx) const {
 sim::KernelLaunchDesc
 ExperimentDriver::accelosDesc(size_t Idx, int AppId, uint64_t PhysWGs,
                               accelos::SchedulingMode Mode) const {
-  const CompiledKernel &CK = Kernels[Idx];
+  const CompiledKernel &CK = kernel(Idx);
   sim::KernelLaunchDesc L;
   L.AppId = AppId;
   L.WGThreads = CK.Spec->WGSize;
@@ -171,7 +178,7 @@ double ExperimentDriver::priorSoloDuration(size_t Idx) {
   if (It != PriorSoloCache.end())
     return It->second;
 
-  const CompiledKernel &CK = Kernels[Idx];
+  const CompiledKernel &CK = kernel(Idx);
   const workloads::StaticPrior &P = workloads::staticCostPrior(*CK.Spec);
   sim::KernelLaunchDesc L = baselineDesc(Idx, 0);
   L.StaticCosts.assign(CK.WGCosts.size(), P.MeanWGCycles);

@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One device's view of the paper's experiments: compiles the 25-kernel
-/// suite once through the real front end and JIT cleanup pipeline (so
+/// One device's view of the paper's experiments: the 25-kernel suite
+/// compiled through the real front end and JIT cleanup pipeline (so
 /// instruction counts, register estimates, and local-memory footprints
 /// that feed the Sec. 3 solver and Sec. 6.4 batching come from actual
-/// IR), and builds each kernel's launch under the four schedulers:
-/// standard OpenCL (Baseline), Elastic Kernels, and accelOS in naive and
-/// optimized modes. The replays that run those launches live in
+/// IR), and each kernel's launch under the four schedulers: standard
+/// OpenCL (Baseline), Elastic Kernels, and accelOS in naive and
+/// optimized modes. Nothing in the compiled suite depends on the
+/// device, so views of several devices may share one (a cluster::Fleet
+/// compiles it once). The replays that run those launches live in
 /// harness/Streaming.h — one arrival source feeding one FIFO loop and
 /// one round loop — where harness::runWorkload, the paper's batch
 /// experiment, is the open trace whose arrivals are all zero.
@@ -29,6 +31,7 @@
 #include "workloads/Sampler.h"
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,15 +58,33 @@ struct CompiledKernel {
   std::vector<double> WGCosts;
 };
 
+/// The whole suite, compiled; indexed like workloads::parboilSuite().
+using CompiledSuite = std::vector<CompiledKernel>;
+
+/// Compiles every suite kernel through the front end and the GPU
+/// cleanup pipeline (fatal on error: suite sources are tested).
+std::shared_ptr<const CompiledSuite> compileSuite();
+
 /// The compiled suite and its launch builders on one device model.
 class ExperimentDriver {
 public:
+  /// A view of \p Spec over a freshly compiled suite.
   explicit ExperimentDriver(const sim::DeviceSpec &Spec);
 
-  /// Number of suite kernels.
-  size_t numKernels() const { return Kernels.size(); }
+  /// A view of \p Spec over \p Suite, which views of other devices may
+  /// share.
+  ExperimentDriver(const sim::DeviceSpec &Spec,
+                   std::shared_ptr<const CompiledSuite> Suite);
 
-  const CompiledKernel &kernel(size_t Idx) const { return Kernels[Idx]; }
+  /// The compiled suite this view reads.
+  const std::shared_ptr<const CompiledSuite> &suite() const {
+    return Suite;
+  }
+
+  /// Number of suite kernels.
+  size_t numKernels() const { return Suite->size(); }
+
+  const CompiledKernel &kernel(size_t Idx) const { return (*Suite)[Idx]; }
 
   const sim::DeviceSpec &device() const { return Spec; }
 
@@ -99,7 +120,7 @@ public:
 
 private:
   sim::DeviceSpec Spec;
-  std::vector<CompiledKernel> Kernels;
+  std::shared_ptr<const CompiledSuite> Suite;
   std::map<std::pair<int, size_t>, double> IsolatedCache;
   std::map<size_t, double> PriorSoloCache;
 };

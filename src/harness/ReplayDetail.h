@@ -8,15 +8,16 @@
 /// The request-level machinery behind every replay loop (the FIFO and
 /// round loops of harness/Streaming and the fleet loop behind
 /// harness::runClusterReplay): the one arrival source they all draw
-/// requests from, per-request slice progress, and the demand/launch
-/// builders handed to the schedulers. Internal to the library —
-/// everything lives in harness::detail and the types leak no ABI
-/// promises.
+/// requests from, one record of slice progress per request, and the
+/// demand/launch builders handed to the schedulers. Internal to the
+/// library — everything lives in harness::detail and the types leak no
+/// ABI promises.
 ///
-/// Every materialized request may carry its *own* ExperimentDriver (the
-/// compiled view of the device it was placed on), so demands, slice
-/// launches, and isolated baselines all come from the device that
-/// actually serves the request.
+/// The device views of one replay share one compiled suite, so a
+/// request's demand and slice launches are the same on every device.
+/// Only its isolated baseline depends on the device: it is read from
+/// the view that serves the request, when the request is materialized
+/// and again whenever the fleet rebinds it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,29 +41,34 @@ namespace accel {
 namespace harness {
 namespace detail {
 
-/// Per-request progress while its work is still in flight. accelOS
-/// requests may execute across several grants (work slicing), so the
-/// first-dispatch and last-completion times accumulate here.
-struct LiveRequest {
-  size_t Cursor = 0; ///< Next unexecuted virtual group.
-  bool Started = false;
-  double Start = 0;
-  double End = 0;
+/// One materialized request as a replay loop tracks it. Its result
+/// (arrival, start and end times, isolated baseline) is written
+/// straight into the outcome's StreamRequestResult of the same index.
+/// accelOS requests may execute across several grants (work slicing):
+/// the first slice to complete sets the start, each one the end.
+struct ReplayRequest {
+  size_t KernelIdx = 0;
+  int Tenant = 0;
+  size_t Issuer = 0;        ///< Closed loop: the script tenant position.
+  size_t Cursor = 0;        ///< Next unexecuted virtual group.
+  double RemainingCost = 0; ///< Thread-cycles of the groups from Cursor.
+  bool Started = false;     ///< A slice completed, so StartTime is set.
 };
 
 /// The request-level machinery shared by every replay loop: the
-/// materialized request list, per-request slice progress, and the
-/// demand/launch builders handed to the schedulers. Trace grows as the
-/// arrival source materializes requests; every accessor indexes it
-/// afresh.
+/// materialized requests, and the demand/launch builders handed to the
+/// schedulers. Requests grows as the arrival source materializes them;
+/// every accessor indexes it afresh.
 class ReplayState {
 public:
+  /// \p Kernels is any device view of the replay's one compiled suite:
+  /// kernels, demands and launches read through it are the same on every
+  /// device that shares the suite.
   ReplayState(const StreamOptions &Opts, accelos::SchedulingMode Mode,
-              StreamOutcome &Out)
-      : Opts(Opts), Mode(Mode), Out(Out) {}
+              const ExperimentDriver &Kernels, StreamOutcome &Out)
+      : Opts(Opts), Mode(Mode), Kernels(Kernels), Out(Out) {}
 
-  std::vector<workloads::TimedRequest> Trace;
-  std::vector<LiveRequest> Live;
+  std::vector<ReplayRequest> Requests; ///< Indexed like Out.Requests.
 
   /// Scratch buffers for the steady-state serving loops: admissionPass
   /// refills LaunchBuf and hands it to EngineSession::admitFrom, and
@@ -84,74 +90,84 @@ public:
     return It == Opts.Weights.end() ? 1.0 : It->second;
   }
 
-  /// Appends one materialized request placed on \p D's device: demand,
-  /// slice launches, and the isolated baseline all come from \p D. The
-  /// driver must outlive the replay.
-  size_t append(const workloads::TimedRequest &R, ExperimentDriver &D) {
-    size_t Idx = Trace.size();
-    Trace.push_back(R);
-    Live.emplace_back();
-    Drivers.push_back(&D);
-    double Cost = 0;
-    for (double C : D.kernel(R.KernelIdx).WGCosts)
-      Cost += C;
-    RemainingCostOf.push_back(Cost);
+  /// Appends one materialized request whose isolated baseline comes
+  /// from \p D's device (issued by script tenant \p Issuer in a closed
+  /// loop). \returns its index.
+  size_t append(const workloads::TimedRequest &R, ExperimentDriver &D,
+                size_t Issuer = 0) {
+    size_t Idx = Requests.size();
+    Requests.push_back({.KernelIdx = R.KernelIdx,
+                        .Tenant = R.Tenant,
+                        .Issuer = Issuer});
     StreamRequestResult Res;
     Res.RequestIdx = Idx;
     Res.Tenant = R.Tenant;
-    Res.Kernel = D.kernel(R.KernelIdx).Spec->Id;
+    Res.Kernel = Kernels.kernel(R.KernelIdx).Spec->Id;
     Res.ArrivalTime = R.ArrivalTime;
-    Res.AloneDuration =
-        D.isolatedDuration(SchedulerKind::Baseline, R.KernelIdx);
     Out.Requests.push_back(std::move(Res));
+    rehome(Idx, D);
     return Idx;
   }
-
-  /// The driver (device view) serving request \p Idx.
-  ExperimentDriver &driverOf(size_t Idx) const { return *Drivers[Idx]; }
 
   /// The Sec. 3 demand of request \p Idx, narrowed to what is left of
   /// its virtual range (a sliced request re-enters the queue asking
   /// only for the remainder) and weighted by its tenant.
   accelos::KernelDemand demandOf(size_t Idx) const {
-    const workloads::TimedRequest &Req = Trace[Idx];
-    ExperimentDriver &D = driverOf(Idx);
-    accelos::KernelDemand Demand = D.demandFor(Req.KernelIdx);
-    Demand.RequestedWGs =
-        D.kernel(Req.KernelIdx).WGCosts.size() - Live[Idx].Cursor;
-    Demand.Weight = weightOf(Req.Tenant);
+    const ReplayRequest &R = Requests[Idx];
+    accelos::KernelDemand Demand = Kernels.demandFor(R.KernelIdx);
+    Demand.RequestedWGs = remainingGroups(Idx);
+    Demand.Weight = weightOf(R.Tenant);
     return Demand;
   }
 
   size_t remainingGroups(size_t Idx) const {
-    return driverOf(Idx).kernel(Trace[Idx].KernelIdx).WGCosts.size() -
-           Live[Idx].Cursor;
+    const ReplayRequest &R = Requests[Idx];
+    return Kernels.kernel(R.KernelIdx).WGCosts.size() - R.Cursor;
   }
 
-  /// Cost, in thread-cycles, of request \p Idx's not-yet-executed
-  /// virtual groups — the residual-work term of cluster placement.
-  /// Maintained incrementally (full cost at append, each slice's cost
-  /// subtracted when the slice launch is built), so reading it per
-  /// completion event is O(1) instead of rescanning the range.
-  double remainingCost(size_t Idx) const { return RemainingCostOf[Idx]; }
-
   /// Builds one quantum-bounded WorkQueue launch for the granted share
-  /// \p GrantWGs of request \p Idx, advancing its slice cursor.
+  /// \p GrantWGs of request \p Idx, advancing its slice cursor and
+  /// taking the slice's cost off RemainingCost. Every replay loop
+  /// submits a request only while it has work left (every suite kernel
+  /// has work groups), so no grant carries a zero-work request.
   sim::KernelLaunchDesc makeSliceLaunch(size_t Idx, uint64_t GrantWGs,
                                         double Arrival) {
-    ExperimentDriver &D = driverOf(Idx);
-    const CompiledKernel &CK = D.kernel(Trace[Idx].KernelIdx);
-    sim::KernelLaunchDesc L = D.accelosDesc(
-        Trace[Idx].KernelIdx, static_cast<int>(Idx), GrantWGs, Mode);
+    assert(remainingGroups(Idx) != 0 && "granted a request with no work");
+    ReplayRequest &R = Requests[Idx];
+    const CompiledKernel &CK = Kernels.kernel(R.KernelIdx);
+    sim::KernelLaunchDesc L = Kernels.accelosDesc(
+        R.KernelIdx, static_cast<int>(Idx), GrantWGs, Mode);
     // Work slicing: run at most a quantum's worth of the virtual range
     // (paper Sec. 2.4: the virtual work queue is what makes
     // bounded-progress launches possible), requeueing the remainder.
-    accelos::narrowToSlice(L, CK.WGCosts, Live[Idx].Cursor, GrantWGs, Mode,
+    accelos::narrowToSlice(L, CK.WGCosts, R.Cursor, GrantWGs, Mode,
                            CK.InstCount, Opts.RoundQuantum);
     for (size_t G = L.ViewBegin; G != L.ViewEnd; ++G)
-      RemainingCostOf[Idx] -= CK.WGCosts[G];
+      R.RemainingCost -= CK.WGCosts[G];
     L.ArrivalTime = Arrival;
     return L;
+  }
+
+  /// Records a completed slice of request \p Idx that ran from
+  /// \p Start to \p End.
+  void recordSlice(size_t Idx, double Start, double End) {
+    StreamRequestResult &Res = Out.Requests[Idx];
+    if (!Requests[Idx].Started) {
+      Requests[Idx].Started = true;
+      Res.StartTime = Start;
+    }
+    Res.EndTime = End;
+  }
+
+  /// Records request \p Idx lost at \p At: it ends there, empty, and
+  /// starts there too when no slice of it ever completed.
+  void recordLoss(size_t Idx, double At) {
+    StreamRequestResult &Res = Out.Requests[Idx];
+    if (!Requests[Idx].Started) {
+      Requests[Idx].Started = true;
+      Res.StartTime = At;
+    }
+    Res.EndTime = std::max(Res.EndTime, At);
   }
 
   /// Fail-stop rollback of request \p Idx's in-flight slice, whose view
@@ -161,59 +177,41 @@ public:
   /// again. The request has at most one slice in flight, so Begin is
   /// exactly where its cursor must return to.
   void rollbackSlice(size_t Idx, size_t Begin) {
-    const CompiledKernel &CK =
-        driverOf(Idx).kernel(Trace[Idx].KernelIdx);
-    LiveRequest &LR = Live[Idx];
-    assert(Begin <= LR.Cursor && "rollback past the slice start");
-    for (size_t G = Begin; G != LR.Cursor; ++G)
-      RemainingCostOf[Idx] += CK.WGCosts[G];
-    LR.Cursor = Begin;
+    ReplayRequest &R = Requests[Idx];
+    const CompiledKernel &CK = Kernels.kernel(R.KernelIdx);
+    assert(Begin <= R.Cursor && "rollback past the slice start");
+    for (size_t G = Begin; G != R.Cursor; ++G)
+      R.RemainingCost += CK.WGCosts[G];
+    R.Cursor = Begin;
   }
 
-  /// Re-binds request \p Idx to device view \p D (failover after a
-  /// device loss, or a quantum-boundary migration) carrying the slice
-  /// cursor over: a kernel's virtual-group decomposition is derived
-  /// from its KernelSpec alone (workloads::generateWGCosts), so it is
-  /// identical on every device and the remaining range keeps its
-  /// meaning. The remaining cost and the isolated baseline — and with
-  /// it the request's slowdown/queueing-excess normalization — are
-  /// re-measured on the device that will serve the remainder.
+  /// Homes request \p Idx on device view \p D (its materialization,
+  /// and every later binding: first placement, failover after a device
+  /// loss, or a quantum-boundary migration), carrying the slice cursor
+  /// over. The isolated baseline — and with it the request's
+  /// slowdown/queueing-excess normalization — is read from the device
+  /// that will serve the remainder. RemainingCost is summed afresh over
+  /// the remaining range: placement reads that sum, and its last bits
+  /// differ from the incrementally maintained value's.
   void rehome(size_t Idx, ExperimentDriver &D) {
-    const workloads::TimedRequest &Req = Trace[Idx];
-    const CompiledKernel &CK = D.kernel(Req.KernelIdx);
-    assert(CK.WGCosts.size() ==
-               driverOf(Idx).kernel(Req.KernelIdx).WGCosts.size() &&
-           "virtual-range shape differs across devices");
-    Drivers[Idx] = &D;
+    ReplayRequest &R = Requests[Idx];
+    const std::vector<double> &Costs = Kernels.kernel(R.KernelIdx).WGCosts;
     double Cost = 0;
-    for (size_t G = Live[Idx].Cursor; G != CK.WGCosts.size(); ++G)
-      Cost += CK.WGCosts[G];
-    RemainingCostOf[Idx] = Cost;
+    for (size_t G = R.Cursor; G != Costs.size(); ++G)
+      Cost += Costs[G];
+    R.RemainingCost = Cost;
     Out.Requests[Idx].AloneDuration =
-        D.isolatedDuration(SchedulerKind::Baseline, Req.KernelIdx);
-  }
-
-  /// Retires a request that has no (remaining) work at time \p T: it
-  /// completes at the boundary without occupying the device.
-  void completeZeroWork(size_t Idx, double T) {
-    LiveRequest &LR = Live[Idx];
-    if (!LR.Started) {
-      LR.Started = true;
-      LR.Start = T;
-    }
-    LR.End = std::max(LR.End, T);
-    Out.Requests[Idx].StartTime = LR.Start;
-    Out.Requests[Idx].EndTime = LR.End;
+        D.isolatedDuration(SchedulerKind::Baseline, R.KernelIdx);
   }
 
   /// Computes the whole-outcome aggregates once every request retired.
   void finalize() {
-    for (size_t I = 0; I != Trace.size(); ++I) {
+    for (size_t I = 0; I != Requests.size(); ++I) {
       const StreamRequestResult &R = Out.Requests[I];
       Out.Makespan = std::max(Out.Makespan, R.EndTime);
-      // streamSlowdown floors the zero-work corner: a request with no
-      // work completes at its arrival boundary with zero turnaround,
-      // which would trip the positivity asserts in the metrics.
+      // streamSlowdown floors the zero-turnaround corner: a request
+      // lost unplaced ends at its arrival instant, which would trip the
+      // positivity asserts in the metrics.
       Out.Slowdowns.push_back(
           streamSlowdown(R.EndTime - R.ArrivalTime, R.AloneDuration));
     }
@@ -228,10 +226,9 @@ public:
 private:
   const StreamOptions &Opts;
   accelos::SchedulingMode Mode;
+  const ExperimentDriver &Kernels;
   StreamOutcome &Out;
   const accelos::SloWeightController *Ctl = nullptr;
-  std::vector<ExperimentDriver *> Drivers; ///< Parallel to Trace.
-  std::vector<double> RemainingCostOf;     ///< Parallel to Trace.
 };
 
 /// Queues request \p Idx — with its current remaining demand and
@@ -240,42 +237,33 @@ inline void submitRequest(accelos::AdmissionScheduler &Sched,
                           const ReplayState &RS, size_t Idx) {
   accelos::RoundRequest R;
   R.Id = Idx;
-  R.Tenant = RS.Trace[Idx].Tenant;
+  R.Tenant = RS.Requests[Idx].Tenant;
   R.Demand = RS.demandOf(Idx);
   Sched.submit(R);
 }
 
 /// One continuous-admission pass at time \p T on one device of the
-/// fleet replay: grant whatever fits the residual capacity,
-/// turning each grant into a quantum-bounded slice launch. Requests
-/// with no remaining work complete at the boundary without occupying
-/// the device — \p RetireZeroWork is called to do the caller's
-/// completion bookkeeping (ReplayState::completeZeroWork has already
-/// recorded the timing). \returns true when the pass itself freed
-/// capacity (a tail slice shrinking its reservation) and must re-run
-/// at this same instant; each re-pass needs a fresh shrink, so the
-/// caller's loop terminates.
+/// fleet replay: grant whatever fits the residual capacity, turning
+/// each grant into a quantum-bounded slice launch. \returns true when
+/// the pass itself freed capacity (a tail slice shrinking its
+/// reservation) and must re-run at this same instant; each re-pass
+/// needs a fresh shrink, so the caller's loop terminates.
 ///
 /// The pass structure itself (grant -> slice -> shrink -> admitFrom)
 /// lives in accelos::runAdmissionPass, shared with the functional
 /// Runtime's continuous pump; this wrapper binds it to ReplayState's
-/// request bookkeeping.
-template <typename RetireFn>
+/// request bookkeeping. Every grant carries work (makeSliceLaunch), so
+/// no grant retires without a launch.
 inline bool admissionPass(accelos::AdmissionScheduler &Sched,
                           sim::EngineSession &Session, ReplayState &RS,
-                          double T, RetireFn &&RetireZeroWork) {
+                          double T) {
   return accelos::runAdmissionPass(
       Sched, Session, RS.LaunchBuf,
       [&](uint64_t Id,
           uint64_t WGs) -> std::optional<sim::KernelLaunchDesc> {
-        size_t Idx = static_cast<size_t>(Id);
-        if (RS.remainingGroups(Idx) == 0) {
-          RS.completeZeroWork(Idx, T);
-          return std::nullopt;
-        }
-        return RS.makeSliceLaunch(Idx, WGs, T);
+        return RS.makeSliceLaunch(static_cast<size_t>(Id), WGs, T);
       },
-      [&](uint64_t Id) { RetireZeroWork(static_cast<size_t>(Id)); });
+      [](uint64_t) {});
 }
 
 inline accelos::SchedulingMode modeFor(SchedulerKind Kind) {
@@ -358,23 +346,23 @@ public:
     return Req;
   }
 
-  /// Materializes the next request in \p RS on \p D's device.
-  /// \returns its index.
+  /// Materializes the next request in \p RS, its isolated baseline
+  /// read from \p D's device. \returns its index.
   size_t take(ReplayState &RS, ExperimentDriver &D) {
     if (Trace)
       return RS.append((*Trace)[Next++], D);
     workloads::TimedRequest Req = peek();
-    TenantPosOf.push_back(Heap.top().TenantPos);
+    size_t Issuer = Heap.top().TenantPos;
     Heap.pop();
-    return RS.append(Req, D);
+    return RS.append(Req, D, Issuer);
   }
 
-  /// Request \p Idx completed (or was lost) at \p At: its closed-loop
+  /// Request \p R completed (or was lost) at \p At: its closed-loop
   /// tenant issues the next scripted request from that instant
   /// (backpressure). A no-op for an open trace.
-  void completed(size_t Idx, double At) {
+  void completed(const ReplayRequest &R, double At) {
     if (Script)
-      issue(TenantPosOf[Idx], At);
+      issue(R.Issuer, At);
   }
 
 private:
@@ -408,7 +396,6 @@ private:
                       std::greater<IssuedRequest>>
       Heap;
   uint64_t NextSeq = 0;
-  std::vector<size_t> TenantPosOf; ///< Script tenant per request.
 };
 
 } // namespace detail

@@ -17,7 +17,6 @@
 using namespace accel;
 using namespace accel::harness;
 using detail::ArrivalSource;
-using detail::LiveRequest;
 using detail::ReplayState;
 using detail::modeFor;
 
@@ -68,8 +67,8 @@ void replayFifo(ExperimentDriver &Driver, ReplayState &RS,
     while (!Src.empty()) {
       size_t Idx = Src.take(RS, Driver);
       sim::KernelLaunchDesc L = Driver.baselineDesc(
-          RS.Trace[Idx].KernelIdx, static_cast<int>(Idx));
-      L.ArrivalTime = RS.Trace[Idx].ArrivalTime;
+          RS.Requests[Idx].KernelIdx, static_cast<int>(Idx));
+      L.ArrivalTime = Out.Requests[Idx].ArrivalTime;
       Launches.push_back(std::move(L));
     }
     if (!Launches.empty())
@@ -78,10 +77,9 @@ void replayFifo(ExperimentDriver &Driver, ReplayState &RS,
     assert(Next >= 0 && "FIFO replay stalled with requests pending");
     for (const sim::KernelExecResult &K : Session.advanceTo(Next)) {
       size_t Idx = static_cast<size_t>(K.AppId);
-      Out.Requests[Idx].StartTime = K.StartTime;
-      Out.Requests[Idx].EndTime = K.EndTime;
+      RS.recordSlice(Idx, K.StartTime, K.EndTime);
       ++Completed;
-      Src.completed(Idx, K.EndTime);
+      Src.completed(RS.Requests[Idx], K.EndTime);
     }
   }
   Out.Rounds = 1;
@@ -116,10 +114,8 @@ void replayRounds(ExperimentDriver &Driver, bool IsEk, ReplayState &RS,
     }
   };
   auto Retire = [&](size_t Idx) {
-    Out.Requests[Idx].StartTime = RS.Live[Idx].Start;
-    Out.Requests[Idx].EndTime = RS.Live[Idx].End;
     ++Completed;
-    Src.completed(Idx, RS.Live[Idx].End);
+    Src.completed(RS.Requests[Idx], Out.Requests[Idx].EndTime);
   };
 
   Admit();
@@ -137,18 +133,13 @@ void replayRounds(ExperimentDriver &Driver, bool IsEk, ReplayState &RS,
     if (IsEk) {
       std::vector<ek::EKKernelDesc> Descs;
       for (size_t Idx : EkPending)
-        Descs.push_back(Driver.ekDesc(RS.Trace[Idx].KernelIdx,
+        Descs.push_back(Driver.ekDesc(RS.Requests[Idx].KernelIdx,
                                       static_cast<int>(Idx)));
       EkPending.clear();
       Launches = ek::planMergedLaunch(Spec, Descs);
     } else {
       for (const accelos::RoundGrant &G : Sched.nextRound()) {
         size_t Idx = static_cast<size_t>(G.Id);
-        if (RS.remainingGroups(Idx) == 0) {
-          RS.completeZeroWork(Idx, T);
-          Retire(Idx);
-          continue;
-        }
         Launches.push_back(RS.makeSliceLaunch(Idx, G.WGs, /*Arrival=*/0));
         if (RS.remainingGroups(Idx) != 0)
           Unfinished.push_back(Idx);
@@ -157,14 +148,9 @@ void replayRounds(ExperimentDriver &Driver, bool IsEk, ReplayState &RS,
 
     sim::Engine Engine(Spec);
     sim::SimResult R = Engine.run(std::move(Launches));
-    for (const sim::KernelExecResult &K : R.Kernels) {
-      LiveRequest &LR = RS.Live[static_cast<size_t>(K.AppId)];
-      if (!LR.Started) {
-        LR.Started = true;
-        LR.Start = K.StartTime + T;
-      }
-      LR.End = K.EndTime + T;
-    }
+    for (const sim::KernelExecResult &K : R.Kernels)
+      RS.recordSlice(static_cast<size_t>(K.AppId), K.StartTime + T,
+                     K.EndTime + T);
     T += R.Makespan;
     ++Out.Rounds;
 
@@ -198,7 +184,7 @@ StreamOutcome replay(ExperimentDriver &Driver, SchedulerKind Kind,
     return detail::replayOnDevice(Driver, modeFor(Kind), Workload, Opts);
 
   StreamOutcome Out;
-  ReplayState RS(Opts, modeFor(Kind), Out);
+  ReplayState RS(Opts, modeFor(Kind), Driver, Out);
   ArrivalSource Src(Workload);
   if (Src.total() != 0) {
     if (Kind == SchedulerKind::Baseline)
@@ -207,7 +193,7 @@ StreamOutcome replay(ExperimentDriver &Driver, SchedulerKind Kind,
       replayRounds(Driver, Kind == SchedulerKind::ElasticKernels, RS, Src,
                    Out);
   }
-  assert(RS.Trace.size() == Src.total() && "workload not fully replayed");
+  assert(RS.Requests.size() == Src.total() && "workload not fully replayed");
   RS.finalize();
   return Out;
 }

@@ -55,12 +55,3 @@ const StaticPrior &workloads::staticCostPrior(const KernelSpec &Spec) {
   P.UsedFallback = Est.UsedFallback;
   return Cache.emplace(&Spec, P).first->second;
 }
-
-CostProfile workloads::staticPriorProfile(const KernelSpec &Spec) {
-  const StaticPrior &P = staticCostPrior(Spec);
-  CostProfile C;
-  C.MeanWGCycles = P.MeanWGCycles;
-  C.CV = 0.3; // The analysis cannot see data-dependent skew.
-  C.Shape = CostShapeKind::Uniform;
-  return C;
-}

@@ -7,10 +7,10 @@
 /// \file
 /// Bridges the KIR static cost analysis into the workload layer: a
 /// KernelSpec's MiniCL source is compiled and analysed, and the
-/// per-work-item cycle estimate becomes a CostProfile seed. Schedulers
-/// use it as a solo-duration prior for kernels they have never executed
-/// (the cold-start hole): it is calibrated to land within 3x of the
-/// measured mean for the whole suite, then blends away as real
+/// per-work-item cycle estimate becomes a mean work-group cost.
+/// Schedulers use it as a solo-duration prior for kernels they have
+/// never executed (the cold-start hole): it is calibrated to land within
+/// 3x of the measured mean for the whole suite, then blends away as real
 /// measurements arrive.
 ///
 //===----------------------------------------------------------------------===//
@@ -36,10 +36,6 @@ struct StaticPrior {
 /// kernel (fatal on compile error: suite sources are tested). Results
 /// are memoized per spec.
 const StaticPrior &staticCostPrior(const KernelSpec &Spec);
-
-/// A CostProfile seeded from the prior: estimated mean, uniform shape,
-/// a wide dispersion guess (the analysis cannot see data skew).
-CostProfile staticPriorProfile(const KernelSpec &Spec);
 
 } // namespace workloads
 } // namespace accel

@@ -335,10 +335,6 @@ TEST_F(ColdStartTest, StaticPriorIsMemoizedAndShaped) {
   EXPECT_EQ(A.MeanWGCycles,
             A.PerItemCycles * static_cast<double>(Spec->WGSize));
   EXPECT_FALSE(A.UsedFallback); // Suite kernels have derivable trips.
-
-  workloads::CostProfile P = workloads::staticPriorProfile(*Spec);
-  EXPECT_EQ(P.MeanWGCycles, A.MeanWGCycles);
-  EXPECT_EQ(P.Shape, workloads::CostShapeKind::Uniform);
 }
 
 TEST_F(ColdStartTest, PriorBeatsBlindPlacementOnFirstContactQueueing) {

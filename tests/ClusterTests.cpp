@@ -175,15 +175,6 @@ TEST(PlacementPolicyTest, SuggestMigrationPointsAtTheBestDevice) {
   EXPECT_EQ(RR->suggestMigration(R, 0), std::nullopt);
 }
 
-TEST(PlacementPolicyTest, NamesAreStable) {
-  for (PlacementKind K :
-       {PlacementKind::RoundRobin, PlacementKind::LeastLoaded,
-        PlacementKind::HeterogeneityAware}) {
-    auto P = makePlacementPolicy(K);
-    EXPECT_STREQ(P->name(), placementName(K));
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Cluster replay over a real mixed fleet
 //===----------------------------------------------------------------------===//
@@ -413,7 +404,7 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
     ClusterOutcome O =
         harness::runClusterReplay(
             fleet(), *P, ClusterWorkload::openLoop(Trace), options());
-    Emit(placementName(K), O);
+    Emit(P->name(), O);
   }
   std::vector<workloads::ClosedLoopTenant> Tenants(3);
   Tenants[0] = {0, 8, 1, 0.25 * meanDur(), 51, {0, 1, 2, 3}};
