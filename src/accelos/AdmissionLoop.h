@@ -58,10 +58,10 @@ void narrowToSlice(sim::KernelLaunchDesc &L,
 /// One continuous-admission pass over \p Sched at the current event:
 /// every grant is turned into a slice launch by \p MakeSlice(Id, WGs)
 /// and admitted into \p Session through the reused \p LaunchBuf.
-/// MakeSlice returns std::nullopt when the grant carries no launch — a
-/// request with no remaining work retiring at the boundary, or a caller
-/// that failed the request; \p RetireZeroWork(Id) is then called for
-/// the caller's completion bookkeeping. A slice that runs fewer
+/// MakeSlice returns std::nullopt when the grant carries no launch (the
+/// Runtime failed the request; the fleet replay grants only requests
+/// with work left); \p RetireZeroWork(Id) is then called for the
+/// caller's completion bookkeeping. A slice that runs fewer
 /// physical work groups than granted (a quantum tail) returns the
 /// unused reservation via shrink(). \returns true when the pass itself
 /// freed capacity and must re-run at this same instant; each re-pass

@@ -72,8 +72,8 @@ struct Binding {
   size_t Device = NoDevice;
   double Accounted = 0;    ///< Remaining cost in the policy's view.
   size_t CountedWGs = 0;   ///< Cursor already counted in ExecutedWGs.
-  uint32_t Migrations = 0; ///< Voluntary migrations so far.
   size_t Fault = NoFault;  ///< The fault whose recovery waits on it.
+  uint32_t Migrations = 0; ///< Voluntary migrations so far.
   bool Settled = false;    ///< Finished or lost.
 };
 
@@ -276,11 +276,11 @@ public:
         B.Accounted = R.RemainingCost;
         Out.ExecutedWGs += R.Cursor - B.CountedWGs;
         B.CountedWGs = R.Cursor;
+        // A sliced request is at a quantum boundary: either the policy
+        // steals the remainder for an underloaded device, or it requeues
+        // on the SAME device and re-enters its fair-share solve here.
         if (Finished)
           settle(Idx, K.EndTime, /*Lost=*/false);
-        // Sliced: a quantum boundary. Either the policy steals the
-        // remainder for an underloaded device, or it requeues on the
-        // SAME device and re-enters its fair-share solve here.
         else if (!maybeMigrate(Idx, D, K.EndTime))
           submit(Idx, D);
       }
@@ -585,13 +585,18 @@ private:
     assert(!B.Settled && "request settled twice");
     B.Settled = true;
     const ReplayRequest &R = RS.Requests[Idx];
-    const StreamRequestResult &Res = Out.Stream.Requests[Idx];
     if (Lost) {
+      assert(B.Device == NoDevice && "losing a bound request");
       Out.LostRequests.push_back(Idx);
       if (B.Fault != NoFault)
         ++Out.Faults[B.Fault].Lost;
-      RS.recordLoss(Idx, At);
+      // It ends with an empty slice at the loss instant, which no slice
+      // it ran ends after.
+      assert(Out.Stream.Requests[Idx].EndTime <= At &&
+             "lost before its last slice ended");
+      RS.recordSlice(Idx, At, At);
     } else {
+      const StreamRequestResult &Res = Out.Stream.Requests[Idx];
       if (Opts.SoloEstimate == SoloEstimateKind::StaticPrior) {
         // The measured service span (first slice start to last slice
         // end) is the online observation the analysis prior blends

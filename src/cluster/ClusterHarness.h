@@ -54,6 +54,13 @@
 /// fleet plan) replay to bit-identical outcomes, migrations and
 /// failures included.
 ///
+/// The replay keeps one binding per request. A request gets a device
+/// only by being bound: its first placement (at arrival, or at a rejoin
+/// when it arrived during a full outage), which counts toward
+/// ClusterDeviceOutcome::Requests, or a failover or migration, which
+/// adds a ClusterMigrationRecord. It ends exactly once, finished or
+/// lost; Debug builds assert that every request does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_CLUSTER_CLUSTERHARNESS_H
@@ -100,8 +107,8 @@ struct ClusterFaultRecord {
 /// a quantum-boundary load-balancing migration.
 struct ClusterMigrationRecord {
   size_t RequestIdx = 0;
-  /// Source device, or the fleet size when the request was waiting
-  /// unplaced (re-placed from the parked state after an outage).
+  /// The device the request was last bound to (for a request parked
+  /// through a full outage, the device it was displaced from).
   size_t From = 0;
   size_t To = 0;
   double Time = 0;

@@ -46,8 +46,11 @@ double harness::reproScale() {
   return V > 0 ? V : 1.0;
 }
 
-std::shared_ptr<const CompiledSuite> harness::compileSuite() {
-  // The solver/batching inputs come from the IR.
+namespace {
+
+/// Compiles every suite kernel through the front end and the GPU
+/// cleanup pipeline; the solver/batching inputs come from the IR.
+std::shared_ptr<const CompiledSuite> compileSuite() {
   auto Suite = std::make_shared<CompiledSuite>();
   for (const workloads::KernelSpec &WS : workloads::parboilSuite()) {
     Expected<std::unique_ptr<kir::Module>> M =
@@ -77,6 +80,8 @@ std::shared_ptr<const CompiledSuite> harness::compileSuite() {
   }
   return Suite;
 }
+
+} // namespace
 
 ExperimentDriver::ExperimentDriver(const sim::DeviceSpec &Spec)
     : ExperimentDriver(Spec, compileSuite()) {}

@@ -61,10 +61,6 @@ struct CompiledKernel {
 /// The whole suite, compiled; indexed like workloads::parboilSuite().
 using CompiledSuite = std::vector<CompiledKernel>;
 
-/// Compiles every suite kernel through the front end and the GPU
-/// cleanup pipeline (fatal on error: suite sources are tested).
-std::shared_ptr<const CompiledSuite> compileSuite();
-
 /// The compiled suite and its launch builders on one device model.
 class ExperimentDriver {
 public:

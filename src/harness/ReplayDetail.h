@@ -48,11 +48,11 @@ namespace detail {
 /// the first slice to complete sets the start, each one the end.
 struct ReplayRequest {
   size_t KernelIdx = 0;
-  int Tenant = 0;
   size_t Issuer = 0;        ///< Closed loop: the script tenant position.
   size_t Cursor = 0;        ///< Next unexecuted virtual group.
   double RemainingCost = 0; ///< Thread-cycles of the groups from Cursor.
-  bool Started = false;     ///< A slice completed, so StartTime is set.
+  int Tenant = 0;
+  bool Started = false; ///< A slice completed, so StartTime is set.
 };
 
 /// The request-level machinery shared by every replay loop: the
@@ -96,9 +96,10 @@ public:
   size_t append(const workloads::TimedRequest &R, ExperimentDriver &D,
                 size_t Issuer = 0) {
     size_t Idx = Requests.size();
-    Requests.push_back({.KernelIdx = R.KernelIdx,
-                        .Tenant = R.Tenant,
-                        .Issuer = Issuer});
+    ReplayRequest &Rec = Requests.emplace_back();
+    Rec.KernelIdx = R.KernelIdx;
+    Rec.Tenant = R.Tenant;
+    Rec.Issuer = Issuer;
     StreamRequestResult Res;
     Res.RequestIdx = Idx;
     Res.Tenant = R.Tenant;
@@ -157,17 +158,6 @@ public:
       Res.StartTime = Start;
     }
     Res.EndTime = End;
-  }
-
-  /// Records request \p Idx lost at \p At: it ends there, empty, and
-  /// starts there too when no slice of it ever completed.
-  void recordLoss(size_t Idx, double At) {
-    StreamRequestResult &Res = Out.Requests[Idx];
-    if (!Requests[Idx].Started) {
-      Requests[Idx].Started = true;
-      Res.StartTime = At;
-    }
-    Res.EndTime = std::max(Res.EndTime, At);
   }
 
   /// Fail-stop rollback of request \p Idx's in-flight slice, whose view

@@ -12,13 +12,14 @@
 /// bit-identical outcomes, migrations and failures included), the
 /// single-device degeneration (a one-device fleet placed through a real
 /// policy replays runStream/runClosedLoop bit-for-bit), committed
-/// golden fixtures pinning fault-free fleet replays and the one-device
-/// replays behind runStream/runClosedLoop byte-for-byte, and the
-/// resilience machinery: deterministic fault replay, no-lost-requests
-/// while capacity remains (continuous and stride admission), work
-/// conservation across migration and failover, elastic scale-up,
-/// retry-budget exhaustion, whole-fleet outages that park work until a
-/// device returns, and closed-loop scripts draining through faults.
+/// golden fixtures pinning fault-free fleet replays, the one-device
+/// replays behind runStream/runClosedLoop, faulted fleets and the loss
+/// and park paths byte-for-byte, and the resilience machinery:
+/// deterministic fault replay, no-lost-requests while capacity remains
+/// (continuous and stride admission), work conservation across
+/// migration and failover, elastic scale-up, retry-budget exhaustion,
+/// whole-fleet outages that park work until a device returns, and
+/// closed-loop scripts draining through faults.
 ///
 //===----------------------------------------------------------------------===//
 
