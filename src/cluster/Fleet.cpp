@@ -17,6 +17,14 @@ using namespace accel::cluster;
 
 size_t Fleet::addDevice(const sim::DeviceSpec &Spec) {
   size_t Idx = Drivers.size();
+  for (size_t I = 0; I != Idx; ++I) {
+    if (Drivers[I].device() == Spec) {
+      Drivers.push_back(Drivers[I]); // deque: Drivers[I] stays put
+      MeanSolo.push_back(MeanSolo[I]);
+      Rate.push_back(Rate[I]);
+      return Idx;
+    }
+  }
   if (Drivers.empty())
     Drivers.emplace_back(Spec);
   else

@@ -77,8 +77,10 @@ public:
   /// Adds one device to the fleet: a view of it over the fleet's suite
   /// (compiled when the first device is added), and its mean isolated
   /// (solo) kernel duration — the throughput probe
-  /// heterogeneity-aware placement normalizes by. \returns the device's
-  /// fleet index.
+  /// heterogeneity-aware placement normalizes by. A device whose spec
+  /// equals an earlier device's copies that device's view, isolated
+  /// durations included, and its probe instead of re-running them.
+  /// \returns the device's fleet index.
   size_t addDevice(const sim::DeviceSpec &Spec);
 
   size_t size() const { return Drivers.size(); }

@@ -9,6 +9,7 @@
 #include "support/Casting.h"
 
 #include <algorithm>
+#include <set>
 
 using namespace accel;
 using namespace accel::kir;
@@ -29,6 +30,8 @@ static_assert(ord(Op::FDiv) - ord(Op::FAdd) ==
 static_assert(ord(Op::CmpSGE) - ord(Op::CmpEQ) == ord(CmpPred::SGE));
 static_assert(ord(Op::FCmpOGE) - ord(Op::FCmpOEQ) ==
               ord(CmpPred::FOGE) - ord(CmpPred::FOEQ));
+static_assert(ord(Op::PStore8) - ord(Op::PAlloca) ==
+              ord(Op::Store8) - ord(Op::Alloca));
 static_assert(ord(Op::IAbs32) - ord(Op::GlobalId) == ord(BuiltinKind::IAbs));
 static_assert(ord(Op::RtNumGroups) - ord(Op::GlobalId) ==
               ord(BuiltinKind::RtNumGroups) + 1);
@@ -90,10 +93,47 @@ std::optional<Op> pureOp(const Instruction &I) {
   }
 }
 
+/// \returns the register move that replaces memory op \p Memory (Alloca
+/// to Store8) on a promoted scalar.
+Op promoted(Op Memory) {
+  return offset(Op::PAlloca, ord(Memory) - ord(Op::Alloca));
+}
+
+/// \returns the allocas of \p F whose value can live in their own
+/// register: one element, in the entry block with no use ahead of them
+/// there, and every use the pointer of a load or a store. Control enters
+/// the entry block at its top and leaves it only through its terminator,
+/// so every other use runs after the alloca.
+std::set<const Value *> promotableScalars(const Function &F) {
+  std::set<const Value *> Promoted;
+  const BasicBlock *Entry = F.entryBlock();
+  if (!Entry)
+    return Promoted;
+  for (const auto &I : Entry->instructions())
+    if (const auto *A = dyn_cast<AllocaInst>(I.get()); A && A->count() == 1)
+      Promoted.insert(A);
+  std::set<const Value *> Reached; // entry-block instructions passed
+  for (const auto &BB : F.blocks()) {
+    for (const auto &I : BB->instructions()) {
+      for (unsigned K = 0; K != I->numOperands(); ++K) {
+        const Value *V = I->operand(K);
+        bool AsPointer = K == 0 && (I->instKind() == InstKind::Load ||
+                                    I->instKind() == InstKind::Store);
+        if (!AsPointer || (BB.get() == Entry && !Reached.count(V)))
+          Promoted.erase(V);
+      }
+      if (BB.get() == Entry)
+        Reached.insert(I.get());
+    }
+  }
+  return Promoted;
+}
+
 /// Lowers \p F; call sites are left for CodeCache::get to resolve.
 std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
   auto FF = std::make_unique<FlatFunction>();
   FF->F = &F;
+  const std::set<const Value *> Promoted = promotableScalars(F);
 
   // Local-memory layout: each slot 8-byte aligned.
   std::vector<uint64_t> LocalSlotOffsets;
@@ -159,6 +199,10 @@ std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
         break;
       case InstKind::Alloca: {
         const auto &A = cast<AllocaInst>(I);
+        if (Promoted.count(&A)) {
+          FI.Opcode = Op::PAlloca;
+          break;
+        }
         FI.Opcode = Op::Alloca;
         FI.A = Const(A.count() * Type::scalarSizeBytes(A.elemKind()));
         break;
@@ -177,13 +221,18 @@ std::unique_ptr<FlatFunction> lowerFunction(const Function &F) {
         FI.Opcode = I.type().kind() == Type::Kind::I64 ? Op::Load8
                     : Is32                             ? Op::Load4S
                                                        : Op::Load4;
+        if (Promoted.count(I.operand(0)))
+          FI.Opcode = promoted(FI.Opcode);
         break;
-      case InstKind::Store:
-        FI.Opcode = Type::scalarSizeBytes(
-                        cast<StoreInst>(I).value()->type().kind()) == 8
-                        ? Op::Store8
-                        : Op::Store4;
+      case InstKind::Store: {
+        // A pointer value does not verify, but lowers like an i64.
+        Type::Kind K = cast<StoreInst>(I).value()->type().kind();
+        FI.Opcode = K == Type::Kind::I64 || K == Type::Kind::Ptr ? Op::Store8
+                                                                 : Op::Store4;
+        if (Promoted.count(I.operand(0)))
+          FI.Opcode = promoted(FI.Opcode);
         break;
+      }
       case InstKind::Gep:
         FI.Opcode = I.type().elemSizeBytes() == 8 ? Op::Gep8 : Op::Gep4;
         break;

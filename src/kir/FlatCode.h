@@ -19,6 +19,14 @@
 /// the frame is entered. Branch targets are instruction indices. A call
 /// names a call site whose callee's code the CodeCache resolves once.
 ///
+/// A private scalar that is only ever loaded and stored (an alloca of one
+/// element in the entry block, no use ahead of it there, every use the
+/// pointer of a load or a store) is promoted: its alloca's register holds
+/// the scalar's value, not an address, and its alloca, loads and stores
+/// lower to the register moves PAlloca, PLoad* and PStore*. Each is still
+/// one step, and each promoted load or store still one memory operation,
+/// so a launch's ExecStats do not change.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACCEL_KIR_FLATCODE_H
@@ -71,6 +79,12 @@ enum class Op : uint8_t {
   // Memory: alloca reads its byte size from register A; Load4S loads an
   // i32 and sign-extends it, Load4 an f32.
   Alloca, Load4S, Load4, Load8, Store4, Store8, Gep4, Gep8,
+  // Promoted private scalars, in the order of the six memory ops they
+  // replace. The alloca's register (PAlloca's Dst, the loads' and stores'
+  // A) holds the value, not an address: PAlloca zeroes it, a load moves
+  // it to Dst and a store moves B into it, with the width rule of the
+  // memory op (PStore4 keeps the low 32 bits, PLoad4S sign-extends them).
+  PAlloca, PLoad4S, PLoad4, PLoad8, PStore4, PStore8,
   // Control flow: A is the target (Br), the call site (Call) or the
   // returned value (Ret); CondBr jumps to B if A holds nonzero, else C.
   Br, CondBr, Call, Ret, RetVoid,

@@ -342,6 +342,29 @@ SuspendKind Machine::runWorkItem(Group &G, WorkItem &WI) {
         goto Suspend;
       }
       continue;
+    case Op::PAlloca:
+      R[I.Dst] = 0;
+      continue;
+    case Op::PLoad4S:
+      ++Stats.MemoryOps;
+      R[I.Dst] = canonicalizeI32(R[I.A]);
+      continue;
+    case Op::PLoad4:
+      ++Stats.MemoryOps;
+      R[I.Dst] = static_cast<uint32_t>(R[I.A]);
+      continue;
+    case Op::PLoad8:
+      ++Stats.MemoryOps;
+      R[I.Dst] = R[I.A];
+      continue;
+    case Op::PStore4:
+      ++Stats.MemoryOps;
+      R[I.A] = static_cast<uint32_t>(R[I.B]);
+      continue;
+    case Op::PStore8:
+      ++Stats.MemoryOps;
+      R[I.A] = R[I.B];
+      continue;
     case Op::Gep4:
       R[I.Dst] = R[I.A] + R[I.B] * 4;
       continue;

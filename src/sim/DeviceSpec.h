@@ -54,6 +54,9 @@ struct DeviceSpec {
   double DequeueCycles = 0;
   KernelAdmissionKind Admission = KernelAdmissionKind::GreedyTail;
 
+  /// Equal specs model the same device: every launch runs the same way.
+  bool operator==(const DeviceSpec &) const = default;
+
   uint64_t totalThreads() const { return NumCUs * MaxThreadsPerCU; }
   uint64_t totalLocalMem() const { return NumCUs * LocalMemPerCU; }
   uint64_t totalRegs() const { return NumCUs * RegsPerCU; }

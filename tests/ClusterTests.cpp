@@ -1057,6 +1057,32 @@ TEST_F(ClusterTest, FleetMeasuresHeterogeneity) {
   EXPECT_GT(fleet().serviceRate(1), fleet().serviceRate(0));
 }
 
+TEST(FleetTest, EqualDevicesCopyTheEarlierProbe) {
+  // Device 2 repeats device 0's spec, so it copies device 0's view and
+  // solo probe: both read exactly what a one-K20m fleet measures.
+  Fleet Mixed, Alone;
+  Mixed.addDevice(sim::DeviceSpec::nvidiaK20m());
+  Mixed.addDevice(sim::DeviceSpec::amdR9295X2());
+  Mixed.addDevice(sim::DeviceSpec::nvidiaK20m());
+  Alone.addDevice(sim::DeviceSpec::nvidiaK20m());
+  EXPECT_FALSE(Mixed.device(1) == Mixed.device(0));
+  for (size_t D : {size_t(0), size_t(2)}) {
+    EXPECT_TRUE(Mixed.device(D) == Alone.device(0));
+    EXPECT_EQ(Mixed.driver(D).suite(), Mixed.driver(0).suite());
+    EXPECT_EQ(Mixed.meanSoloDuration(D), Alone.meanSoloDuration(0));
+    EXPECT_EQ(Mixed.serviceRate(D), Alone.serviceRate(0));
+    for (SchedulerKind Kind :
+         {SchedulerKind::Baseline, SchedulerKind::ElasticKernels,
+          SchedulerKind::AccelOSNaive, SchedulerKind::AccelOSOptimized})
+      for (size_t K = 0; K != Alone.driver(0).numKernels(); ++K)
+        EXPECT_EQ(Mixed.driver(D).isolatedDuration(Kind, K),
+                  Alone.driver(0).isolatedDuration(Kind, K))
+            << "device " << D << " " << harness::schedulerName(Kind)
+            << " kernel "
+            << K;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Failure injection, migration, and elasticity
 //===----------------------------------------------------------------------===//

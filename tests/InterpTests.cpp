@@ -4,8 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "kir/FlatCode.h"
 #include "kir/IRBuilder.h"
 #include "kir/RtLayout.h"
+#include "kir/Verifier.h"
+#include "minicl/Lexer.h"
 #include "passes/AccelOSTransform.h"
 #include "passes/ConstantFold.h"
 #include "passes/DCE.h"
@@ -18,6 +21,9 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <bit>
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -745,6 +751,210 @@ TEST(InterpTest, LaunchHeapAllocationsIndependentOfWorkItemsAndCalls) {
 }
 
 //===----------------------------------------------------------------------===//
+// Private scalars kept in registers
+//===----------------------------------------------------------------------===//
+
+/// \returns the opcode each instruction of \p F lowers to.
+std::map<const kir::Value *, kir::Op> loweredOps(const kir::Function &F) {
+  kir::CodeCache Cache;
+  const kir::FlatFunction &FF = Cache.get(F);
+  std::map<const kir::Value *, kir::Op> Ops;
+  size_t Idx = 0;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      Ops[I.get()] = FF.Code[Idx++].Opcode;
+  return Ops;
+}
+
+/// Appends to \p BB a load of an i32 alloca, then the alloca itself.
+/// \returns the alloca.
+kir::Value *loadThenAlloca(kir::IRBuilder &B, kir::BasicBlock *BB) {
+  auto Alloca = std::make_unique<kir::AllocaInst>(kir::Type::Kind::I32, 1);
+  kir::Value *A = Alloca.get();
+  B.load(A, "early");
+  BB->append(std::move(Alloca));
+  return A;
+}
+
+TEST(InterpTest, PromotesScalarsUsedOnlyThroughLoadsAndStores) {
+  // Storing a pointer does not verify (no pointer is a storable scalar),
+  // so this function is lowered, not run.
+  using namespace kir;
+  Module M("m");
+  const Type I32Ptr = Type::ptr(Type::Kind::I32, AddrSpaceKind::Private);
+  Function *Sink = M.createFunction("sink", Type::voidTy(), false);
+  Sink->addArgument(I32Ptr, "p");
+  IRBuilder SB(Sink);
+  SB.setInsertPoint(SB.createBlock("entry"));
+  SB.retVoid();
+
+  Function *K = M.createFunction("k", Type::voidTy(), true);
+  Argument *Out =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "out");
+  IRBuilder B(K);
+  BasicBlock *Entry = B.createBlock("entry");
+  BasicBlock *Later = B.createBlock("later");
+  B.setInsertPoint(Entry);
+  Value *Late = loadThenAlloca(B, Entry);
+  B.store(Late, B.i32Const(1));
+  Value *I32 = B.allocaVar(Type::Kind::I32, 1, "i32");
+  Value *F32 = B.allocaVar(Type::Kind::F32, 1, "f32");
+  Value *I64 = B.allocaVar(Type::Kind::I64, 1, "i64");
+  Value *Indexed = B.allocaVar(Type::Kind::I32, 1, "indexed");
+  Value *Passed = B.allocaVar(Type::Kind::I32, 1, "passed");
+  Value *Escaped = B.allocaVar(Type::Kind::I64, 1, "escaped");
+  Value *Array = B.allocaVar(Type::Kind::I32, 2, "array");
+  for (Value *P : {I32, Indexed, Passed, Array}) {
+    B.store(P, B.i32Const(-7));
+    B.load(P);
+  }
+  B.store(F32, B.f32Const(0.5f));
+  B.load(F32);
+  for (Value *P : {I64, Escaped}) {
+    B.store(P, B.i64Const(int64_t(1) << 40));
+    B.load(P);
+  }
+  B.gep(Indexed, B.i64Const(0));
+  B.call(Sink, {Passed});
+  B.store(Out, Escaped);
+  B.br(Later);
+  B.setInsertPoint(Later);
+  Value *Nested = B.allocaVar(Type::Kind::I32, 1, "nested");
+  B.store(Nested, B.i32Const(3));
+  B.load(Nested);
+  B.retVoid();
+
+  // Each alloca's opcode, then those of the loads and stores through it.
+  std::map<const Value *, Op> Ops = loweredOps(*K);
+  std::map<const Value *, std::vector<Op>> OpsOf;
+  for (const auto &BB : K->blocks()) {
+    for (const auto &I : BB->instructions()) {
+      if (I->instKind() == InstKind::Alloca)
+        OpsOf[I.get()].insert(OpsOf[I.get()].begin(), Ops.at(I.get()));
+      if (I->instKind() == InstKind::Load || I->instKind() == InstKind::Store)
+        OpsOf[I->operand(0)].push_back(Ops.at(I.get()));
+    }
+  }
+  using Ops3 = std::vector<Op>;
+  EXPECT_EQ(OpsOf[I32], (Ops3{Op::PAlloca, Op::PStore4, Op::PLoad4S}));
+  EXPECT_EQ(OpsOf[F32], (Ops3{Op::PAlloca, Op::PStore4, Op::PLoad4}));
+  EXPECT_EQ(OpsOf[I64], (Ops3{Op::PAlloca, Op::PStore8, Op::PLoad8}));
+  for (Value *Kept : {Indexed, Passed, Array, Nested})
+    EXPECT_EQ(OpsOf[Kept], (Ops3{Op::Alloca, Op::Store4, Op::Load4S}))
+        << Kept->name();
+  EXPECT_EQ(OpsOf[Escaped], (Ops3{Op::Alloca, Op::Store8, Op::Load8}));
+  EXPECT_EQ(OpsOf[Late], (Ops3{Op::Alloca, Op::Load4S, Op::Store4}));
+}
+
+TEST(InterpTest, PromotedScalarsKeepMemorySemantics) {
+  // Every private scalar of k is promoted. out[0] reads x before its
+  // first store, out[1] a negative i32 through it, out[2] and out[3] two
+  // calls whose callee's scalar must start at 0 each time, out[4] an i64
+  // wider than 32 bits, and fout[0] the bits of a negative denormal.
+  using namespace kir;
+  Module M("m");
+  Function *Callee = M.createFunction("swap_in", Type::i32(), false);
+  Argument *In = Callee->addArgument(Type::i32(), "in");
+  IRBuilder CB(Callee);
+  CB.setInsertPoint(CB.createBlock("entry"));
+  Value *S = CB.allocaVar(Type::Kind::I32, 1, "s");
+  Value *Old = CB.load(S, "old");
+  CB.store(S, In);
+  Value *New = CB.load(S, "new");
+  CB.ret(CB.add(CB.mul(Old, CB.i32Const(100)), New));
+
+  Function *K = M.createFunction("k", Type::voidTy(), true);
+  Argument *Out =
+      K->addArgument(Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "out");
+  Argument *FOut =
+      K->addArgument(Type::ptr(Type::Kind::F32, AddrSpaceKind::Global), "fout");
+  IRBuilder B(K);
+  B.setInsertPoint(B.createBlock("entry"));
+  int64_t Slot = 0;
+  auto Emit = [&](Value *V) {
+    if (V->type().kind() == Type::Kind::I32)
+      V = B.cast(CastKind::SExt, V, Type::i64());
+    B.store(B.gep(Out, B.i64Const(Slot++)), V);
+  };
+  Value *X = B.allocaVar(Type::Kind::I32, 1, "x");
+  Emit(B.load(X));
+  B.store(X, B.i32Const(-5));
+  Emit(B.load(X));
+  Emit(B.call(Callee, {B.i32Const(3)}));
+  Emit(B.call(Callee, {B.i32Const(4)}));
+  Value *L = B.allocaVar(Type::Kind::I64, 1, "l");
+  B.store(L, B.i64Const(-(int64_t(1) << 40)));
+  Emit(B.load(L));
+  const uint32_t Denormal = 0x80000001u;
+  Value *F = B.allocaVar(Type::Kind::F32, 1, "f");
+  B.store(F, B.f32Const(std::bit_cast<float>(Denormal)));
+  B.store(FOut, B.load(F));
+  B.retVoid();
+  ASSERT_FALSE(static_cast<bool>(verifyModule(M)));
+  std::map<const Value *, Op> Ops = loweredOps(*K);
+  for (Value *Scalar : {X, L, F})
+    EXPECT_EQ(Ops.at(Scalar), Op::PAlloca) << Scalar->name();
+
+  KernelHarness H;
+  uint64_t POut = cantFail(H.Mem.allocate(8 * 5));
+  uint64_t PFOut = cantFail(H.Mem.allocate(4));
+  NDRangeCfg Range;
+  Range.GlobalSize[0] = 4;
+  Range.LocalSize[0] = 2;
+  Expected<ExecStats> Stats = H.Interp.run(*K, {POut, PFOut}, Range);
+  ASSERT_TRUE(static_cast<bool>(Stats)) << Stats.message();
+  std::vector<int64_t> Got(5);
+  H.Mem.copyOut(POut, Got.data(), 8 * Got.size());
+  EXPECT_EQ(Got, (std::vector<int64_t>{0, -5, 3, 4, -(int64_t(1) << 40)}));
+  EXPECT_EQ(H.Mem.readU32(PFOut), Denormal);
+  // Per work item: k runs 28 instructions, 13 of them loads or stores,
+  // and each call runs swap_in's 7, 3 of them loads or stores.
+  EXPECT_EQ(Stats->InstsExecuted, 4u * (28 + 2 * 7));
+  EXPECT_EQ(Stats->MemoryOps, 4u * (13 + 2 * 3));
+
+  // An entry block that branches back to itself runs its alloca again,
+  // which yields a fresh zeroed scalar each pass: out[0] sums what x
+  // reads before each pass stores 9, over the three passes out[1] counts.
+  Function *Again = M.createFunction("again", Type::voidTy(), true);
+  Argument *Acc = Again->addArgument(
+      Type::ptr(Type::Kind::I64, AddrSpaceKind::Global), "acc");
+  IRBuilder AB(Again);
+  BasicBlock *Loop = AB.createBlock("entry");
+  BasicBlock *Exit = AB.createBlock("exit");
+  AB.setInsertPoint(Loop);
+  Value *Fresh = AB.allocaVar(Type::Kind::I32, 1, "fresh");
+  Value *Read = AB.cast(CastKind::SExt, AB.load(Fresh), Type::i64());
+  AB.store(Acc, AB.add(AB.load(Acc), Read));
+  AB.store(Fresh, AB.i32Const(9));
+  Value *Count = AB.gep(Acc, AB.i64Const(1));
+  Value *Passes = AB.add(AB.load(Count), AB.i64Const(1));
+  AB.store(Count, Passes);
+  AB.condBr(AB.cmp(CmpPred::SLT, Passes, AB.i64Const(3)), Loop, Exit);
+  AB.setInsertPoint(Exit);
+  AB.retVoid();
+  ASSERT_FALSE(static_cast<bool>(verifyFunction(*Again)));
+  EXPECT_EQ(loweredOps(*Again).at(Fresh), Op::PAlloca);
+  H.Mem.writeU64(POut, 0);
+  H.Mem.writeU64(POut + 8, 0);
+  EXPECT_EQ(trapOf(H.Interp, *Again, {POut}), "");
+  EXPECT_EQ(H.Mem.readU64(POut), 0u);
+  EXPECT_EQ(H.Mem.readU64(POut + 8), 3u);
+
+  // A load ahead of its alloca in the entry block reads the register
+  // before it holds an address: the alloca stays in memory and the load
+  // traps on the null pointer.
+  Function *Early = M.createFunction("early", Type::voidTy(), true);
+  IRBuilder EB(Early);
+  BasicBlock *Entry = EB.createBlock("entry");
+  EB.setInsertPoint(Entry);
+  EB.store(loadThenAlloca(EB, Entry), EB.i32Const(1));
+  EB.retVoid();
+  EXPECT_EQ(trapOf(H.Interp, *Early, {}),
+            "kernel trap in group 0: global memory load out of bounds "
+            "(addr 0)");
+}
+
+//===----------------------------------------------------------------------===//
 // accelOS runtime builtins on a malformed descriptor
 //===----------------------------------------------------------------------===//
 
@@ -824,6 +1034,43 @@ uint64_t fnv1a(const void *Data, size_t Size,
   return Hash;
 }
 
+/// A kernel's launch arguments as the suite runs make them.
+struct SeededArgs {
+  std::vector<uint64_t> Args;
+  std::vector<std::pair<uint64_t, uint64_t>> Buffers; // address, bytes
+};
+
+/// Builds arguments for the first \p NumArgs parameters of \p K: a
+/// buffer of \p Elems seeded elements per pointer (integers in [0, 8),
+/// floats a quarter of that), 1.5 per float and 4 per integer.
+SeededArgs seedArgs(kir::DeviceMemory &Mem, const kir::Function &K,
+                    unsigned NumArgs, uint64_t Elems, uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  SeededArgs Out;
+  for (unsigned A = 0; A != NumArgs; ++A) {
+    const kir::Type &Ty = K.argument(A)->type();
+    if (!Ty.isPtr()) {
+      Out.Args.push_back(Ty.isFloat() ? kir::Constant::encodeFloat(1.5f) : 4);
+      continue;
+    }
+    unsigned Size = Ty.elemSizeBytes();
+    uint64_t Addr = cantFail(Mem.allocate(Elems * Size));
+    for (uint64_t E = 0; E != Elems; ++E) {
+      uint64_t V = Rng.nextBelow(8);
+      if (Ty.elemKind() == kir::Type::Kind::F32)
+        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(
+                                       kir::Constant::encodeFloat(0.25f * V)));
+      else if (Size == 4)
+        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(V));
+      else
+        Mem.writeU64(Addr + 8 * E, V);
+    }
+    Out.Args.push_back(Addr);
+    Out.Buffers.push_back({Addr, Elems * Size});
+  }
+  return Out;
+}
+
 /// Runs suite kernel \p Idx over 4 original groups of its work-group size,
 /// either as compiled or through the Runtime's JIT pipeline on 2 physical
 /// groups with batch 2, and \returns the run's golden line: a hash of
@@ -847,33 +1094,9 @@ std::string suiteRunLine(kir::DeviceMemory &Mem, kir::Interpreter &Interp,
   Orig.GlobalSize[0] = 4 * Spec.WGSize;
   Orig.LocalSize[0] = Spec.WGSize;
 
-  // Seeded inputs: integers in [0, 8), floats a quarter of that.
-  uint64_t Elems = 32 * Orig.GlobalSize[0] + 4096;
-  SplitMix64 Rng(0x5eed + Idx);
-  std::vector<uint64_t> Args;
-  std::vector<std::pair<uint64_t, uint64_t>> Buffers; // address, bytes
-  unsigned NumArgs = K->numArguments() - (Jit ? 1 : 0);
-  for (unsigned A = 0; A != NumArgs; ++A) {
-    const kir::Type &Ty = K->argument(A)->type();
-    if (!Ty.isPtr()) {
-      Args.push_back(Ty.isFloat() ? kir::Constant::encodeFloat(1.5f) : 4);
-      continue;
-    }
-    unsigned Size = Ty.elemSizeBytes();
-    uint64_t Addr = cantFail(Mem.allocate(Elems * Size));
-    for (uint64_t E = 0; E != Elems; ++E) {
-      uint64_t V = Rng.nextBelow(8);
-      if (Ty.elemKind() == kir::Type::Kind::F32)
-        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(
-                                       kir::Constant::encodeFloat(0.25f * V)));
-      else if (Size == 4)
-        Mem.writeU32(Addr + 4 * E, static_cast<uint32_t>(V));
-      else
-        Mem.writeU64(Addr + 8 * E, V);
-    }
-    Args.push_back(Addr);
-    Buffers.push_back({Addr, Elems * Size});
-  }
+  auto [Args, Buffers] =
+      seedArgs(Mem, *K, K->numArguments() - (Jit ? 1 : 0),
+               32 * Orig.GlobalSize[0] + 4096, 0x5eed + Idx);
 
   kir::NDRangeCfg Range = Orig;
   uint64_t Rt = 0;
@@ -939,6 +1162,86 @@ TEST(InterpTest, SuiteMatchesGolden) {
   std::ostringstream Want;
   Want << In.rdbuf();
   EXPECT_EQ(Got, Want.str());
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile kernel source
+//===----------------------------------------------------------------------===//
+
+TEST(InterpTest, TokenDeletionMutantsFailSoft) {
+  // Every single-token deletion of every suite kernel (barriers,
+  // atomics, loops, helper calls) and of one kernel with a private array,
+  // which no suite kernel has. A mutant the front end rejects yields an
+  // Error (a mutant without the kernel entry counts as rejected too); one
+  // that compiles runs on a fresh interpreter with the suite runs'
+  // arguments and must trap or finish, never abort.
+  struct Subject {
+    std::string Source, KernelName;
+    uint64_t WGSize;
+  };
+  std::vector<Subject> Subjects;
+  for (const workloads::KernelSpec &Spec : workloads::parboilSuite())
+    Subjects.push_back({Spec.Source, Spec.KernelName, Spec.WGSize});
+  Subjects.push_back({R"(
+    kernel void priv(global const int* in, global int* out, int n) {
+      long gid = get_global_id(0);
+      int a[8];
+      for (int i = 0; i < 8; i++) {
+        a[i] = in[(gid + (long)i) % (long)n] * i;
+      }
+      int s = 0;
+      for (int i = 0; i < 8; i++) {
+        s += a[(i * 3) % 8];
+      }
+      out[gid] = s;
+    }
+  )",
+                      "priv", 64});
+
+  unsigned Rejected = 0, Trapped = 0, Ran = 0;
+  for (const Subject &S : Subjects) {
+    Expected<std::vector<minicl::Token>> Tokens =
+        minicl::Lexer(S.Source).tokenize();
+    ASSERT_TRUE(static_cast<bool>(Tokens)) << Tokens.message();
+    std::vector<size_t> LineStart = {0, 0}; // Lines count from 1.
+    for (size_t I = 0; I != S.Source.size(); ++I)
+      if (S.Source[I] == '\n')
+        LineStart.push_back(I + 1);
+    auto OffsetOf = [&](const minicl::Token &T) {
+      return LineStart[T.Line] + T.Column - 1;
+    };
+    // A token spans from its start to the next token's, less whitespace.
+    for (size_t T = 0; T + 1 < Tokens->size(); ++T) {
+      size_t Begin = OffsetOf((*Tokens)[T]);
+      size_t End = OffsetOf((*Tokens)[T + 1]);
+      while (End > Begin && std::isspace(static_cast<unsigned char>(
+                                S.Source[End - 1])))
+        --End;
+      std::string Mutant = S.Source.substr(0, Begin) + S.Source.substr(End);
+      Expected<std::unique_ptr<kir::Module>> M =
+          minicl::compileSource("mutant", Mutant);
+      kir::Function *K = M ? (*M)->getFunction(S.KernelName) : nullptr;
+      if (!K || !K->isKernel()) {
+        ++Rejected;
+        continue;
+      }
+      kir::DeviceMemory Mem(16ull << 20);
+      kir::Interpreter Interp(Mem);
+      Interp.setMaxStepsPerWorkItem(1 << 14);
+      kir::NDRangeCfg Range;
+      Range.GlobalSize[0] = 2 * S.WGSize;
+      Range.LocalSize[0] = S.WGSize;
+      SeededArgs In = seedArgs(Mem, *K, K->numArguments(),
+                               32 * Range.GlobalSize[0] + 4096, T);
+      Expected<kir::ExecStats> Stats = Interp.run(*K, In.Args, Range);
+      ++(Stats ? Ran : Trapped);
+    }
+  }
+  std::printf("token deletions: %u rejected, %u trapped, %u ran\n", Rejected,
+              Trapped, Ran);
+  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(Trapped, 0u);
+  EXPECT_GT(Ran, 0u);
 }
 
 } // namespace
