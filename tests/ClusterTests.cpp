@@ -28,14 +28,13 @@
 #include "metrics/Metrics.h"
 #include "workloads/Arrivals.h"
 
+#include "Golden.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <random>
-#include <sstream>
 
 using namespace accel;
 using namespace accel::cluster;
@@ -425,12 +424,7 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
           fleet(), *P, ClusterWorkload::closedLoop(Script), COpts);
   Emit("closed-loop-least-loaded", O);
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/cluster_fault_free.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("cluster_fault_free", Got));
 }
 
 TEST_F(ClusterTest, SingleDeviceAccelosMatchesGolden) {
@@ -502,12 +496,7 @@ TEST_F(ClusterTest, SingleDeviceAccelosMatchesGolden) {
        harness::runClosedLoop(D, SchedulerKind::AccelOSOptimized, Script,
                               COpts));
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/single_device_accelos.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("single_device_accelos", Got));
 }
 
 TEST_F(ClusterTest, DeepQueuesMatchGolden) {
@@ -630,12 +619,7 @@ TEST_F(ClusterTest, DeepQueuesMatchGolden) {
       static_cast<unsigned long long>(O.RequestedWGs),
       static_cast<unsigned long long>(O.ExecutedWGs));
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/deep_queues.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("deep_queues", Got));
 }
 
 TEST_F(ClusterTest, ScaleReplayMatchesGolden) {
@@ -704,12 +688,7 @@ TEST_F(ClusterTest, ScaleReplayMatchesGolden) {
   Emit("stride",
        harness::runStream(D, SchedulerKind::AccelOSOptimized, Trace, SOpts));
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/scale_replay.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("scale_replay", Got));
 }
 
 TEST_F(ClusterTest, FleetOutagesMatchGolden) {
@@ -784,12 +763,7 @@ TEST_F(ClusterTest, FleetOutagesMatchGolden) {
   EXPECT_GT(Closed.Stream.WeightUpdates, 0u);
   appendFleetRun(Got, "closed-loop-adaptive", Closed);
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/fleet_outages.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("fleet_outages", Got));
 }
 
 TEST_F(ClusterTest, FleetLossesMatchGolden) {
@@ -851,12 +825,7 @@ TEST_F(ClusterTest, FleetLossesMatchGolden) {
     appendFleetRun(Got, "elastic-join", O);
   }
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/fleet_losses.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("fleet_losses", Got));
 }
 
 TEST_F(ClusterTest, SingleDeviceFleetMatchesRunStreamContinuous) {

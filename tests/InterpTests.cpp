@@ -17,6 +17,7 @@
 #include "support/Random.h"
 #include "workloads/KernelSpec.h"
 
+#include "Golden.h"
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
@@ -25,7 +26,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
 #include <numeric>
 #include <sstream>
@@ -1156,12 +1156,7 @@ TEST(InterpTest, SuiteMatchesGolden) {
     for (bool Jit : {false, true})
       Got += suiteRunLine(Mem, Interp, Idx, Jit);
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/interpreter_suite.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("interpreter_suite", Got));
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,13 +23,12 @@
 #include "metrics/Metrics.h"
 #include "workloads/Arrivals.h"
 
+#include "Golden.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 using namespace accel;
 using namespace accel::harness;
@@ -485,12 +484,7 @@ TEST(SingleDeviceBaselinesTest, MatchesGolden) {
     }
   }
 
-  std::ifstream In(std::string(ACCEL_SOURCE_DIR) +
-                   "/tests/golden/single_device_baselines.golden");
-  ASSERT_TRUE(In.good()) << "golden fixture missing";
-  std::ostringstream Want;
-  Want << In.rdbuf();
-  EXPECT_EQ(Got, Want.str());
+  EXPECT_TRUE(testutil::matchesGolden("single_device_baselines", Got));
 }
 
 //===----------------------------------------------------------------------===//
