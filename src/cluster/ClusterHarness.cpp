@@ -60,6 +60,10 @@ struct DeviceState {
   /// unit per device there.
   double NextEvent = -1;
   bool Busy = false;
+  /// Busy time is a sum of busy intervals, each opened and closed at
+  /// the merged time where refresh() sees Busy flip, so it does not
+  /// depend on how finely the merged clock steps in between.
+  double BusySince = 0;
   double BusyTime = 0;
   size_t PlacedRequests = 0;
 };
@@ -219,7 +223,7 @@ public:
       catchUp(DS, T);
       while (DS.NeedAdmit)
         DS.NeedAdmit = detail::admissionPass(*DS.Sched, *DS.Session, RS, T);
-      refresh(DS);
+      refresh(DS, T);
     }
   }
 
@@ -246,21 +250,19 @@ public:
 #endif
   }
 
-  /// Moves the merged clock from \p T to \p Target: accounts every
-  /// device's busy time and steps the sessions with an event due by
-  /// then, reacting to their completions. The others only lag.
+  /// Moves the merged clock from \p T to \p Target: steps the
+  /// sessions with an event due by then, reacting to their completions.
+  /// The others only lag.
   void advanceAll(double T, double Target) {
     double NewNow = std::max(Target, T);
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
-      if (DS.Busy)
-        DS.BusyTime += NewNow - T;
       if (DS.NextEvent < 0 || DS.NextEvent > NewNow)
         continue;
       // The reactions below touch schedulers and the policy, never a
       // session, so one completion buffer serves every device.
       DS.Session->advanceTo(NewNow, RS.CompletionBuf);
-      refresh(DS);
+      refresh(DS, NewNow);
       for (const sim::KernelExecResult &K : RS.CompletionBuf) {
         size_t Idx = static_cast<size_t>(K.AppId);
         RS.recordSlice(Idx, K.StartTime, K.EndTime);
@@ -297,6 +299,7 @@ public:
     RS.finalize();
     Out.Devices.resize(Devices.size());
     for (size_t D = 0; D != Devices.size(); ++D) {
+      assert(!Devices[D].Busy && "a device still busy after the last request");
       ClusterDeviceOutcome &DO = Out.Devices[D];
       const accelos::SchedulerStats &S = Devices[D].Sched->stats();
       DO.Name = Fleet[D].Driver->device().Name;
@@ -319,9 +322,18 @@ private:
     detail::submitRequest(*Devices[D].Sched, RS, Idx);
   }
 
-  static void refresh(DeviceState &DS) {
+  /// Re-reads \p DS's cached session state at merged time \p At; a
+  /// flip of Busy opens or closes a busy interval there.
+  static void refresh(DeviceState &DS, double At) {
     DS.NextEvent = DS.Session->nextEventTime();
-    DS.Busy = DS.Session->inFlight() > 0;
+    bool Busy = DS.Session->inFlight() > 0;
+    if (Busy == DS.Busy)
+      return;
+    if (Busy)
+      DS.BusySince = At;
+    else
+      DS.BusyTime += At - DS.BusySince;
+    DS.Busy = Busy;
   }
 
   /// Brings \p DS's session, which the loop may have left lagging, to
@@ -426,7 +438,7 @@ private:
       DS.Sched->complete(Idx);
       RS.rollbackSlice(Idx, L.ViewBegin);
     }
-    refresh(DS);
+    refresh(DS, T);
     DS.Sched->clear(); // Queued-but-unadmitted requests.
     DS.NeedAdmit = false;
     // Displace in request-index order: determinism over map order.

@@ -367,8 +367,9 @@ TEST_F(ClusterTest, FaultFreeReplayMatchesPreRedesignGolden) {
   // behaviorally invisible on fault-free traces. The fixture was
   // emitted by the pre-redesign harness (snapshot-based place(),
   // duplicated open/closed-loop loops) with hexfloat formatting, so
-  // every placement, timestamp, busy time, and scheduler counter is
-  // compared to the old implementation bit-for-bit.
+  // every placement, timestamp, and scheduler counter is compared to
+  // the old implementation bit-for-bit. The busy times were re-emitted
+  // (each one ulp) when busy time became a sum of busy intervals.
   std::string Got;
   char Buf[512];
   auto Add = [&](const char *Fmt, auto... Args) {
@@ -513,6 +514,8 @@ TEST_F(ClusterTest, DeepQueuesMatchGolden) {
   // index replaced a full window scan and ordered trees; re-emitted
   // under the engine's (time, CU index) order of equal-time leg ends,
   // which moved both wave runs and left the faulted fleet as it was.
+  // The faulted fleet's busy times moved one ulp each when busy time
+  // became a sum of busy intervals; no request record did.
   std::string Got;
   char Buf[512];
   auto Add = [&](const char *Fmt, auto... Args) {
@@ -774,7 +777,8 @@ TEST_F(ClusterTest, FleetLossesMatchGolden) {
   // returns; arrivals parked unplaced through a full outage, then
   // placed at the rejoin; and a device whose first plan event is Up.
   // Same hexfloat format as fleet_outages, emitted before the fleet
-  // replay kept one record per request.
+  // replay kept one record per request. The elastic join's busy times
+  // moved one ulp each when busy time became a sum of busy intervals.
   std::string Got;
   {
     // RetryBudgetExhaustionLosesDisplacedRequests.
