@@ -547,6 +547,9 @@ public:
   /// caller should re-read weights for subsequent submissions).
   bool maybeUpdate(double Now);
 
+  /// The earliest time at which maybeUpdate() runs the control law.
+  double nextUpdate() const { return NextUpdate; }
+
   /// The effective solver weight of \p Tenant: static base x boost.
   double weight(int Tenant) const;
 

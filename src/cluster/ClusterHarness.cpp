@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -28,6 +29,7 @@ namespace {
 constexpr size_t NoDevice = static_cast<size_t>(-1);
 /// Binding::Fault of a request no fault's recovery waits on.
 constexpr size_t NoFault = static_cast<size_t>(-1);
+constexpr double Inf = std::numeric_limits<double>::infinity();
 
 /// One device of a replay: its view plus the two probes placement
 /// reads. runClusterReplay fills the list from its Fleet, whose views
@@ -87,11 +89,19 @@ struct Binding {
 /// fleet-capacity events due at the current merged time, (2) places and
 /// submits every arrival due from the arrival source, (3) runs the
 /// pending admission passes device by device, (4) moves the merged
-/// clock to the earliest next event anywhere in the fleet, stepping
-/// only the sessions with an event due there and reacting to their
-/// completions (and, at those quantum-slice boundaries, deciding
-/// migrations). A session with nothing due lags behind the merged
-/// clock until the replay next touches it.
+/// clock on to the next instant the fleet must see. The device with the
+/// earliest next event runs ahead, bounded by the next event anywhere
+/// else: another device's, the next arrival, the next fleet-plan event.
+/// Until then its leg events touch only its own session, so it runs on
+/// to the first instant that completes a launch (or at which the SLO
+/// controller's next update is due), and the merged clock moves there.
+/// Every other device with an event due at that instant steps to it,
+/// and the completions are reacted to in fleet order (deciding
+/// migrations at those quantum-slice boundaries). A session with
+/// nothing due lags behind the merged clock until the replay next
+/// touches it; none runs past it. A device's busy time is a sum of busy
+/// intervals, opened and closed where the loop sees its session's
+/// in-flight state flip.
 ///
 /// Every request gets each device through bind() — its first placement,
 /// a failover, a migration — and ends exactly once through settle():
@@ -171,10 +181,6 @@ public:
     return false;
   }
 
-  double nextPlanTime() const {
-    return PlanCursor != Plan.size() ? Plan[PlanCursor].Time : -1;
-  }
-
   /// Applies every scripted fleet event due at merged time \p T, in
   /// plan order — before the arrivals of the same instant, so a
   /// request arriving the moment a device dies never lands on it.
@@ -227,43 +233,68 @@ public:
     }
   }
 
-  /// The earliest pending event anywhere in the fleet, or negative
-  /// when every session is idle. (A dead device's session is idle by
-  /// construction: cancelAll emptied it.)
-  double nextFleetEvent() const {
-    double Next = -1;
-    for (const DeviceState &DS : Devices)
-      if (DS.NextEvent >= 0 && (Next < 0 || DS.NextEvent < Next))
-        Next = DS.NextEvent;
-    return Next;
-  }
-
-  /// Debug builds: every device's cached session state is current.
-  void checkCached() const {
+  /// Debug builds: every device's cached session state is current, and
+  /// no session has run past merged time \p T.
+  void checkCached([[maybe_unused]] double T) const {
 #ifndef NDEBUG
     for (const DeviceState &DS : Devices) {
       assert(DS.NextEvent == DS.Session->nextEventTime() &&
              "cached next event time out of date");
       assert(DS.Busy == (DS.Session->inFlight() > 0) &&
              "cached in-flight flag out of date");
+      assert(DS.Session->now() <= T && "a session ran past the merged clock");
     }
 #endif
   }
 
-  /// Moves the merged clock from \p T to \p Target: steps the
-  /// sessions with an event due by then, reacting to their completions.
-  /// The others only lag.
-  void advanceAll(double T, double Target) {
-    double NewNow = std::max(Target, T);
+  /// Moves the merged clock on from \p T to the next instant the fleet
+  /// must see, stepping the devices with an event due by then and
+  /// reacting to their completions (the class comment's step 4).
+  /// \returns the new merged time.
+  double advanceAll(double T) {
+    // The device with the earliest next event (the first in fleet order
+    // on a tie) leads; every other pending event bounds its run. Equal
+    // times are inclusive, so tied devices step together.
+    double Bound = Src.empty() ? Inf : Src.nextTime();
+    if (PlanCursor != Plan.size())
+      Bound = std::min(Bound, Plan[PlanCursor].Time);
+    size_t Lead = NoDevice;
+    double LeadAt = Inf;
+    for (size_t D = 0; D != Devices.size(); ++D) {
+      double Next = Devices[D].NextEvent;
+      if (Next < 0)
+        continue;
+      if (Next < LeadAt) {
+        Bound = std::min(Bound, LeadAt);
+        Lead = D;
+        LeadAt = Next;
+      } else {
+        Bound = std::min(Bound, Next);
+      }
+    }
+    double NewNow = Bound;
+    if (Lead != NoDevice && LeadAt <= Bound) {
+      sim::EngineSession &S = *Devices[Lead].Session;
+      S.advanceUntil(Bound, Ctl ? Ctl->nextUpdate() : Inf, LeadDone);
+      NewNow = S.now();
+    } else {
+      Lead = NoDevice;
+    }
+    NewNow = std::max(NewNow, T);
+    assert(NewNow != Inf && "replay stalled with unfinished requests");
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
-      if (DS.NextEvent < 0 || DS.NextEvent > NewNow)
-        continue;
-      // The reactions below touch schedulers and the policy, never a
-      // session, so one completion buffer serves every device.
-      DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+      const std::vector<sim::KernelExecResult> *Done = &LeadDone;
+      if (D != Lead) {
+        if (DS.NextEvent < 0 || DS.NextEvent > NewNow)
+          continue;
+        // The reactions below touch schedulers and the policy, never a
+        // session, so one completion buffer serves every other device.
+        DS.Session->advanceTo(NewNow, RS.CompletionBuf);
+        Done = &RS.CompletionBuf;
+      }
       refresh(DS, NewNow);
-      for (const sim::KernelExecResult &K : RS.CompletionBuf) {
+      for (const sim::KernelExecResult &K : *Done) {
         size_t Idx = static_cast<size_t>(K.AppId);
         RS.recordSlice(Idx, K.StartTime, K.EndTime);
         DS.Sched->complete(Idx);
@@ -289,6 +320,7 @@ public:
     }
     if (Ctl && Ctl->maybeUpdate(NewNow))
       ++Out.Stream.WeightUpdates;
+    return NewNow;
   }
 
   /// Folds per-device scheduler stats and utilization into the outcome.
@@ -342,6 +374,7 @@ private:
   /// delivers no completion either: the fleet never admits a zero-work
   /// launch, whose completion a session holds until its clock passes.
   void catchUp(DeviceState &DS, double T) {
+    assert(DS.Session->now() <= T && "a session ran past the merged clock");
     if (DS.Session->now() >= T)
       return;
     DS.Session->advanceTo(T, RS.CompletionBuf);
@@ -640,6 +673,8 @@ private:
   size_t PlanCursor = 0;
   std::vector<size_t> FaultLive; ///< Unsettled displacements per fault.
   std::vector<double> SoloBuf;   ///< Reused per placement decision.
+  /// The leading device's completions, held for its turn in fleet order.
+  std::vector<sim::KernelExecResult> LeadDone;
   /// Measured service spans per (device, kernel), for StaticPrior
   /// blending.
   struct SoloObservation {
@@ -679,19 +714,8 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
       break; // The last arrivals were all lost at this instant.
 
     CR.admitAll(T);
-    CR.checkCached();
-
-    double NextEvent = CR.nextFleetEvent();
-    double NextInput = Src.empty() ? -1 : Src.nextTime();
-    double NextPlan = CR.nextPlanTime();
-    double Target = NextEvent;
-    if (Target < 0 || (NextInput >= 0 && NextInput < Target))
-      Target = NextInput;
-    if (Target < 0 || (NextPlan >= 0 && NextPlan < Target))
-      Target = NextPlan;
-    assert(Target >= 0 && "replay stalled with unfinished requests");
-    CR.advanceAll(T, Target);
-    Now = std::max(Target, T);
+    CR.checkCached(T);
+    Now = CR.advanceAll(T);
   }
 
   assert(CR.RS.Requests.size() == Total && "workload not fully replayed");

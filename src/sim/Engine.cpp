@@ -64,7 +64,12 @@ public:
   double nextEventTime() const;
   std::vector<KernelExecResult> advanceTo(double T);
   void advanceTo(double T, std::vector<KernelExecResult> &Out);
-  void advanceCore(double T);
+  void advanceUntil(double T, double StopAt,
+                    std::vector<KernelExecResult> &Out);
+  /// Processes the events at times <= \p T in (time, CU index) order.
+  /// \p Until (advanceUntil) also ends the run after the first instant
+  /// that leaves a completion to return or lies at or after \p StopAt.
+  template <bool Until> void advanceCore(double T, double StopAt = Inf);
   std::vector<KernelExecResult> drain();
   std::vector<KernelLaunchDesc> cancelAll();
   size_t inFlight() const { return InFlight; }
@@ -487,6 +492,15 @@ private:
     Dirty.clear();
   }
 
+  /// Replaces \p Out with the completions recorded since the last
+  /// hand-back (capacity of both buffers retained).
+  void takeCompleted(std::vector<KernelExecResult> &Out) {
+    Out.clear();
+    for (KernelExecResult &K : Completed)
+      Out.push_back(std::move(K));
+    Completed.clear();
+  }
+
   /// Debug builds, at every event: each leaf is its CU's next leg end,
   /// and the root is the (time, index) minimum over the leaves.
   void checkLegEnds() const {
@@ -599,8 +613,13 @@ double SessionState::nextEventTime() const {
   return T;
 }
 
-void SessionState::advanceCore(double T) {
-  for (;;) {
+template <bool Until>
+void SessionState::advanceCore(double T, double StopAt) {
+  for (bool Began = false;; Began = true) {
+    // Once an instant that ends an advanceUntil run has begun, the bound
+    // drops to it, so only the rest of its events are processed.
+    if (Until && Began && (Now >= StopAt || !Completed.empty()))
+      T = Now;
     checkLegEnds();
     bool HaveArrival = ArrivedCount != QueueOrder.size();
     double NextArrival =
@@ -698,18 +717,21 @@ void SessionState::advanceCore(double T) {
 }
 
 std::vector<KernelExecResult> SessionState::advanceTo(double T) {
-  advanceCore(T);
+  advanceCore<false>(T);
   std::vector<KernelExecResult> Out;
   Out.swap(Completed);
   return Out;
 }
 
 void SessionState::advanceTo(double T, std::vector<KernelExecResult> &Out) {
-  advanceCore(T);
-  Out.clear();
-  for (KernelExecResult &K : Completed)
-    Out.push_back(std::move(K));
-  Completed.clear();
+  advanceCore<false>(T);
+  takeCompleted(Out);
+}
+
+void SessionState::advanceUntil(double T, double StopAt,
+                                std::vector<KernelExecResult> &Out) {
+  advanceCore<true>(T, StopAt);
+  takeCompleted(Out);
 }
 
 std::vector<KernelExecResult> SessionState::drain() {
@@ -805,6 +827,11 @@ std::vector<KernelExecResult> EngineSession::advanceTo(double T) {
 void EngineSession::advanceTo(double T,
                               std::vector<KernelExecResult> &Out) {
   State->advanceTo(T, Out);
+}
+
+void EngineSession::advanceUntil(double T, double StopAt,
+                                 std::vector<KernelExecResult> &Out) {
+  State->advanceUntil(T, StopAt, Out);
 }
 
 bool EngineSession::advanceNextEvent(std::vector<KernelExecResult> &Out) {

@@ -24,9 +24,9 @@
 ///
 ///  - Engine::run — simulate a fixed launch vector to completion;
 ///  - EngineSession — a persistent incremental session (admit /
-///    advanceTo / drain) that lets a host-side scheduler inject
-///    launches mid-run and react to individual completions, which is
-///    what arrival-aware continuous admission is built on. A session
+///    advanceTo / advanceUntil / drain) that lets a host-side scheduler
+///    inject launches mid-run and react to individual completions, which
+///    is what arrival-aware continuous admission is built on. A session
 ///    holds only the launches still in play, so its memory tracks the
 ///    active window, not every launch it ever ran.
 ///
@@ -163,6 +163,13 @@ class SessionState;
 ///     S.admit(moreWork);             // e.g. at ArrivalTime == S.now()
 ///   }
 ///
+/// A caller that reacts only to completions need not stop at every
+/// event: advanceUntil(Bound, StopAt, Out) runs the session ahead to the
+/// first instant that completes a launch (or lies at or after StopAt),
+/// never past Bound — on a merged clock, the next instant anything else
+/// needs the caller. The events it runs through are the ones stepping
+/// with advanceTo would take, in the same order.
+///
 /// Determinism contract: admitting every launch up front and draining
 /// the session is event-for-event identical to Engine::run on the same
 /// vector (Engine::run is implemented exactly that way, merge groups
@@ -209,6 +216,17 @@ public:
   /// Buffer-reusing advanceTo: replaces the contents of \p Out with the
   /// window's completions (capacity retained across calls).
   void advanceTo(double T, std::vector<KernelExecResult> &Out);
+
+  /// Runs ahead to the next instant the caller must see: processes the
+  /// events at times <= \p T, in the order advanceTo does, and returns
+  /// after the first instant that leaves a completion to return or lies
+  /// at or after \p StopAt, with every event of that instant processed
+  /// and now() at that instant. When neither comes first, it returns
+  /// after every event up to \p T with now() at least \p T, as
+  /// advanceTo(T) does. A \p StopAt at or before now() stops after the
+  /// first instant. Replaces \p Out with the completions.
+  void advanceUntil(double T, double StopAt,
+                    std::vector<KernelExecResult> &Out);
 
   /// Advances the simulation to exactly the next pending event and
   /// replaces \p Out with the completions at that instant. \returns

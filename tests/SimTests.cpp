@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace accel;
 using namespace accel::sim;
@@ -574,23 +575,30 @@ TEST(EngineSessionTest, EqualTimeLegEndsRetireInCUOrder) {
   EXPECT_EQ(Done[1].AppId, 1);
 }
 
+/// Seed \p Seed's launch set for the schedule-equivalence tests: two to
+/// six static launches, all arriving at 0, whose costs come from two
+/// values and which overfill the tiny device, so leg ends on different
+/// compute units tie and freed slots are refilled.
+std::vector<KernelLaunchDesc> seededLaunchSet(uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  std::vector<KernelLaunchDesc> Set;
+  for (int App = 0, N = static_cast<int>(Rng.nextInRange(2, 7)); App != N;
+       ++App) {
+    uint64_t Threads = 32u << Rng.nextBelow(3);
+    size_t WGs = 1 + Rng.nextBelow(6);
+    double Cost = 3200.0 * static_cast<double>(1 + Rng.nextBelow(2));
+    Set.push_back(staticKernel("k", App, Threads, WGs, Cost));
+  }
+  return Set;
+}
+
 TEST(EngineSessionTest, AdmissionBatchingDoesNotChangeTheSchedule) {
   // The schedule is a function of the launches and their admission
   // instants, not of how admit calls group them: one admit of a set and
   // one admit per launch at the same instant must agree bit for bit.
-  // Costs come from two values and the sets overfill the device, so leg
-  // ends on different compute units tie and freed slots are refilled.
   DeviceSpec D = tinyDevice();
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-    SplitMix64 Rng(Seed);
-    std::vector<KernelLaunchDesc> Set;
-    for (int App = 0, N = static_cast<int>(Rng.nextInRange(2, 7)); App != N;
-         ++App) {
-      uint64_t Threads = 32u << Rng.nextBelow(3);
-      size_t WGs = 1 + Rng.nextBelow(6);
-      double Cost = 3200.0 * static_cast<double>(1 + Rng.nextBelow(2));
-      Set.push_back(staticKernel("k", App, Threads, WGs, Cost));
-    }
+    std::vector<KernelLaunchDesc> Set = seededLaunchSet(Seed);
     EngineSession Whole(D), OneByOne(D);
     Whole.admit(Set);
     for (const KernelLaunchDesc &L : Set)
@@ -606,6 +614,114 @@ TEST(EngineSessionTest, AdmissionBatchingDoesNotChangeTheSchedule) {
           << "seed " << Seed;
     }
   }
+}
+
+TEST(EngineSessionTest, AdvanceUntilMatchesSteppingEveryEvent) {
+  // Run ahead with no bound, a session stops only at instants that
+  // complete a launch, and it runs through the same events as one
+  // stepped event by event: the same completions, bit for bit, in the
+  // same order, with now() at the instant of each call's completions.
+  // Each seeded set runs as generated and with staggered arrivals,
+  // whose instants complete nothing.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  DeviceSpec D = tinyDevice();
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    for (bool Staggered : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed " << Seed << " staggered "
+                                      << Staggered);
+      std::vector<KernelLaunchDesc> Set = seededLaunchSet(Seed);
+      if (Staggered)
+        for (size_t I = 0; I != Set.size(); ++I)
+          Set[I].ArrivalTime = 37.0 * static_cast<double>(I);
+      EngineSession Stepped(D), Ahead(D);
+      Stepped.admit(Set);
+      Ahead.admit(Set);
+      std::vector<KernelExecResult> Want, Got, Buf;
+      while (Stepped.advanceNextEvent(Buf))
+        Want.insert(Want.end(), Buf.begin(), Buf.end());
+      while (Ahead.nextEventTime() >= 0) {
+        Ahead.advanceUntil(Inf, Inf, Buf);
+        ASSERT_FALSE(Buf.empty());
+        for (const KernelExecResult &K : Buf)
+          EXPECT_EQ(K.EndTime, Ahead.now());
+        Got.insert(Got.end(), Buf.begin(), Buf.end());
+      }
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t I = 0; I != Got.size(); ++I) {
+        EXPECT_EQ(Got[I].AppId, Want[I].AppId);
+        EXPECT_EQ(Got[I].StartTime, Want[I].StartTime);
+        EXPECT_EQ(Got[I].EndTime, Want[I].EndTime);
+      }
+    }
+  }
+}
+
+TEST(EngineSessionTest, AdvanceUntilStopsAtStopAtOrTheBound) {
+  // One work group drains six virtual groups one at a time: a leg event
+  // every 100 cycles, and only the last one (t=600) completes the
+  // launch.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  DeviceSpec D = tinyDevice();
+  KernelLaunchDesc Wq;
+  Wq.WGThreads = 32;
+  Wq.RegsPerThread = 8;
+  Wq.Mode = KernelLaunchDesc::ModeKind::WorkQueue;
+  Wq.VirtualCosts.assign(6, 3200.0);
+  Wq.PhysicalWGs = 1;
+  EngineSession S(D);
+  S.admit({Wq});
+  std::vector<KernelExecResult> Out;
+  // A StopAt at or before now() runs exactly one instant.
+  S.advanceUntil(Inf, S.now(), Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 100.0);
+  S.advanceUntil(Inf, 50.0, Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 200.0);
+  // A later StopAt stops at the first instant at or after it.
+  S.advanceUntil(Inf, 250.0, Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 300.0);
+  // With neither a completion nor StopAt first, the run ends at T.
+  S.advanceUntil(450.0, Inf, Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 450.0);
+  EXPECT_EQ(S.nextEventTime(), 500.0);
+  // A T before the next event runs nothing.
+  S.advanceUntil(480.0, 0.0, Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 480.0);
+  EXPECT_EQ(S.nextEventTime(), 500.0);
+  S.advanceUntil(Inf, Inf, Out);
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_EQ(Out[0].EndTime, 600.0);
+  EXPECT_EQ(S.now(), 600.0);
+  EXPECT_LT(S.nextEventTime(), 0.0);
+  // An idle session returns nothing, with now() at T.
+  S.advanceUntil(750.0, Inf, Out);
+  EXPECT_TRUE(Out.empty());
+  EXPECT_EQ(S.now(), 750.0);
+}
+
+TEST(EngineSessionTest, AdvanceUntilReturnsAnInstantsCompletionsInCUOrder) {
+  // EqualTimeLegEndsRetireInCUOrder's launches: two 1-WG launches on
+  // CUs 3 and 0 end at one instant and come back from one call, the
+  // one on CU 0 first.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  DeviceSpec D = tinyDevice();
+  EngineSession S(D);
+  std::vector<KernelExecResult> Out;
+  S.admit({staticKernel("warm", 0, 32, 3, 3200.0)});
+  S.advanceUntil(Inf, Inf, Out);
+  ASSERT_EQ(Out.size(), 1u);
+  S.admit({staticKernel("on-cu3", 1, 32, 1, 3200.0),
+           staticKernel("on-cu0", 2, 32, 1, 3200.0)});
+  S.advanceUntil(Inf, Inf, Out);
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].AppId, 2);
+  EXPECT_EQ(Out[1].AppId, 1);
+  EXPECT_EQ(Out[0].EndTime, S.now());
+  EXPECT_EQ(Out[1].EndTime, S.now());
 }
 
 TEST(EngineArrivalTest, AllZeroArrivalsReproduceBatchSemantics) {
