@@ -1163,13 +1163,21 @@ TEST(InterpTest, SuiteMatchesGolden) {
 // Hostile kernel source
 //===----------------------------------------------------------------------===//
 
-TEST(InterpTest, TokenDeletionMutantsFailSoft) {
-  // Every single-token deletion of every suite kernel (barriers,
-  // atomics, loops, helper calls) and of one kernel with a private array,
-  // which no suite kernel has. A mutant the front end rejects yields an
-  // Error (a mutant without the kernel entry counts as rejected too); one
-  // that compiles runs on a fresh interpreter with the suite runs'
-  // arguments and must trap or finish, never abort.
+/// Rejected, trapped and finished mutants of one sweep.
+struct MutantCounts {
+  unsigned Rejected = 0, Trapped = 0, Ran = 0;
+};
+
+/// Applies the single-token mutation \p Mutate, which maps a source and
+/// the [Begin, End) span of one of its tokens to the mutant, at every
+/// token of every suite kernel (barriers, atomics, loops, helper calls)
+/// and of one kernel with a private array, which no suite kernel has. A
+/// mutant the front end rejects yields an Error (a mutant without the
+/// kernel entry counts as rejected too); one that compiles runs on a
+/// fresh interpreter with the suite runs' arguments and must trap or
+/// finish, never abort.
+template <typename MutateFn>
+void sweepTokenMutants(MutateFn Mutate, MutantCounts &Counts) {
   struct Subject {
     std::string Source, KernelName;
     uint64_t WGSize;
@@ -1193,7 +1201,6 @@ TEST(InterpTest, TokenDeletionMutantsFailSoft) {
   )",
                       "priv", 64});
 
-  unsigned Rejected = 0, Trapped = 0, Ran = 0;
   for (const Subject &S : Subjects) {
     Expected<std::vector<minicl::Token>> Tokens =
         minicl::Lexer(S.Source).tokenize();
@@ -1212,12 +1219,12 @@ TEST(InterpTest, TokenDeletionMutantsFailSoft) {
       while (End > Begin && std::isspace(static_cast<unsigned char>(
                                 S.Source[End - 1])))
         --End;
-      std::string Mutant = S.Source.substr(0, Begin) + S.Source.substr(End);
+      std::string Mutant = Mutate(S.Source, Begin, End);
       Expected<std::unique_ptr<kir::Module>> M =
           minicl::compileSource("mutant", Mutant);
       kir::Function *K = M ? (*M)->getFunction(S.KernelName) : nullptr;
       if (!K || !K->isKernel()) {
-        ++Rejected;
+        ++Counts.Rejected;
         continue;
       }
       kir::DeviceMemory Mem(16ull << 20);
@@ -1229,14 +1236,39 @@ TEST(InterpTest, TokenDeletionMutantsFailSoft) {
       SeededArgs In = seedArgs(Mem, *K, K->numArguments(),
                                32 * Range.GlobalSize[0] + 4096, T);
       Expected<kir::ExecStats> Stats = Interp.run(*K, In.Args, Range);
-      ++(Stats ? Ran : Trapped);
+      ++(Stats ? Counts.Ran : Counts.Trapped);
     }
   }
-  std::printf("token deletions: %u rejected, %u trapped, %u ran\n", Rejected,
-              Trapped, Ran);
-  EXPECT_GT(Rejected, 0u);
-  EXPECT_GT(Trapped, 0u);
-  EXPECT_GT(Ran, 0u);
+}
+
+TEST(InterpTest, TokenDeletionMutantsFailSoft) {
+  MutantCounts C;
+  sweepTokenMutants(
+      [](const std::string &Source, size_t Begin, size_t End) {
+        return Source.substr(0, Begin) + Source.substr(End);
+      },
+      C);
+  std::printf("token deletions: %u rejected, %u trapped, %u ran\n",
+              C.Rejected, C.Trapped, C.Ran);
+  EXPECT_GT(C.Rejected, 0u);
+  EXPECT_GT(C.Trapped, 0u);
+  EXPECT_GT(C.Ran, 0u);
+}
+
+TEST(InterpTest, TokenDuplicationMutantsFailSoft) {
+  // Each token is repeated once, after a space, so the copy lexes as a
+  // token of its own ("+ +", not "++").
+  MutantCounts C;
+  sweepTokenMutants(
+      [](const std::string &Source, size_t Begin, size_t End) {
+        return Source.substr(0, End) + " " +
+               Source.substr(Begin, End - Begin) + Source.substr(End);
+      },
+      C);
+  std::printf("token duplications: %u rejected, %u trapped, %u ran\n",
+              C.Rejected, C.Trapped, C.Ran);
+  EXPECT_GT(C.Rejected, 0u);
+  EXPECT_GT(C.Ran, 0u);
 }
 
 } // namespace
