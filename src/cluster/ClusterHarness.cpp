@@ -247,11 +247,11 @@ public:
 #endif
   }
 
-  /// Moves the merged clock on from \p T to the next instant the fleet
-  /// must see, stepping the devices with an event due by then and
-  /// reacting to their completions (the class comment's step 4).
-  /// \returns the new merged time.
-  double advanceAll(double T) {
+  /// Moves the merged clock on to the next instant the fleet must see,
+  /// stepping the devices with an event due by then and reacting to
+  /// their completions (the class comment's step 4). \returns the new
+  /// merged time.
+  double advanceAll() {
     // The device with the earliest next event (the first in fleet order
     // on a tie) leads; every other pending event bounds its run. Equal
     // times are inclusive, so tied devices step together.
@@ -278,9 +278,8 @@ public:
       S.advanceUntil(Bound, Ctl ? Ctl->nextUpdate() : Inf, LeadDone);
       NewNow = S.now();
     } else {
-      Lead = NoDevice;
+      Lead = NoDevice; // No session has an event by Bound.
     }
-    NewNow = std::max(NewNow, T);
     assert(NewNow != Inf && "replay stalled with unfinished requests");
     for (size_t D = 0; D != Devices.size(); ++D) {
       DeviceState &DS = Devices[D];
@@ -715,7 +714,8 @@ ClusterOutcome replay(const std::vector<ReplayDevice> &Fleet,
 
     CR.admitAll(T);
     CR.checkCached(T);
-    Now = CR.advanceAll(T);
+    Now = CR.advanceAll();
+    assert(Now >= T && "the merged clock went back");
   }
 
   assert(CR.RS.Requests.size() == Total && "workload not fully replayed");
