@@ -18,6 +18,8 @@ using namespace accel::sim;
 
 namespace {
 
+constexpr double Inf = std::numeric_limits<double>::infinity();
+
 /// A small, easy-to-reason-about device: 4 CUs, 256 threads and 4 WGs
 /// per CU, 32 lanes.
 DeviceSpec tinyDevice() {
@@ -623,7 +625,6 @@ TEST(EngineSessionTest, AdvanceUntilMatchesSteppingEveryEvent) {
   // same order, with now() at the instant of each call's completions.
   // Each seeded set runs as generated and with staggered arrivals,
   // whose instants complete nothing.
-  constexpr double Inf = std::numeric_limits<double>::infinity();
   DeviceSpec D = tinyDevice();
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
     for (bool Staggered : {false, true}) {
@@ -660,7 +661,6 @@ TEST(EngineSessionTest, AdvanceUntilStopsAtStopAtOrTheBound) {
   // One work group drains six virtual groups one at a time: a leg event
   // every 100 cycles, and only the last one (t=600) completes the
   // launch.
-  constexpr double Inf = std::numeric_limits<double>::infinity();
   DeviceSpec D = tinyDevice();
   KernelLaunchDesc Wq;
   Wq.WGThreads = 32;
@@ -707,7 +707,6 @@ TEST(EngineSessionTest, AdvanceUntilReturnsAnInstantsCompletionsInCUOrder) {
   // EqualTimeLegEndsRetireInCUOrder's launches: two 1-WG launches on
   // CUs 3 and 0 end at one instant and come back from one call, the
   // one on CU 0 first.
-  constexpr double Inf = std::numeric_limits<double>::infinity();
   DeviceSpec D = tinyDevice();
   EngineSession S(D);
   std::vector<KernelExecResult> Out;
